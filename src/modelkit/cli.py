@@ -49,8 +49,9 @@ def _report(diagnostics: list[Diagnostic]) -> None:
 def _read(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
         return None
 
 
@@ -190,10 +191,7 @@ def cmd_fsm_run(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    # Inference needs no class model; parse against an empty placeholder.
-    from modelkit.metamodel import ClassModel
-
-    objects, code = _load_object_model(args.objects, ClassModel())
+    objects, code = _load_object_model(args.objects, None)  # needs no class model
     if objects is None:
         return code
     diagnostics: list[Diagnostic] = []

@@ -15,39 +15,40 @@ from modelkit.codegen import (
     GeneratorDescriptor,
     snake_case,
 )
-from modelkit.metamodel import ClassModel, all_properties
+from modelkit.index import ModelIndex
+from modelkit.metamodel import ClassModel
 
 
-def _association_fields(model: ClassModel, class_name: str) -> list[tuple[str, bool]]:
-    """(field name, is_collection) for every far end reachable from class_name.
+def _association_fields(model: ClassModel) -> dict[str, dict[str, bool]]:
+    """Per class, field name -> is_collection for every far end reachable
+    from it, in association order.
 
     A roleless self-association answers to one name from either side, so
     repeated names keep their first occurrence only.
     """
-    fields: list[tuple[str, bool]] = []
-    taken: set[str] = set()
+    fields: dict[str, dict[str, bool]] = {}
     for assoc in model.associations:
         if len(assoc.ends) != 2:
             continue
         for j in (0, 1):
-            if assoc.ends[1 - j].target == class_name:
-                far = assoc.ends[j]
-                name = far.role if far.role is not None else snake_case(far.target)
-                if name not in taken:
-                    taken.add(name)
-                    fields.append((name, far.multiplicity.upper != 1))
+            far = assoc.ends[j]
+            name = far.role if far.role is not None else snake_case(far.target)
+            fields.setdefault(assoc.ends[1 - j].target, {}).setdefault(
+                name, far.multiplicity.upper != 1)
     return fields
 
 
 def generate_plain_classes(model: ClassModel) -> GenerationResult:
     result = GenerationResult()
+    index = ModelIndex(model)
+    association_fields = _association_fields(model)
     for cls in model.classes:
-        params = [p.name for p in all_properties(model, cls.name)]
+        params = [p.name for p in index.flat(cls.name)]
         lines = [f"class {cls.name}:"]
         signature = ", ".join(["self"] + params)
         lines.append(f"    def __init__({signature}):")
         body = [f"        self.{name} = {name}" for name in params]
-        for field_name, is_collection in _association_fields(model, cls.name):
+        for field_name, is_collection in association_fields.get(cls.name, {}).items():
             initial = "[]" if is_collection else "None"
             body.append(f"        self.{field_name} = {initial}")
         if not body:

@@ -32,12 +32,8 @@ from modelkit.codegen import (
     snake_case,
 )
 from modelkit.diagnostics import Diagnostic, error, warning
-from modelkit.metamodel import (
-    Association,
-    ClassModel,
-    all_properties,
-    type_kind,
-)
+from modelkit.index import ModelIndex
+from modelkit.metamodel import Association, ClassModel
 
 _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "bool": "BOOLEAN"}
 
@@ -63,13 +59,12 @@ class _Table:
         return True
 
 
-def _column_type(model: ClassModel, type_name: str, column: str) -> str | None:
-    kind = type_kind(model, type_name)
+def _column_type(index: ModelIndex, type_name: str, column: str) -> str | None:
+    kind = index.kind(type_name)
     if kind == "primitive":
         return _TYPE_MAP[type_name]
     if kind == "enum":
-        enum = model.enum_named(type_name)
-        literals = ", ".join(f"'{lit}'" for lit in enum.literals)
+        literals = ", ".join(f"'{lit}'" for lit in index.enums[type_name].literals)
         return f"TEXT CHECK ({column} IN ({literals}))"
     return None
 
@@ -77,19 +72,16 @@ def _column_type(model: ClassModel, type_name: str, column: str) -> str | None:
 def _fk_mapping(assoc: Association) -> tuple[int, int] | None:
     """(referenced end index, holder end index) for FK-style associations,
     None for many-to-many."""
-    single0 = assoc.ends[0].multiplicity.upper == 1
-    single1 = assoc.ends[1].multiplicity.upper == 1
-    if single0 and not single1:
-        return 0, 1
-    if single1 and not single0:
+    if assoc.ends[0].multiplicity.upper == 1:
+        return 0, 1  # when both ends are single-valued, the second holds the key
+    if assoc.ends[1].multiplicity.upper == 1:
         return 1, 0
-    if single0 and single1:
-        return 0, 1
     return None
 
 
 def generate_sql_ddl(model: ClassModel) -> GenerationResult:
     diags: list[Diagnostic] = []
+    index = ModelIndex(model)
     concrete = [c for c in model.classes if not c.is_abstract]
 
     # Decide how each association maps before building any table, so key
@@ -100,7 +92,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
     for assoc in model.associations:
         if len(assoc.ends) != 2:
             continue
-        involved = [model.class_named(end.target) for end in assoc.ends]
+        involved = [index.classes.get(end.target) for end in assoc.ends]
         if any(c is None for c in involved):
             continue  # invalid model; validation reports it
         if any(c.is_abstract for c in involved):
@@ -131,7 +123,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
     keys: dict[str, list[tuple[str, str]]] = {}
     synthetic: set[str] = set()
     for cls in concrete:
-        id_props = [p for p in all_properties(model, cls.name) if p.is_id]
+        id_props = [p for p in index.flat(cls.name) if p.is_id]
         if id_props:
             keys[cls.name] = [(p.name, _TYPE_MAP.get(p.type_name, "TEXT"))
                               for p in id_props]
@@ -166,8 +158,8 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
         class_table[cls.name] = table.name
         if cls.name in synthetic:
             table.add_column("id", "INTEGER", diags, "synthetic key")
-        for prop in all_properties(model, cls.name):
-            rendered = _column_type(model, prop.type_name, prop.name)
+        for prop in index.flat(cls.name):
+            rendered = _column_type(index, prop.type_name, prop.name)
             if rendered is None:
                 diags.append(error("gen-unsupported",
                                    f"property '{cls.name}.{prop.name}' has "

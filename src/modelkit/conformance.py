@@ -9,6 +9,7 @@ links, then per-association multiplicity counts.
 from __future__ import annotations
 
 from modelkit.diagnostics import Diagnostic, error
+from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     BoolV,
     ClassModel,
@@ -16,18 +17,17 @@ from modelkit.metamodel import (
     FloatV,
     IntV,
     NullV,
-    ObjectDef,
     ObjectModel,
-    Property,
     StrV,
     Value,
-    all_properties,
-    is_subclass_of,
-    type_kind,
 )
 
+# Value classes each primitive type admits.
+_PRIMITIVE_VALUES = {"int": IntV, "float": (IntV, FloatV), "str": (StrV, EnumV),
+                     "bool": BoolV}
 
-def value_conforms(value: Value, declared_type: str, model: ClassModel) -> bool:
+
+def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
     """Type compatibility of one slot value against a declared type.
 
     Null fits everything.  Ints additionally fit float properties, and enum
@@ -37,47 +37,30 @@ def value_conforms(value: Value, declared_type: str, model: ClassModel) -> bool:
     """
     if isinstance(value, NullV):
         return True
-    kind = type_kind(model, declared_type)
+    kind = index.kind(declared_type)
     if kind == "primitive":
-        if declared_type == "int":
-            return isinstance(value, IntV)
-        if declared_type == "float":
-            return isinstance(value, (IntV, FloatV))
-        if declared_type == "str":
-            return isinstance(value, (StrV, EnumV))
-        if declared_type == "bool":
-            return isinstance(value, BoolV)
+        return isinstance(value, _PRIMITIVE_VALUES[declared_type])
     if kind == "enum":
-        enum = model.enum_named(declared_type)
         return (isinstance(value, EnumV) and value.enum == declared_type
-                and enum is not None and value.literal in enum.literals)
+                and value.literal in index.enums[declared_type].literals)
     return False  # class-typed (non-null) or unresolvable
-
-
-def slot_required(prop: Property, model: ClassModel) -> bool:
-    """Class-typed properties admit omission (their only value is null)."""
-    return type_kind(model, prop.type_name) != "class"
 
 
 def check_conformance(objects: ObjectModel, model: ClassModel) -> list[Diagnostic]:
     """All the ways `objects` fails to instantiate `model`; empty = conforms."""
     diags: list[Diagnostic] = []
-
-    known: dict[str, ObjectDef] = {}
+    index = ModelIndex(model)
+    population = PopulationIndex(objects)
     for obj in objects.objects:
-        if obj.id not in known:
-            known[obj.id] = obj
-        _check_object(obj, objects, model, diags)
-
+        _check_object(obj, index, diags)
     for i, link in enumerate(objects.links):
-        _check_link(i, link, known, model, diags)
-
-    _check_multiplicities(objects, model, diags)
+        _check_link(i, link, population.objects, index, diags)
+    _check_multiplicities(objects, index, population, diags)
     return diags
 
 
-def _check_object(obj, objects, model, diags) -> None:
-    cls = model.class_named(obj.classifier)
+def _check_object(obj, index, diags) -> None:
+    cls = index.classes.get(obj.classifier)
     if cls is None:
         diags.append(error("unknown-classifier",
                            f"object '{obj.id}' has unknown classifier '{obj.classifier}'",
@@ -88,7 +71,7 @@ def _check_object(obj, objects, model, diags) -> None:
                            f"object '{obj.id}' instantiates abstract class '{cls.name}'",
                            obj.span, subject=obj.id))
 
-    props = {p.name: p for p in all_properties(model, cls.name)}
+    props = index.properties(cls.name)
     seen_slots: set[str] = set()
     for slot in obj.slots:
         subject = f"{obj.id}.{slot.property_name}"
@@ -105,23 +88,24 @@ def _check_object(obj, objects, model, diags) -> None:
                                f"object '{obj.id}' assigns unknown property "
                                f"'{slot.property_name}' of class '{cls.name}'",
                                slot.span, subject=subject))
-        elif not value_conforms(slot.value, prop.type_name, model):
+        elif not value_conforms(slot.value, prop.type_name, index):
             diags.append(error("slot-type",
                                f"value of slot '{obj.id}.{slot.property_name}' does not "
                                f"fit declared type '{prop.type_name}'",
                                slot.span, subject=subject))
 
     for prop in props.values():
-        if prop.name not in seen_slots and slot_required(prop, model):
+        # Class-typed properties admit omission (their only value is null).
+        if prop.name not in seen_slots and index.kind(prop.type_name) != "class":
             diags.append(error("slot-missing",
                                f"object '{obj.id}' has no slot for required property "
                                f"'{prop.name}'",
                                obj.span, subject=f"{obj.id}.{prop.name}"))
 
 
-def _check_link(index, link, known, model, diags) -> None:
-    subject = f"link[{index}]"
-    assoc = model.association_named(link.association_name)
+def _check_link(position, link, known, index, diags) -> None:
+    subject = f"link[{position}]"
+    assoc = index.associations.get(link.association_name)
     if assoc is None:
         diags.append(error("unknown-association",
                            f"link references unknown association "
@@ -142,34 +126,27 @@ def _check_link(index, link, known, model, diags) -> None:
                                link.span, subject=subject))
             continue
         end = assoc.ends[pos]
-        if model.class_named(end.target) is None or model.class_named(obj.classifier) is None:
+        if end.target not in index.classes or obj.classifier not in index.classes:
             continue  # already reported against the model or the object
-        if not is_subclass_of(model, obj.classifier, end.target):
+        if not index.conforms(obj.classifier, end.target):
             diags.append(error("link-end-type",
                                f"object '{obj.id}' ({obj.classifier}) cannot occupy the "
                                f"'{end.target}' end of association '{assoc.name}'",
                                link.span, subject=subject))
 
 
-def _check_multiplicities(objects, model, diags) -> None:
+def _check_multiplicities(objects, index, population, diags) -> None:
     # The multiplicity at end j bounds, for each instance at the opposite
     # end, how many links of the association it participates in.
-    for assoc in model.associations:
+    for assoc in index.model.associations:
         if len(assoc.ends) != 2:
             continue
-        links = [ln for ln in objects.links
-                 if ln.association_name == assoc.name and len(ln.ends) == 2]
         for j, bound_end in enumerate(assoc.ends):
             i = 1 - j
-            holder_end = assoc.ends[i]
-            if model.class_named(holder_end.target) is None:
-                continue
             for obj in objects.objects:
-                if model.class_named(obj.classifier) is None:
+                if not index.conforms(obj.classifier, assoc.ends[i].target):
                     continue
-                if not is_subclass_of(model, obj.classifier, holder_end.target):
-                    continue
-                count = sum(1 for ln in links if ln.ends[i].object_id == obj.id)
+                count = len(population.linked(assoc.name, i, obj.id))
                 mult = bound_end.multiplicity
                 if count < mult.lower:
                     diags.append(error(

@@ -11,6 +11,7 @@ from typing import Optional
 
 from modelkit.conformance import check_conformance, value_conforms
 from modelkit.diagnostics import Diagnostic, warning
+from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -22,15 +23,12 @@ from modelkit.metamodel import (
     FloatV,
     Generalization,
     IntV,
-    Link,
     Multiplicity,
     NullV,
     ObjectDef,
     ObjectModel,
     Property,
     StrV,
-    all_properties,
-    is_subclass_of,
 )
 
 # Observed value kinds form a little lattice: int < float, everything
@@ -137,21 +135,19 @@ def infer_class_model(objects: ObjectModel,
             subject=assoc_name))
         return base
 
-    for name, (seen0, seen1) in observed.items():
-        targets = (end_class(name, 0, seen0), end_class(name, 1, seen1))
+    # All end classes exist before the model is indexed for the link counts.
+    end_targets = {name: (end_class(name, 0, seen0), end_class(name, 1, seen1))
+                   for name, (seen0, seen1) in observed.items()}
+    index = ModelIndex(model)
+    population = PopulationIndex(objects)
+    for name, targets in end_targets.items():
         mults = []
         for j in (0, 1):
             # End j's multiplicity bounds link counts per instance
             # conforming to the opposite end's class.
             i = 1 - j
-            counts = []
-            for obj in objects.objects:
-                if not is_subclass_of(model, obj.classifier, targets[i]):
-                    continue
-                counts.append(sum(
-                    1 for ln in objects.links
-                    if ln.association_name == name and len(ln.ends) == 2
-                    and ln.ends[i].object_id == obj.id))
+            counts = [len(population.linked(name, i, obj.id)) for obj in objects.objects
+                      if index.conforms(obj.classifier, targets[i])]
             low = min(counts) if counts else 0
             high = max(counts) if counts else 1
             mults.append(Multiplicity(low, None if high > 1 else max(high, 1)))
@@ -180,9 +176,10 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
         diags.append(warning(f"removed-{kind}", f"removed {kind} {subject}: {reason}",
                              subject=subject))
 
+    index = ModelIndex(model)
     kept_objects: list[ObjectDef] = []
     for obj in objects.objects:
-        cls = model.class_named(obj.classifier)
+        cls = index.classes.get(obj.classifier)
         if cls is None:
             removed("object", f"'{obj.id}'",
                     f"unknown classifier '{obj.classifier}'")
@@ -195,7 +192,7 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
 
     pruned_objects: list[ObjectDef] = []
     for obj in kept_objects:
-        props = {p.name: p for p in all_properties(model, obj.classifier)}
+        props = index.properties(obj.classifier)
         kept_slots: list[AttributeLink] = []
         seen: set[str] = set()
         for slot in obj.slots:
@@ -209,7 +206,7 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                 removed("slot", subject,
                         f"unknown property of '{obj.classifier}'")
                 continue
-            if not value_conforms(slot.value, prop.type_name, model):
+            if not value_conforms(slot.value, prop.type_name, index):
                 removed("slot", subject,
                         f"value does not fit declared type '{prop.type_name}'")
                 continue
@@ -217,36 +214,33 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
         pruned_objects.append(ObjectDef(id=obj.id, classifier=obj.classifier,
                                         slots=kept_slots, span=obj.span))
 
-    alive = {obj.id for obj in pruned_objects}
-    kept_links: list[Link] = []
-    for index, link in enumerate(objects.links):
-        subject = f"link[{index}]"
-        assoc = model.association_named(link.association_name)
+    population = PopulationIndex(ObjectModel(objects=pruned_objects, links=objects.links))
+    dropped: set[int] = set()  # id() of every removed link
+    for position, link in enumerate(objects.links):
+        subject = f"link[{position}]"
+        assoc = index.associations.get(link.association_name)
         if assoc is None or len(link.ends) != 2:
-            removed("link", subject,
-                    f"unknown association '{link.association_name}'")
+            removed("link", subject, f"unknown association '{link.association_name}'")
+            dropped.add(id(link))
             continue
         bad = None
         for pos, link_end in enumerate(link.ends):
-            if link_end.object_id not in alive:
+            holder = population.objects.get(link_end.object_id)
+            if holder is None:
                 bad = f"end object '{link_end.object_id}' is gone or unknown"
                 break
-            holder = next(o for o in pruned_objects if o.id == link_end.object_id)
             end = assoc.ends[pos]
-            if (model.class_named(end.target) is None
-                    or not is_subclass_of(model, holder.classifier, end.target)):
+            if not index.conforms(holder.classifier, end.target):
                 bad = (f"object '{holder.id}' ({holder.classifier}) cannot occupy "
                        f"the '{end.target}' end")
                 break
         if bad is not None:
             removed("link", subject, bad)
-            continue
-        kept_links.append(link)
+            dropped.add(id(link))
 
     # Upper bounds: walk associations and directions deterministically,
     # dropping the newest-declared surplus links as we go.
     link_index = {id(ln): i for i, ln in enumerate(objects.links)}
-    dropped: set[int] = set()
     for assoc in model.associations:
         if len(assoc.ends) != 2:
             continue
@@ -256,23 +250,18 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                 continue
             i = 1 - j
             for obj in pruned_objects:
-                if (model.class_named(assoc.ends[i].target) is None
-                        or not is_subclass_of(model, obj.classifier,
-                                              assoc.ends[i].target)):
+                if not index.conforms(obj.classifier, assoc.ends[i].target):
                     continue
-                mine = [ln for ln in kept_links
-                        if ln.association_name == assoc.name
-                        and id(ln) not in dropped
-                        and ln.ends[i].object_id == obj.id]
+                mine = [ln for ln in population.linked(assoc.name, i, obj.id)
+                        if id(ln) not in dropped]
                 for surplus in mine[upper:][::-1]:
                     dropped.add(id(surplus))
                     removed("link", f"link[{link_index[id(surplus)]}]",
                             f"'{assoc.name}' exceeds upper bound {upper} "
                             f"at object '{obj.id}'")
-    kept_links = [ln for ln in kept_links if id(ln) not in dropped]
 
     result = ObjectModel(name=objects.name, objects=pruned_objects,
-                         links=kept_links)
+                         links=[ln for ln in objects.links if id(ln) not in dropped])
     residual = check_conformance(result, model)
     diags.extend(residual)
     return result, diags

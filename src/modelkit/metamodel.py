@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from modelkit.diagnostics import Diagnostic, SourceSpan, error
-
-PRIMITIVE_TYPES = ("int", "float", "str", "bool")
+from modelkit.index import ModelIndex
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -75,22 +74,11 @@ class Multiplicity:
     lower: int = 0
     upper: Optional[int] = None
 
-    def admits(self, count: int) -> bool:
-        return count >= self.lower and (self.upper is None or count <= self.upper)
-
-    @classmethod
-    def many(cls) -> "Multiplicity":
-        return cls(0, None)
-
-    @classmethod
-    def one(cls) -> "Multiplicity":
-        return cls(1, 1)
-
 
 @dataclass
 class Property:
     name: str
-    type_name: str  # one of PRIMITIVE_TYPES, a class name, or an enum name
+    type_name: str  # one of index.PRIMITIVE_TYPES, a class name, or an enum name
     is_id: bool = False
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
@@ -114,7 +102,7 @@ class EnumDef:
 class AssociationEnd:
     target: str  # class name
     role: Optional[str] = None
-    multiplicity: Multiplicity = field(default_factory=Multiplicity.many)
+    multiplicity: Multiplicity = field(default_factory=Multiplicity)
     is_composite: bool = False
 
     def nav_name(self) -> str:
@@ -143,24 +131,6 @@ class ClassModel:
     enumerations: list[EnumDef] = field(default_factory=list)
     associations: list[Association] = field(default_factory=list)
     generalizations: list[Generalization] = field(default_factory=list)
-
-    def class_named(self, name: str) -> Optional[ClassDef]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
-    def enum_named(self, name: str) -> Optional[EnumDef]:
-        for e in self.enumerations:
-            if e.name == name:
-                return e
-        return None
-
-    def association_named(self, name: str) -> Optional[Association]:
-        for a in self.associations:
-            if a.name == name:
-                return a
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +175,6 @@ class ObjectModel:
     objects: list[ObjectDef] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
 
-    def object_named(self, object_id: str) -> Optional[ObjectDef]:
-        for o in self.objects:
-            if o.id == object_id:
-                return o
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Inheritance helpers
@@ -221,56 +185,24 @@ def ancestors(model: ClassModel, class_name: str) -> list[str]:
     Tolerates cyclic generalization graphs by never revisiting a class, so
     it is safe to call while validation is still pending.
     """
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(name: str) -> None:
-        for gen in model.generalizations:
-            if gen.specific == name and gen.general not in seen and gen.general != name:
-                seen.add(gen.general)
-                visit(gen.general)
-                order.append(gen.general)
-
-    seen.add(class_name)
-    visit(class_name)
-    return order
+    return list(ModelIndex(model).ancestors(class_name))
 
 
 def all_properties(model: ClassModel, class_name: str) -> list[Property]:
     """Own properties preceded by inherited ones, general-most first."""
-    cls = model.class_named(class_name)
-    if cls is None:
+    index = ModelIndex(model)
+    if class_name not in index.classes:
         raise ValueError(f"unknown class '{class_name}'")
-    props: list[Property] = []
-    for anc in ancestors(model, class_name):
-        anc_cls = model.class_named(anc)
-        if anc_cls is not None:
-            props.extend(anc_cls.properties)
-    props.extend(cls.properties)
-    return props
+    return list(index.flat(class_name))
 
 
 def is_subclass_of(model: ClassModel, sub: str, sup: str) -> bool:
     """True iff sup is reachable from sub via generalizations, or sub == sup."""
-    if model.class_named(sub) is None:
-        raise ValueError(f"unknown class '{sub}'")
-    if model.class_named(sup) is None:
-        raise ValueError(f"unknown class '{sup}'")
-    return sub == sup or sup in ancestors(model, sub)
-
-
-def type_kind(model: ClassModel, type_name: str) -> Optional[str]:
-    """Resolve a type reference: 'primitive', 'class', 'enum', or None.
-
-    Primitive names are reserved and win over same-named classes or enums.
-    """
-    if type_name in PRIMITIVE_TYPES:
-        return "primitive"
-    if model.class_named(type_name) is not None:
-        return "class"
-    if model.enum_named(type_name) is not None:
-        return "enum"
-    return None
+    index = ModelIndex(model)
+    for name in (sub, sup):
+        if name not in index.classes:
+            raise ValueError(f"unknown class '{name}'")
+    return index.conforms(sub, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -284,38 +216,48 @@ def _generalization_cycles(model: ClassModel) -> list[list[str]]:
         if gen.specific in edges and gen.general in edges and gen.specific != gen.general:
             edges[gen.specific].append(gen.general)
 
+    # Tarjan's algorithm with an explicit stack of (class, successor iterator)
+    # frames, so that deep hierarchies cannot exhaust the interpreter stack.
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
-    counter = [0]
+    frames: list = []
 
-    def connect(v: str) -> None:
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
+    def enter(v: str) -> None:
+        index[v] = lowlink[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in edges[v]:
-            if w not in index:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            if len(comp) > 1:
-                sccs.append(comp)
+        frames.append((v, iter(edges[v])))
 
     for n in names:
-        if n not in index:
-            connect(n)
+        if n in index:
+            continue
+        enter(n)
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if w not in index:
+                    enter(w)
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1:
+                        sccs.append(comp)
     decl_pos = {n: i for i, n in enumerate(names)}
     for comp in sccs:
         comp.sort(key=lambda n: decl_pos[n])
@@ -331,6 +273,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
     generalizations.
     """
     found: list[tuple[int, str, Diagnostic]] = []
+    index = ModelIndex(model)
     n_classes = len(model.classes)
     n_enums = len(model.enumerations)
     n_assocs = len(model.associations)
@@ -376,7 +319,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
                               f"property '{prop.name}' declared twice in class '{cls.name}'",
                               prop.span, subject=f"{cls.name}.{prop.name}"))
             own.add(prop.name)
-            kind = type_kind(model, prop.type_name)
+            kind = index.kind(prop.type_name)
             if kind is None:
                 add(ci, error("bad-type",
                               f"property '{cls.name}.{prop.name}' references unknown type "
@@ -390,22 +333,20 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
 
         # Shadowing of inherited properties, skipped for classes on a cycle
         # (their ancestry is not well defined until the cycle is fixed).
-        if cls.name not in cyclic and not (set(ancestors(model, cls.name)) & cyclic):
+        if cls.name not in cyclic and not (set(index.ancestors(cls.name)) & cyclic):
             inherited_from: dict[str, str] = {}
-            for anc in ancestors(model, cls.name):
-                anc_cls = model.class_named(anc)
+            for anc in index.ancestors(cls.name):
+                anc_cls = index.classes.get(anc)
                 if anc_cls is None:
                     continue
                 for prop in anc_cls.properties:
                     if prop.name in inherited_from and inherited_from[prop.name] != anc:
                         # Clash between two unrelated ancestors: report at the
                         # most specific class where both lines first meet.
-                        direct = [g.general for g in model.generalizations
-                                  if g.specific == cls.name]
                         meets_below = any(
-                            inherited_from[prop.name] in ([d] + ancestors(model, d))
-                            and anc in ([d] + ancestors(model, d))
-                            for d in direct
+                            inherited_from[prop.name] in ([d] + index.ancestors(d))
+                            and anc in ([d] + index.ancestors(d))
+                            for d in index.parents[cls.name]
                         )
                         if not meets_below:
                             add(ci, error(
@@ -448,7 +389,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
                              assoc.span, subject=assoc.name))
             continue
         for end in assoc.ends:
-            if model.class_named(end.target) is None:
+            if end.target not in index.classes:
                 add(order, error("unknown-class",
                                  f"association '{assoc.name}' end references unknown class "
                                  f"'{end.target}'",
@@ -483,7 +424,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
     for gi, gen in enumerate(model.generalizations):
         order = gen_base + gi
         for name in (gen.general, gen.specific):
-            if model.class_named(name) is None:
+            if name not in index.classes:
                 add(order, error("unknown-class",
                                  f"generalization references unknown class '{name}'",
                                  gen.span, subject=name))

@@ -29,8 +29,10 @@ per-instance verdict 'error'.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Union
 
+from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     BoolV,
     ClassModel,
@@ -43,8 +45,6 @@ from modelkit.metamodel import (
     ObjectModel,
     StrV,
     Value,
-    all_properties,
-    ancestors,
 )
 from modelkit.ocl.nodes import (
     Binary,
@@ -97,14 +97,21 @@ def _num(v) -> Union[int, float]:
     return v.value
 
 
-def _class_exists(model: ClassModel, name: str) -> bool:
-    return model.class_named(name) is not None
+class Scope:
+    """The population and model an evaluation reads, each indexed on first
+    use: an expression that never navigates builds no index."""
 
+    def __init__(self, objects: ObjectModel, model: ClassModel):
+        self.objects = objects
+        self.model = model
 
-def _conforms(model: ClassModel, sub: str, sup: str) -> bool:
-    if not _class_exists(model, sub) or not _class_exists(model, sup):
-        return False
-    return sub == sup or sup in ancestors(model, sub)
+    @cached_property
+    def types(self) -> ModelIndex:
+        return ModelIndex(self.model)
+
+    @cached_property
+    def links(self) -> PopulationIndex:
+        return PopulationIndex(self.objects)
 
 
 def value_equal(a: Evaluated, b: Evaluated) -> bool:
@@ -130,39 +137,25 @@ def _read_slot(obj: ObjectDef, name: str) -> Evaluated:
     return slot.value
 
 
-def _navigate(obj: ObjectDef, name: str, objects: ObjectModel,
-              model: ClassModel) -> Evaluated:
-    if _class_exists(model, obj.classifier):
-        props = {p.name for p in all_properties(model, obj.classifier)}
-        if name in props:
-            return _read_slot(obj, name)
-    for assoc in model.associations:
-        if len(assoc.ends) != 2:
-            continue
-        for j in (0, 1):
-            far_end = assoc.ends[j]
-            near_end = assoc.ends[1 - j]
-            if far_end.nav_name() != name:
-                continue
-            if not _conforms(model, obj.classifier, near_end.target):
-                continue
-            partners: list[Evaluated] = []
-            for link in objects.links:
-                if link.association_name != assoc.name or len(link.ends) != 2:
-                    continue
-                if link.ends[1 - j].object_id != obj.id:
-                    continue
-                partner = objects.object_named(link.ends[j].object_id)
-                if partner is None:
-                    raise OclRuntimeError(
-                        f"link of '{assoc.name}' references unknown object "
-                        f"'{link.ends[j].object_id}'")
-                partners.append(partner)
-            if far_end.multiplicity.upper == 1:
-                return partners[0] if partners else NULL
-            return partners
-    raise OclRuntimeError(
-        f"'{obj.classifier}' has no attribute or association '{name}'")
+def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
+    found = scope.types.navigation(obj.classifier, name)
+    if found is None:
+        raise OclRuntimeError(
+            f"'{obj.classifier}' has no attribute or association '{name}'")
+    if not isinstance(found, tuple):
+        return _read_slot(obj, name)
+    assoc, j = found
+    partners: list[Evaluated] = []
+    for link in scope.links.linked(assoc.name, 1 - j, obj.id):
+        partner = scope.links.objects.get(link.ends[j].object_id)
+        if partner is None:
+            raise OclRuntimeError(
+                f"link of '{assoc.name}' references unknown object "
+                f"'{link.ends[j].object_id}'")
+        partners.append(partner)
+    if assoc.ends[j].multiplicity.upper == 1:
+        return partners[0] if partners else NULL
+    return partners
 
 
 def _require_bool(v: Evaluated, context: str) -> bool:
@@ -175,6 +168,10 @@ def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
                         model: ClassModel) -> Evaluated:
     """Evaluate one expression; raises OclRuntimeError on type errors,
     division by zero, null navigation, and unknown names."""
+    return _eval(expr, env, Scope(objects, model))
+
+
+def _eval(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, SelfRef):
@@ -182,7 +179,7 @@ def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
     if isinstance(expr, VarRef):
         return env.lookup(expr.name)
     if isinstance(expr, Nav):
-        source = evaluate_expression(expr.source, env, objects, model)
+        source = _eval(expr.source, env, scope)
         if isinstance(source, NullV):
             raise OclRuntimeError(f"navigation '{expr.name}' on null")
         if isinstance(source, list):
@@ -190,23 +187,23 @@ def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
                 f"navigation '{expr.name}' on a collection (no implicit collect)")
         if not isinstance(source, ObjectDef):
             raise OclRuntimeError(f"navigation '{expr.name}' on a plain value")
-        return _navigate(source, expr.name, objects, model)
+        return _navigate(source, expr.name, scope)
     if isinstance(expr, Unary):
-        return _eval_unary(expr, env, objects, model)
+        return _eval_unary(expr, env, scope)
     if isinstance(expr, Binary):
-        return _eval_binary(expr, env, objects, model)
+        return _eval_binary(expr, env, scope)
     if isinstance(expr, If):
-        cond = evaluate_expression(expr.condition, env, objects, model)
+        cond = _eval(expr.condition, env, scope)
         branch = expr.then_branch if _require_bool(cond, "if condition") \
             else expr.else_branch
-        return evaluate_expression(branch, env, objects, model)
+        return _eval(branch, env, scope)
     if isinstance(expr, CollectionOp):
-        return _eval_collection_op(expr, env, objects, model)
+        return _eval_collection_op(expr, env, scope)
     raise OclRuntimeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _eval_unary(expr, env, objects, model) -> Evaluated:
-    operand = evaluate_expression(expr.operand, env, objects, model)
+def _eval_unary(expr, env, scope) -> Evaluated:
+    operand = _eval(expr.operand, env, scope)
     if expr.op == "not":
         return BoolV(not _require_bool(operand, "operand of 'not'"))
     if _is_number(operand):
@@ -215,25 +212,21 @@ def _eval_unary(expr, env, objects, model) -> Evaluated:
     raise OclRuntimeError("unary '-' on a non-number")
 
 
-def _eval_binary(expr, env, objects, model) -> Evaluated:
+def _eval_binary(expr, env, scope) -> Evaluated:
     op = expr.op
     if op in ("and", "or", "implies"):
-        lhs = _require_bool(
-            evaluate_expression(expr.lhs, env, objects, model),
-            f"left operand of '{op}'")
+        lhs = _require_bool(_eval(expr.lhs, env, scope), f"left operand of '{op}'")
         if op == "and" and not lhs:
             return BoolV(False)
         if op == "or" and lhs:
             return BoolV(True)
         if op == "implies" and not lhs:
             return BoolV(True)
-        rhs = _require_bool(
-            evaluate_expression(expr.rhs, env, objects, model),
-            f"right operand of '{op}'")
-        return BoolV(rhs)
+        return BoolV(_require_bool(_eval(expr.rhs, env, scope),
+                                   f"right operand of '{op}'"))
 
-    lhs = evaluate_expression(expr.lhs, env, objects, model)
-    rhs = evaluate_expression(expr.rhs, env, objects, model)
+    lhs = _eval(expr.lhs, env, scope)
+    rhs = _eval(expr.rhs, env, scope)
 
     if op == "=":
         return BoolV(value_equal(lhs, rhs))
@@ -273,8 +266,8 @@ def _eval_binary(expr, env, objects, model) -> Evaluated:
     return BoolV(a >= b)
 
 
-def _eval_collection_op(expr, env, objects, model) -> Evaluated:
-    source = evaluate_expression(expr.source, env, objects, model)
+def _eval_collection_op(expr, env, scope) -> Evaluated:
+    source = _eval(expr.source, env, scope)
     if not isinstance(source, list):
         raise OclRuntimeError(f"'->{expr.op}' on a non-collection")
     op = expr.op
@@ -285,14 +278,14 @@ def _eval_collection_op(expr, env, objects, model) -> Evaluated:
     if op == "notEmpty":
         return BoolV(bool(source))
     if op == "includes":
-        needle = evaluate_expression(expr.body, env, objects, model)
+        needle = _eval(expr.body, env, scope)
         return BoolV(any(value_equal(item, needle) for item in source))
 
     results: list[Evaluated] = []
     for item in source:
         env.push(expr.var, item)
         try:
-            value = evaluate_expression(expr.body, env, objects, model)
+            value = _eval(expr.body, env, scope)
         finally:
             env.pop()
         if op == "forAll":
@@ -316,20 +309,23 @@ def _eval_collection_op(expr, env, objects, model) -> Evaluated:
 
 
 def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
-                        model: ClassModel) -> EvalResult:
+                        model: ClassModel, *, scope: Optional[Scope] = None
+                        ) -> EvalResult:
     """Evaluate one invariant over every instance of its context class,
-    subclass instances included, in object declaration order."""
-    if not _class_exists(model, constraint.context_class):
+    subclass instances included, in object declaration order.  `scope`
+    shares indexes among constraints over the same objects and model."""
+    scope = scope or Scope(objects, model)
+    if constraint.context_class not in scope.types.classes:
         return EvalResult(
             constraint=constraint.name,
             message=f"unknown context class '{constraint.context_class}'")
     result = EvalResult(constraint=constraint.name)
     for obj in objects.objects:
-        if not _conforms(model, obj.classifier, constraint.context_class):
+        if not scope.types.conforms(obj.classifier, constraint.context_class):
             continue
         env = Binding({"self": obj})
         try:
-            value = evaluate_expression(constraint.body, env, objects, model)
+            value = _eval(constraint.body, env, scope)
         except OclRuntimeError as exc:
             result.per_instance.append(
                 InstanceResult(obj.id, "error", str(exc)))
@@ -346,7 +342,8 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
 def check_all(constraints: list[OclConstraint], objects: ObjectModel,
               model: ClassModel) -> list[EvalResult]:
     """Evaluate every constraint in declaration order."""
-    return [evaluate_constraint(c, objects, model) for c in constraints]
+    scope = Scope(objects, model)
+    return [evaluate_constraint(c, objects, model, scope=scope) for c in constraints]
 
 
 def all_passed(results: list[EvalResult]) -> bool:

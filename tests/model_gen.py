@@ -82,9 +82,11 @@ def random_class_model(rng: random.Random, max_classes=8, max_props=5,
 def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
     """(class model, object population) pair for evaluator testing.
 
-    Associations always carry roles, so navigation is exercised; the
-    population is deliberately messy: occasional null, mistyped, or
-    missing slots, objects of unknown classifiers, stray link targets.
+    Associations mostly carry roles, so navigation is exercised; the
+    population is deliberately messy: occasional null, mistyped, missing,
+    or undeclared (`junk`) slots, and objects of unknown classifiers.
+    Link ends always name objects of the population, though not always
+    ones whose class fits the association end.
     """
     model = ClassModel(name="model")
     model.enumerations.append(EnumDef(name="Color", literals=["RED", "GREEN", "BLUE"]))
@@ -130,8 +132,7 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
         else:
             classifier = f"C{rng.randrange(n_classes)}"
         obj = ObjectDef(id=f"o{i}", classifier=classifier)
-        cls = model.class_named(classifier)
-        if cls is not None:
+        if any(c.name == classifier for c in model.classes):
             for prop in all_properties(model, classifier):
                 roll = rng.random()
                 if roll < 0.78:

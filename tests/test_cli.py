@@ -34,6 +34,14 @@ class TestValidate:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_utf8_file_exits_two_without_a_traceback(self, capsys, tmp_path):
+        path = tmp_path / "bad.puml"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "Traceback" not in err
+
     def test_syntax_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.puml"
         path.write_text("@startuml\nclass A <<weird>>\n@enduml\n")

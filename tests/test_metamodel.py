@@ -12,9 +12,11 @@ from modelkit.metamodel import (
     Multiplicity,
     Property,
     all_properties,
+    ancestors,
     is_subclass_of,
     validate_class_model,
 )
+from modelkit.puml import parse_class_model
 from model_gen import random_class_model
 
 
@@ -196,3 +198,29 @@ class TestIsSubclassOf:
                     for c in names:
                         if is_subclass_of(model, a, b) and is_subclass_of(model, b, c):
                             assert is_subclass_of(model, a, c)
+
+
+class TestDeepHierarchies:
+    def test_1500_deep_chain_parses_to_a_valid_model(self):
+        depth = 1500
+        text = ("@startuml\n"
+                + "".join(f"class C{i} {{\n}}\n" for i in range(depth))
+                + "".join(f"C{i} <|-- C{i + 1}\n" for i in range(depth - 1))
+                + "@enduml\n")
+        result = parse_class_model(text)
+        assert result.ok
+        assert result.diagnostics == []
+        assert ancestors(result.model, f"C{depth - 1}") == \
+            [f"C{i}" for i in range(depth - 1)]
+
+    def test_cycles_still_report_gen_cycle_with_the_same_text(self):
+        text = ("@startuml\n"
+                + "".join(f"class {name} {{\n}}\n" for name in "ABCDEFG")
+                + "B <|-- A\nC <|-- B\nA <|-- C\nD <|-- C\nF <|-- E\nE <|-- F\n"
+                + "G <|-- D\n@enduml\n")
+        result = parse_class_model(text, filename="m.puml")
+        assert not result.ok
+        assert [d.format() for d in result.diagnostics] == [
+            "error gen-cycle - generalization cycle: A -> B -> C -> A",
+            "error gen-cycle - generalization cycle: E -> F -> E",
+        ]
