@@ -23,6 +23,7 @@ Single `schema.sql` artifact.  Mapping rules:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from modelkit.codegen import (
@@ -245,19 +246,35 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
 
 
 def _dependency_order(tables: dict[str, _Table]) -> list[_Table]:
-    """Referenced tables first; ties and cycles fall back to declaration order."""
-    remaining = dict(tables)
+    """Referenced tables first; ties and cycles fall back to declaration order.
+    Each step emits the earliest-declared table whose dependencies are all
+    emitted or, when there is none, the earliest-declared table left."""
+    keys = {name: (t.order, name) for name, t in tables.items()}
+    pending: dict[str, int] = {}  # unemitted table -> its unmet dependencies
+    dependents: dict[str, list[str]] = {}
+    for name, table in tables.items():
+        deps = table.depends_on - {name}
+        pending[name] = len(deps)
+        for dep in deps:
+            dependents.setdefault(dep, []).append(name)
+    ready = [keys[name] for name, unmet in pending.items() if not unmet]
+    heapq.heapify(ready)
+    by_order = sorted(keys.values(), reverse=True)
     emitted: list[_Table] = []
-    done: set[str] = set()
-    while remaining:
-        ready = [t for t in remaining.values()
-                 if not (t.depends_on - done - {t.name})]
-        if not ready:
-            ready = list(remaining.values())  # dependency cycle
-        nxt = min(ready, key=lambda t: t.order)
-        emitted.append(nxt)
-        done.add(nxt.name)
-        del remaining[nxt.name]
+    while pending:
+        if ready:
+            name = heapq.heappop(ready)[1]
+        else:
+            name = by_order.pop()[1]  # dependency cycle
+            if name not in pending:
+                continue
+        del pending[name]
+        emitted.append(tables[name])
+        for dependent in dependents.get(name, ()):
+            if dependent in pending:
+                pending[dependent] -= 1
+                if not pending[dependent]:
+                    heapq.heappush(ready, keys[dependent])
     return emitted
 
 

@@ -55,12 +55,6 @@ class StateMachine:
     transitions: list[Transition] = field(default_factory=list)
     initial_state: str = ""
 
-    def state_named(self, name: str) -> Optional[State]:
-        for s in self.states:
-            if s.name == name:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -136,7 +130,7 @@ _EMPTY_MODEL = ClassModel(name="none")
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     if transition.guard is None:
         return True
-    env = Binding(dict(variables))
+    env = Binding(variables)
     try:
         value = evaluate_expression(transition.guard, env, _EMPTY_OBJECTS,
                                     _EMPTY_MODEL)
@@ -151,38 +145,44 @@ def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     return value.value
 
 
+def _transitions(machine: StateMachine) -> dict[tuple[str, str], list]:
+    """(source, event) -> its transitions in declaration order, each with the
+    actions its target fires; the first declaration of a state name wins."""
+    actions = {s.name: (s.body_action,) if s.body_action else ()
+               for s in reversed(machine.states)}
+    table: dict[tuple[str, str], list[tuple[Transition, tuple[str, ...]]]] = {}
+    for t in machine.transitions:
+        table.setdefault((t.source, t.event), []).append((t, actions.get(t.target, ())))
+    return table
+
+
+def _step(machine: StateMachine, table: dict, state: str, variables: dict[str, Value],
+          event: str, payload: Optional[dict[str, Value]]) -> tuple[dict, TraceEntry]:
+    """The variables after one step and its trace entry; `variables` itself
+    is left alone.  Raises StepError without a session."""
+    if event not in machine.events:
+        raise StepError(error("undeclared-event", f"event '{event}' is not declared"))
+    variables = dict(variables)
+    if payload:
+        variables.update(payload)
+    for t, actions in table.get((state, event), ()):
+        if _guard_holds(t, variables):
+            return variables, TraceEntry(event, state, t.target, actions)
+    return variables, TraceEntry(event, state, state)
+
+
 def step(machine: StateMachine, session: Session, event: str,
          payload: Optional[dict[str, Value]] = None) -> Session:
     """Take one step: merge the payload, then fire the first transition out
     of the current state on `event` whose guard holds.  No match is a
     recorded no-op.  Undeclared events and guard errors raise StepError and
     leave the session untouched, payload merge included."""
-    if event not in machine.events:
-        raise StepError(error("undeclared-event",
-                              f"event '{event}' is not declared"), session)
-    variables = dict(session.variables)
-    if payload:
-        variables.update(payload)
-
-    for t in machine.transitions:
-        if t.source != session.current_state or t.event != event:
-            continue
-        try:
-            holds = _guard_holds(t, variables)
-        except StepError as exc:
-            raise StepError(exc.diagnostic, session) from None
-        if not holds:
-            continue
-        target = machine.state_named(t.target)
-        actions = (target.body_action,) if target and target.body_action else ()
-        entry = TraceEntry(event=event, source=session.current_state,
-                           target=t.target, actions_fired=actions)
-        return Session(current_state=t.target, variables=variables,
-                       trace=session.trace + [entry])
-
-    entry = TraceEntry(event=event, source=session.current_state,
-                       target=session.current_state, actions_fired=())
-    return Session(current_state=session.current_state, variables=variables,
+    try:
+        variables, entry = _step(machine, _transitions(machine), session.current_state,
+                                 session.variables, event, payload)
+    except StepError as exc:
+        raise StepError(exc.diagnostic, session) from None
+    return Session(current_state=entry.target, variables=variables,
                    trace=session.trace + [entry])
 
 
@@ -192,15 +192,18 @@ def new_session(machine: StateMachine) -> Session:
 
 def run_scenario(machine: StateMachine,
                  events: list[tuple[str, dict[str, Value]]]) -> Session:
-    """Fold step over a scenario from a fresh session.  The first failing
-    step raises StepError carrying the partial session."""
-    session = new_session(machine)
+    """Fold step over a scenario from a fresh session, in time linear in its
+    steps.  A failing step raises StepError with the session from before it."""
+    table = _transitions(machine)
+    state, variables, trace = machine.initial_state, {}, []
     for event, payload in events:
         try:
-            session = step(machine, session, event, payload)
+            variables, entry = _step(machine, table, state, variables, event, payload)
         except StepError as exc:
-            raise StepError(exc.diagnostic, session) from None
-    return session
+            raise StepError(exc.diagnostic, Session(state, variables, trace)) from None
+        trace.append(entry)
+        state = entry.target
+    return Session(state, variables, trace)
 
 
 def format_trace(session: Session) -> str:

@@ -167,8 +167,16 @@ def _require_bool(v: Evaluated, context: str) -> bool:
 def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
                         model: ClassModel) -> Evaluated:
     """Evaluate one expression; raises OclRuntimeError on type errors,
-    division by zero, null navigation, and unknown names."""
-    return _eval(expr, env, Scope(objects, model))
+    division by zero, null navigation, unknown names and nesting too deep
+    for the interpreter's stack."""
+    return _eval_top(expr, env, Scope(objects, model))
+
+
+def _eval_top(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
+    try:
+        return _eval(expr, env, scope)
+    except RecursionError:
+        raise OclRuntimeError("expression nested too deeply") from None
 
 
 def _eval(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
@@ -325,7 +333,7 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
             continue
         env = Binding({"self": obj})
         try:
-            value = _eval(constraint.body, env, scope)
+            value = _eval_top(constraint.body, env, scope)
         except OclRuntimeError as exc:
             result.per_instance.append(
                 InstanceResult(obj.id, "error", str(exc)))

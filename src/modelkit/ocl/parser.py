@@ -127,6 +127,14 @@ class _Parser:
             raise OclSyntaxError(f"expected {what}, found {tok.text!r}", tok)
         return self.next()
 
+    def parse_top(self) -> OclExpr:
+        """parse_expression, with nesting too deep for the interpreter's
+        stack reported as a syntax error at the token reached."""
+        try:
+            return self.parse_expression()
+        except RecursionError:
+            raise OclSyntaxError("expression nested too deeply", self.peek()) from None
+
     # Precedence ladder, loosest binding first.
 
     def parse_expression(self) -> OclExpr:
@@ -295,7 +303,7 @@ class _Parser:
                 self.expect_keyword("inv")
                 name = self.expect_ident("a constraint name")
                 self.expect_op(":")
-                body = self.parse_expression()
+                body = self.parse_top()
                 if name.text in names:
                     result.diagnostics.append(error(
                         "dup-constraint",
@@ -331,7 +339,7 @@ def parse_expression(text: str, filename: str = "<expr>"
     try:
         tokens = tokenize(text, filename)
         parser = _Parser(tokens, filename)
-        expr = parser.parse_expression()
+        expr = parser.parse_top()
         trailing = parser.peek()
         if trailing.kind != "eof":
             raise OclSyntaxError(f"unexpected trailing input {trailing.text!r}",

@@ -182,6 +182,26 @@ class TestFsmRun:
         assert code == 2
         assert "nondeterministic" in out
 
+    def test_guards_nested_too_deeply_exit_without_a_traceback(self, capsys,
+                                                               tmp_path):
+        machine = tmp_path / "m.fsm"
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("stay\ngo\n")
+        head = "machine m\nstate A\nstate B\ninitial A\nevent go\nevent stay\n"
+        machine.write_text(head + "trans A -> B on go when "
+                           + "+".join(["1"] * 500) + " > 0\n")
+        code, out, err = run(capsys, "fsm-run", "--machine", str(machine),
+                             "--scenario", str(scenario))
+        assert (code, out) == (1, "stay A -> A []\n")
+        assert err.endswith("failed: expression nested too deeply\n")
+        machine.write_text(head + "trans A -> B on go when "
+                           + "(" * 200 + "true" + ")" * 200 + "\n")
+        code, out, err = run(capsys, "fsm-run", "--machine", str(machine),
+                             "--scenario", str(scenario))
+        assert code == 2
+        assert "malformed guard: expression nested too deeply" in out
+        assert "Traceback" not in out + err
+
 
 class TestInferEnforce:
     def test_infer_then_check_round_trips(self, capsys, fixtures_dir, tmp_path):

@@ -13,7 +13,7 @@ from modelkit.codegen import (
     snake_case,
 )
 from modelkit.codegen.plainclasses import generate_plain_classes
-from modelkit.codegen.sqlddl import generate_sql_ddl
+from modelkit.codegen.sqlddl import _dependency_order, _Table, generate_sql_ddl
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -218,6 +218,40 @@ class TestSqlDdl:
             concrete = [snake_case(c.name) for c in model.classes
                         if not c.is_abstract]
             assert sorted(class_tables) == sorted(set(concrete))
+
+
+def quadratic_dependency_order(tables):
+    """The original table ordering, kept as the reference: rescan every
+    remaining table for each one emitted."""
+    remaining = dict(tables)
+    emitted = []
+    done = set()
+    while remaining:
+        ready = [t for t in remaining.values()
+                 if not (t.depends_on - done - {t.name})]
+        if not ready:
+            ready = list(remaining.values())  # dependency cycle
+        nxt = min(ready, key=lambda t: t.order)
+        emitted.append(nxt)
+        done.add(nxt.name)
+        del remaining[nxt.name]
+    return emitted
+
+
+def test_dependency_order_matches_the_quadratic_reference():
+    rng = random.Random(4242)
+    for case in range(300):
+        n = rng.randint(0, 25)
+        names = [f"t{i}" for i in range(n)]
+        orders = rng.sample(range(3 * n), n)  # unique, not in dict order
+        tables = {}
+        for name, order in zip(names, orders):
+            deps = set(rng.sample(names, rng.randint(0, min(3, n))))  # cycles, self
+            if rng.random() < 0.2:
+                deps.add("not_a_table")
+            tables[name] = _Table(name=name, order=order, depends_on=deps)
+        assert [t.name for t in _dependency_order(tables)] == \
+            [t.name for t in quadratic_dependency_order(tables)], case
 
 
 class TestGolden:

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from modelkit.metamodel import BoolV, IntV, StrV
+from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV
 from modelkit.fsm import (
     State,
     StateMachine,
     StepError,
+    TraceEntry,
     Transition,
     format_trace,
     new_session,
@@ -14,6 +17,7 @@ from modelkit.fsm import (
     step,
     validate_machine,
 )
+from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
 from modelkit.ocl.parser import parse_expression
 
 
@@ -156,6 +160,23 @@ class TestRunScenario:
         assert format_trace(a) == format_trace(b)
         assert a.trace == b.trace
 
+    def test_guard_nested_too_deeply_fails_the_step(self):
+        text = "+".join(["1"] * 500) + " > 0"
+        guard, diags = parse_expression(text)
+        assert not diags
+        machine = StateMachine(
+            name="m", states=[State("S"), State("T")], events=["go", "stay"],
+            transitions=[Transition("S", "T", "go", guard=guard, guard_text=text)],
+            initial_state="S")
+        with pytest.raises(StepError) as info:
+            run_scenario(machine, [("stay", {"x": IntV(1)}), ("go", {"x": IntV(2)})])
+        assert info.value.diagnostic.code == "guard-error"
+        assert info.value.diagnostic.message.endswith(
+            "failed: expression nested too deeply")
+        partial = info.value.session
+        assert (partial.current_state, partial.variables) == ("S", {"x": IntV(1)})
+        assert [e.event for e in partial.trace] == ["stay"]
+
     def test_states_stay_closed_under_stepping(self):
         machine = guarded_machine()
         names = {s.name for s in machine.states}
@@ -186,6 +207,14 @@ class TestFileFormats:
         assert parsed.ok, parsed.diagnostics
         assert parsed.model.transitions[0].guard is not None
 
+    def test_too_deeply_nested_guard_is_a_malformed_guard(self):
+        parsed = parse_machine(
+            "machine m\nstate A\ninitial A\nevent go\n"
+            "trans A -> A on go when " + "(" * 200 + "true" + ")" * 200 + "\n")
+        assert parsed.model is None
+        assert [d.message for d in parsed.diagnostics] == \
+            ["malformed guard: expression nested too deeply"]
+
     def test_malformed_guard_is_reported(self):
         parsed = parse_machine(
             "machine m\nstate A\ninitial A\nevent go\n"
@@ -212,3 +241,102 @@ class TestFileFormats:
         session = run_scenario(machine, steps)
         stored = (fixtures_dir / "greeting.trace").read_bytes()
         assert format_trace(session).encode() == stored
+
+
+# Guards that hold or fail on `x`, and ones that raise: `y` unbound until a
+# payload binds it, division by zero when y is 1, and a non-boolean value.
+GUARDS = [None, None, "x > 2", "x < 5", "x = 3", "y = 1", "x / (y - 1) > 0", "x + 1"]
+GUARD_WEIGHTS = [6, 6, 6, 6, 6, 2, 1, 1]
+
+
+def random_machine(rng):
+    names = [f"S{i}" for i in range(rng.randint(1, 6))]
+    states = [State(name, body_action=rng.choice([None, f"act_{name}"]))
+              for name in names]
+    if rng.random() < 0.3:  # a redeclared state: the first declaration wins
+        states.append(State(rng.choice(names), body_action="shadowed"))
+    events = ["e0", "e1", "e2"]
+    transitions = []
+    for _ in range(rng.randint(0, 5 * len(names))):
+        text = rng.choices(GUARDS, GUARD_WEIGHTS)[0]
+        guard = parse_expression(text)[0] if text else None
+        transitions.append(Transition(rng.choice(names), rng.choice(names),
+                                      rng.choice(events), guard, text))
+    return StateMachine("m", states, events, transitions, initial_state=names[0])
+
+
+def random_scenario(rng):
+    steps = []
+    for _ in range(rng.randint(0, 40)):
+        event = "bogus" if rng.random() < 0.01 else rng.choice(["e0", "e1", "e2"])
+        payload = {}
+        if rng.random() < 0.7:
+            payload["x"] = IntV(rng.randint(0, 6))
+        if rng.random() < 0.1:
+            payload["y"] = IntV(rng.randint(0, 2))
+        steps.append((event, payload))
+    return steps
+
+
+def reference_run(machine, steps):
+    """The naive stepper: scan every transition on each step, look the
+    target up by a first-wins linear search.  Returns the state, variables
+    and trace before the first failing step, and that step's error code."""
+    state, variables, trace = machine.initial_state, {}, []
+    for event, payload in steps:
+        if event not in machine.events:
+            return state, variables, trace, "undeclared-event"
+        merged = {**variables, **payload}
+        fired = None
+        for t in machine.transitions:
+            if (t.source, t.event) != (state, event):
+                continue
+            if t.guard is not None:
+                try:
+                    value = evaluate_expression(t.guard, Binding(merged),
+                                                ObjectModel(), ClassModel())
+                except OclRuntimeError:
+                    return state, variables, trace, "guard-error"
+                if not isinstance(value, BoolV):
+                    return state, variables, trace, "guard-error"
+                if not value.value:
+                    continue
+            fired = t
+            break
+        actions = ()
+        if fired is not None:
+            target = next((s for s in machine.states if s.name == fired.target), None)
+            actions = (target.body_action,) if target and target.body_action else ()
+        trace.append(TraceEntry(event, state, fired.target if fired else state,
+                                actions))
+        state, variables = trace[-1].target, merged
+    return state, variables, trace, None
+
+
+def test_run_scenario_is_a_fold_of_step_on_random_machines():
+    rng = random.Random(20260)
+    outcomes = {"completed": 0, "undeclared-event": 0, "guard-error": 0}
+    for case in range(400):
+        machine, steps = random_machine(rng), random_scenario(rng)
+        folded, failure = new_session(machine), None
+        for event, payload in steps:
+            try:
+                folded = step(machine, folded, event, payload)
+            except StepError as exc:
+                failure = exc
+                break
+        state, variables, trace, code = reference_run(machine, steps)
+        assert (folded.current_state, folded.variables, folded.trace) == \
+            (state, variables, trace), case
+        if failure is None:
+            assert code is None, case
+            assert run_scenario(machine, steps) == folded, case
+            outcomes["completed"] += 1
+            continue
+        assert failure.diagnostic.code == code and failure.session is folded, case
+        with pytest.raises(StepError) as info:
+            run_scenario(machine, steps)
+        assert info.value.diagnostic == failure.diagnostic, case
+        assert info.value.session == folded, case
+        outcomes[code] += 1
+    assert min(outcomes.values()) >= 3, outcomes

@@ -339,3 +339,40 @@ class TestCheckAll:
         first = check_all(parsed.constraints, objects, model)
         second = check_all(parsed.constraints, objects, model)
         assert first == second
+
+
+class TestNestingTooDeep:
+    """Nesting deeper than the interpreter's stack is a syntax diagnostic
+    when parsing and an `error` verdict when evaluating, never a crash."""
+
+    DEEP_SUM = "+".join(["1"] * 500) + " > 0"  # parses iteratively, nests deeply
+
+    @pytest.mark.parametrize("text", ["(" * 200 + "true" + ")" * 200,
+                                      "not " * 1000 + "true"])
+    def test_parse_ocl_reports_and_keeps_later_constraints(self, text):
+        parsed = parse_ocl(f"context A inv deep: {text}\n"
+                           "context A inv fine: true\n")
+        assert [(d.code, d.message) for d in parsed.diagnostics] == \
+            [("syntax", "expression nested too deeply")]
+        assert [c.name for c in parsed.constraints] == ["fine"]
+
+    def test_parse_expression_reports(self):
+        expr, diags = parse_expression("(" * 200 + "1" + ")" * 200 + " > 0")
+        assert expr is None
+        assert [(d.code, d.message) for d in diags] == \
+            [("syntax", "expression nested too deeply")]
+
+    def test_evaluate_expression_raises_a_runtime_error(self):
+        with pytest.raises(OclRuntimeError, match="nested too deeply"):
+            ev(self.DEEP_SUM)
+
+    def test_check_all_gives_an_error_verdict_and_goes_on(self):
+        model = ClassModel(classes=[ClassDef("A")])
+        objects = ObjectModel(objects=[ObjectDef("a1", "A")])
+        parsed = parse_ocl(f"context A inv deep: {self.DEEP_SUM}\n"
+                           "context A inv fine: true\n")
+        assert parsed.ok, parsed.diagnostics
+        deep, fine = check_all(parsed.constraints, objects, model)
+        assert [(i.verdict, i.message) for i in deep.per_instance] == \
+            [("error", "expression nested too deeply")]
+        assert [i.verdict for i in fine.per_instance] == ["true"]
