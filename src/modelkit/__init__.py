@@ -27,9 +27,15 @@ from modelkit.metamodel import (
     is_subclass_of,
     validate_class_model,
 )
-from modelkit.diagnostics import Diagnostic, Severity, SourceSpan, has_errors
+from modelkit.diagnostics import (
+    Diagnostic,
+    ParseResult,
+    Severity,
+    SourceSpan,
+    has_errors,
+)
 from modelkit.conformance import check_conformance
-from modelkit.puml import ParseResult, parse_class_model, serialize_class_model
+from modelkit.puml import parse_class_model, serialize_class_model
 from modelkit.objtext import parse_object_model, serialize_object_model
 from modelkit.ocl import (
     EvalResult,

@@ -197,7 +197,12 @@ def cmd_infer(args) -> int:
     diagnostics: list[Diagnostic] = []
     model = infer_class_model(objects, diagnostics)
     _report(diagnostics)
-    if not _write(Path(args.out), serialize_class_model(model)):
+    try:
+        text = serialize_class_model(model)
+    except ValueError as exc:  # the inferred model is invalid
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    if not _write(Path(args.out), text):
         return EXIT_USAGE
     print(args.out)
     return EXIT_OK

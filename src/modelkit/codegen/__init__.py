@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from modelkit.diagnostics import Diagnostic
-from modelkit.metamodel import ClassModel
+from modelkit.metamodel import AssociationEnd, ClassModel
 
 
 class GeneratorError(Exception):
@@ -84,6 +84,12 @@ def snake_case(name: str) -> str:
     name = _CAMEL_BOUNDARY_1.sub(r"\1_\2", name)
     name = _CAMEL_BOUNDARY_2.sub(r"\1_\2", name)
     return name.lower()
+
+
+def end_name(end: AssociationEnd) -> str:
+    """The field or column name an association end gives its far side:
+    its role, else its target class in snake_case."""
+    return end.role if end.role is not None else snake_case(end.target)
 
 
 def builtin_registry() -> GeneratorRegistry:

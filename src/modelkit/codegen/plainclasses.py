@@ -13,6 +13,7 @@ from modelkit.codegen import (
     GeneratedArtifact,
     GenerationResult,
     GeneratorDescriptor,
+    end_name,
     snake_case,
 )
 from modelkit.index import ModelIndex
@@ -32,9 +33,8 @@ def _association_fields(model: ClassModel) -> dict[str, dict[str, bool]]:
             continue
         for j in (0, 1):
             far = assoc.ends[j]
-            name = far.role if far.role is not None else snake_case(far.target)
             fields.setdefault(assoc.ends[1 - j].target, {}).setdefault(
-                name, far.multiplicity.upper != 1)
+                end_name(far), far.multiplicity.upper != 1)
     return fields
 
 

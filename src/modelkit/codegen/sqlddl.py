@@ -30,6 +30,7 @@ from modelkit.codegen import (
     GeneratedArtifact,
     GenerationResult,
     GeneratorDescriptor,
+    end_name,
     snake_case,
 )
 from modelkit.diagnostics import Diagnostic, error, warning
@@ -104,8 +105,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             continue
         mapping = _fk_mapping(assoc)
         if mapping is None:
-            bases = [end.role if end.role is not None else snake_case(end.target)
-                     for end in assoc.ends]
+            bases = [end_name(end) for end in assoc.ends]
             if bases[0] == bases[1]:
                 diags.append(error("gen-unsupported",
                                    f"many-to-many association '{assoc.name}' has "
@@ -197,8 +197,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             continue
         table = tables[holder_name]
         end = assoc.ends[ref]
-        base = end.role if end.role is not None else snake_case(end.target)
-        cols = fk_columns(table, ref_class, base,
+        cols = fk_columns(table, ref_class, end_name(end),
                           end.multiplicity.lower >= 1, f"association '{assoc.name}'")
         if cols:
             table.foreign_keys.append(
@@ -214,8 +213,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
         if table is None:
             continue
         for end in assoc.ends:
-            base = end.role if end.role is not None else snake_case(end.target)
-            cols = fk_columns(table, end.target, base, True,
+            cols = fk_columns(table, end.target, end_name(end), True,
                               f"association '{assoc.name}'")
             if cols:
                 table.foreign_keys.append(

@@ -1,4 +1,5 @@
-"""Diagnostics shared by every layer.
+"""Diagnostics shared by every layer, and the line reading shared by the
+text notations.
 
 Checks accumulate diagnostics instead of aborting, so one run reports
 everything it can find.  Codes are short stable identifiers; the full
@@ -7,9 +8,10 @@ catalog is documented in README.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 class Severity(Enum):
@@ -68,3 +70,70 @@ SYNTAX_CODES = frozenset({
     "unknown-object",
     "dup-constraint",
 })
+
+
+@dataclass
+class ParseResult:
+    """Outcome of one parse: a model only when nothing went wrong."""
+
+    model: Any
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.model is not None
+
+
+# What a line keeps before its comment marker: string literals, in which the
+# marker is text, and other characters.  Strings are double-quoted with JSON
+# escapes; `#`-comment files also hold single-quoted OCL strings.  A quote
+# that never closes is an ordinary character.
+_JSON_STRING = r'"(?:[^"\\]|\\.)*"'
+_BEFORE_COMMENT = {
+    "'": (('"',), re.compile(rf"(?:{_JSON_STRING}|[^'])*")),
+    "#": (('"', "'"), re.compile(rf"(?:{_JSON_STRING}|'[^']*'|[^#])*")),
+}
+
+
+def read_lines(text: str, marker: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, content) for each line that is not blank once
+    its comment, from `marker` (`'` or `#`) to end of line, is removed and
+    surrounding blanks are stripped."""
+    quotes, before_comment = _BEFORE_COMMENT[marker]
+    for lineno, line in enumerate(text.split("\n"), 1):
+        pos = line.find(marker)
+        if pos >= 0:
+            if any(line.find(q, 0, pos) >= 0 for q in quotes):
+                line = before_comment.match(line).group()
+            else:
+                line = line[:pos]
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def read_envelope(lines: Iterator[tuple[int, str]], last: int, start: str,
+                  end: str, err: Callable[[str, str, int], None]
+                  ) -> Iterator[tuple[int, str]]:
+    """The lines between `start` and `end` markers, taken from `lines`, whose
+    last line number is `last`.  A missing start marker is reported and the
+    first line read as content; content after the end marker is reported
+    and ends the reading."""
+    started = ended = False
+    for lineno, line in lines:
+        if not started:
+            started = True
+            if line == start:
+                continue
+            err("syntax", f"expected {start}", lineno)
+        if line == end:
+            ended = True
+        elif ended:
+            err("syntax", f"content after {end}", lineno)
+            return
+        else:
+            yield lineno, line
+    if not started:
+        err("syntax", f"expected {start}", last)
+    elif not ended:
+        err("syntax", f"missing {end}", last)

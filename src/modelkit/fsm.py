@@ -5,7 +5,8 @@ session).  State bodies are symbolic action identifiers recorded in the
 trace, for the host to bind; guards are expressions over session
 variables, written in the same language as OCL invariants.
 
-Machine file format (line oriented, `#` comments):
+Machine file format (line oriented; `#` comments, except inside a
+double-quoted or single-quoted string):
 
     machine <name>
     state <name> [action <id>]
@@ -23,13 +24,19 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from modelkit.diagnostics import Diagnostic, SourceSpan, error, has_errors
+from modelkit.diagnostics import (
+    Diagnostic,
+    ParseResult,
+    SourceSpan,
+    error,
+    has_errors,
+    read_lines,
+)
 from modelkit.metamodel import BoolV, ClassModel, ObjectModel, Value
 from modelkit.objtext import parse_value
 from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
-from modelkit.puml import ParseResult
 
 
 @dataclass
@@ -228,11 +235,6 @@ _TRANS_RE = re.compile(
     r"\s+on\s+(?P<event>[A-Za-z_]\w*)(?:\s+when\s+(?P<guard>.+))?$")
 
 
-def _strip_hash_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
     """Parse and validate a machine file; the machine is present iff there
     are no errors."""
@@ -243,11 +245,7 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
         diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
 
     named = False
-    for idx, raw in enumerate(text.split("\n")):
-        lineno = idx + 1
-        line = _strip_hash_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(text, "#"):
         m = _MACHINE_RE.match(line)
         if m:
             if named:
@@ -301,11 +299,7 @@ def parse_scenario(text: str, filename: str = "<scenario>"
     """Parse a scenario file into (event, payload) steps."""
     steps: list[tuple[str, dict[str, Value]]] = []
     diagnostics: list[Diagnostic] = []
-    for idx, raw in enumerate(text.split("\n")):
-        lineno = idx + 1
-        line = _strip_hash_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(text, "#"):
         parts = line.split(None, 1)
         event = parts[0]
         if not re.match(r"^[A-Za-z_]\w*$", event):

@@ -10,7 +10,7 @@ line:
 Slot values: integers, floats, double-quoted strings (JSON escaping),
 true/false, null, and qualified enum literals `Color::RED`.  Objects must
 be declared before they are assigned or linked.  Comments run from an
-apostrophe to end of line.
+apostrophe outside a string to end of line.
 
 The parser checks syntax, duplicate ids, and duplicate slots only;
 whether classifiers, properties, and associations actually exist is the
@@ -23,7 +23,14 @@ import json
 import re
 from typing import Optional
 
-from modelkit.diagnostics import SourceSpan, error, has_errors
+from modelkit.diagnostics import (
+    ParseResult,
+    SourceSpan,
+    error,
+    has_errors,
+    read_envelope,
+    read_lines,
+)
 from modelkit.metamodel import (
     AttributeLink,
     BoolV,
@@ -39,7 +46,6 @@ from modelkit.metamodel import (
     StrV,
     Value,
 )
-from modelkit.puml import ParseResult, _strip_comment
 
 _OBJECT_RE = re.compile(
     r"^object\s+(?P<id>[A-Za-z_]\w*)\s*:\s*(?P<class>[A-Za-z_]\w*)$")
@@ -99,35 +105,15 @@ def parse_object_model(text: str, model: ClassModel,
     check_conformance, so the class model is accepted here without being
     consulted."""
     del model
-    lines = text.split("\n")
     diagnostics = []
     result = ObjectModel(name="objects")
     by_id: dict[str, ObjectDef] = {}
-    started = False
-    ended = False
 
     def err(code: str, message: str, lineno: int) -> None:
         diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
 
-    for idx, raw in enumerate(lines):
-        lineno = idx + 1
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if not started:
-            if line == "@startobjects":
-                started = True
-            else:
-                err("syntax", "expected @startobjects", lineno)
-                started = True
-            continue
-        if line == "@endobjects":
-            ended = True
-            continue
-        if ended:
-            err("syntax", "content after @endobjects", lineno)
-            break
-
+    for lineno, line in read_envelope(read_lines(text, "'"), text.count("\n") + 1,
+                                      "@startobjects", "@endobjects", err):
         m = _OBJECT_RE.match(line)
         if m:
             oid = m.group("id")
@@ -175,11 +161,6 @@ def parse_object_model(text: str, model: ClassModel,
             continue
 
         err("syntax", f"unrecognized statement: {line}", lineno)
-
-    if not started:
-        err("syntax", "expected @startobjects", max(len(lines), 1))
-    elif not ended:
-        err("syntax", "missing @endobjects", len(lines))
 
     return ParseResult(result if not has_errors(diagnostics) else None, diagnostics)
 

@@ -55,6 +55,18 @@ class Token:
     column: int
 
 
+# Left-associative binary operators, one set per level, loosest first.  An
+# operator's text alone identifies it: no other token can carry that text.
+_BINARY_LEVELS = (
+    frozenset({"or"}),
+    frozenset({"and"}),
+    frozenset({"=", "<>"}),
+    frozenset({"<", "<=", ">", ">="}),
+    frozenset({"+", "-"}),
+    frozenset({"*", "/"}),
+)
+
+
 class OclSyntaxError(Exception):
     def __init__(self, message: str, token: Token):
         super().__init__(message)
@@ -138,55 +150,21 @@ class _Parser:
     # Precedence ladder, loosest binding first.
 
     def parse_expression(self) -> OclExpr:
-        return self.parse_implies()
-
-    def parse_implies(self) -> OclExpr:
-        lhs = self.parse_or()
+        lhs = self.parse_binary(0)
         if self.at_keyword("implies"):
             self.next()
-            return Binary("implies", lhs, self.parse_implies())
+            return Binary("implies", lhs, self.parse_expression())
         return lhs
 
-    def parse_or(self) -> OclExpr:
-        expr = self.parse_and()
-        while self.at_keyword("or"):
+    def parse_binary(self, level: int) -> OclExpr:
+        """Left-associative operators from `_BINARY_LEVELS[level]` on down."""
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary()
+        ops = _BINARY_LEVELS[level]
+        expr = self.parse_binary(level + 1)
+        while (tok := self.peek()).text in ops:
             self.next()
-            expr = Binary("or", expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> OclExpr:
-        expr = self.parse_equality()
-        while self.at_keyword("and"):
-            self.next()
-            expr = Binary("and", expr, self.parse_equality())
-        return expr
-
-    def parse_equality(self) -> OclExpr:
-        expr = self.parse_comparison()
-        while self.peek().kind == "op" and self.peek().text in ("=", "<>"):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_comparison())
-        return expr
-
-    def parse_comparison(self) -> OclExpr:
-        expr = self.parse_additive()
-        while self.peek().kind == "op" and self.peek().text in ("<", "<=", ">", ">="):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_additive())
-        return expr
-
-    def parse_additive(self) -> OclExpr:
-        expr = self.parse_multiplicative()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_multiplicative())
-        return expr
-
-    def parse_multiplicative(self) -> OclExpr:
-        expr = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_unary())
+            expr = Binary(tok.text, expr, self.parse_binary(level + 1))
         return expr
 
     def parse_unary(self) -> OclExpr:

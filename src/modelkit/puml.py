@@ -12,18 +12,25 @@ Supported declarations between @startuml/@enduml:
 
 Multiplicities: "1", "*", "0..1", "1..*", "n..m"; absent means "*".
 Unnamed associations get a generated `<EndA>_<EndB>_<k>` name.
-Comments run from an apostrophe to end of line.  Anything else is
-reported as `unsupported-construct` and parsing resumes at the next
-declaration, so one pass collects every error it can.
+Comments run from an apostrophe outside a double-quoted string to end of
+line.  Anything else is reported as `unsupported-construct` and parsing
+resumes at the next declaration, so one pass collects every error it can.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional
 
-from modelkit.diagnostics import Diagnostic, SourceSpan, error, has_errors
+from modelkit.diagnostics import (
+    Diagnostic,
+    ParseResult,
+    SourceSpan,
+    error,
+    has_errors,
+    read_envelope,
+    read_lines,
+)
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -32,22 +39,9 @@ from modelkit.metamodel import (
     EnumDef,
     Generalization,
     Multiplicity,
-    ObjectModel,
     Property,
     validate_class_model,
 )
-
-
-@dataclass
-class ParseResult:
-    """Outcome of one parse: a model only when nothing went wrong."""
-
-    model: Optional[Union[ClassModel, ObjectModel]]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.model is not None
 
 
 # PlantUML constructs we recognize but deliberately do not model.
@@ -74,11 +68,6 @@ _ASSOC_RE = re.compile(
 _MULT_RE = re.compile(r"^(?:(?P<star>\*)|(?P<single>\d+)|(?P<lo>\d+)\.\.(?P<hi>\d+|\*))$")
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("'")
-    return line if pos < 0 else line[:pos]
-
-
 def _parse_multiplicity(spec: str) -> Optional[Multiplicity]:
     m = _MULT_RE.match(spec.strip())
     if m is None:
@@ -102,49 +91,23 @@ def render_multiplicity(m: Multiplicity) -> str:
 
 class _ClassModelParser:
     def __init__(self, text: str, filename: str):
-        self.lines = text.split("\n")
+        self.lines = read_lines(text, "'")
+        self.last = text.count("\n") + 1
         self.filename = filename
         self.diagnostics: list[Diagnostic] = []
         self.model = ClassModel(name="model")
         self.unnamed_counters: dict[tuple[str, str], int] = {}
 
-    def span(self, lineno: int, column: int = 1) -> SourceSpan:
-        return SourceSpan(self.filename, lineno, column)
+    def span(self, lineno: int) -> SourceSpan:
+        return SourceSpan(self.filename, lineno)
 
-    def err(self, code: str, message: str, lineno: int, column: int = 1) -> None:
-        self.diagnostics.append(error(code, message, self.span(lineno, column)))
+    def err(self, code: str, message: str, lineno: int) -> None:
+        self.diagnostics.append(error(code, message, self.span(lineno)))
 
     def parse(self) -> ParseResult:
-        idx = 0
-        n = len(self.lines)
-        started = False
-        ended = False
-        while idx < n:
-            lineno = idx + 1
-            raw = _strip_comment(self.lines[idx])
-            line = raw.strip()
-            idx += 1
-            if not line:
-                continue
-            if not started:
-                if line == "@startuml":
-                    started = True
-                else:
-                    self.err("syntax", "expected @startuml", lineno)
-                    started = True  # recover: treat the rest as the body
-                    idx -= 1
-                continue
-            if line == "@enduml":
-                ended = True
-                continue
-            if ended:
-                self.err("syntax", "content after @enduml", lineno)
-                break
-            idx = self.parse_decl(line, lineno, idx)
-        if not started:
-            self.err("syntax", "expected @startuml", max(n, 1))
-        elif not ended:
-            self.err("syntax", "missing @enduml", n)
+        for lineno, line in read_envelope(self.lines, self.last, "@startuml",
+                                          "@enduml", self.err):
+            self.parse_decl(line, lineno)
 
         if not has_errors(self.diagnostics):
             semantic = validate_class_model(self.model)
@@ -152,24 +115,47 @@ class _ClassModelParser:
         model = self.model if not has_errors(self.diagnostics) else None
         return ParseResult(model, self.diagnostics)
 
-    def parse_decl(self, line: str, lineno: int, idx: int) -> int:
-        """Parse one declaration starting at `line`; return the next index."""
+    def parse_decl(self, line: str, lineno: int) -> None:
+        """Parse one declaration starting at `line`, with its body if any."""
         m = _CLASS_RE.match(line)
         if m:
-            return self.parse_class_body(m, lineno, idx)
+            cls = ClassDef(name=m.group("name"),
+                           is_abstract=m.group("abstract") is not None,
+                           span=self.span(lineno))
+            self.model.classes.append(cls)
+            for body_lineno, body in self.block(f"class '{cls.name}'"):
+                am = _ATTR_RE.match(body)
+                if am is None:
+                    self.err("syntax",
+                             f"malformed attribute in class '{cls.name}': {body}",
+                             body_lineno)
+                    continue
+                cls.properties.append(Property(
+                    name=am.group("name"), type_name=am.group("type"),
+                    is_id=am.group("id") is not None, span=self.span(body_lineno)))
+            return
         m = _ENUM_RE.match(line)
         if m:
-            return self.parse_enum_body(m, lineno, idx)
+            enum = EnumDef(name=m.group("name"), span=self.span(lineno))
+            self.model.enumerations.append(enum)
+            for body_lineno, body in self.block(f"enum '{enum.name}'"):
+                if _LITERAL_RE.match(body) is None:
+                    self.err("syntax",
+                             f"malformed literal in enum '{enum.name}': {body}",
+                             body_lineno)
+                    continue
+                enum.literals.append(body)
+            return
         m = _GEN_RE.match(line)
         if m:
             self.model.generalizations.append(Generalization(
                 general=m.group("general"), specific=m.group("specific"),
                 span=self.span(lineno)))
-            return idx
+            return
         m = _ASSOC_RE.match(line)
         if m:
             self.parse_assoc(m, lineno)
-            return idx
+            return
 
         first = line.split()[0]
         if "<<" in line or first in _FOREIGN_KEYWORDS or first.startswith("@start"):
@@ -179,62 +165,21 @@ class _ClassModelParser:
             self.err("syntax", f"malformed {first} declaration", lineno)
             # Skip the body block, if one follows.
             if line.endswith("{"):
-                return self.skip_block(idx)
+                for _ in self.block(None):
+                    pass
         else:
             self.err("syntax", f"unrecognized declaration: {line}", lineno)
-        return idx
 
-    def skip_block(self, idx: int) -> int:
-        while idx < len(self.lines):
-            if _strip_comment(self.lines[idx]).strip() == "}":
-                return idx + 1
-            idx += 1
-        return idx
-
-    def parse_class_body(self, m: re.Match, lineno: int, idx: int) -> int:
-        cls = ClassDef(name=m.group("name"),
-                       is_abstract=m.group("abstract") is not None,
-                       span=self.span(lineno))
-        self.model.classes.append(cls)
-        while idx < len(self.lines):
-            body_lineno = idx + 1
-            line = _strip_comment(self.lines[idx]).strip()
-            idx += 1
-            if not line:
-                continue
+    def block(self, owner: Optional[str]) -> Iterator[tuple[int, str]]:
+        """The lines of a body up to its closing `}`, taken from the lines
+        the envelope reads, so an end marker inside a body is body text.
+        A body never closed is reported for its `owner`, if given."""
+        for lineno, line in self.lines:
             if line == "}":
-                return idx
-            am = _ATTR_RE.match(line)
-            if am is None:
-                self.err("syntax",
-                         f"malformed attribute in class '{cls.name}': {line}",
-                         body_lineno)
-                continue
-            cls.properties.append(Property(
-                name=am.group("name"), type_name=am.group("type"),
-                is_id=am.group("id") is not None, span=self.span(body_lineno)))
-        self.err("syntax", f"class '{cls.name}' body is never closed", len(self.lines))
-        return idx
-
-    def parse_enum_body(self, m: re.Match, lineno: int, idx: int) -> int:
-        enum = EnumDef(name=m.group("name"), span=self.span(lineno))
-        self.model.enumerations.append(enum)
-        while idx < len(self.lines):
-            body_lineno = idx + 1
-            line = _strip_comment(self.lines[idx]).strip()
-            idx += 1
-            if not line:
-                continue
-            if line == "}":
-                return idx
-            if _LITERAL_RE.match(line) is None:
-                self.err("syntax",
-                         f"malformed literal in enum '{enum.name}': {line}",
-                         body_lineno)
-                continue
-            enum.literals.append(line)
-        self.err("syntax", f"enum '{enum.name}' body is never closed", len(self.lines))
-        return idx
+                return
+            yield lineno, line
+        if owner is not None:
+            self.err("syntax", f"{owner} body is never closed", self.last)
 
     def parse_assoc(self, m: re.Match, lineno: int) -> None:
         left, right = m.group("left"), m.group("right")

@@ -217,6 +217,18 @@ class TestInferEnforce:
                            "--ocl", str(empty_ocl))
         assert code == 0, out
 
+    def test_infer_of_an_unserializable_model_exits_one_without_a_traceback(
+            self, capsys, tmp_path):
+        objs = tmp_path / "clash.objs"
+        objs.write_text("@startobjects\nobject o : r\nlink o -- o : r\n@endobjects\n")
+        out_path = tmp_path / "inferred.buml.puml"
+        code, _, err = run(capsys, "infer", "--objects", str(objs),
+                           "--out", str(out_path))
+        assert code == 1
+        assert err == ("error: cannot serialize invalid model: association 'r' "
+                       "clashes with class of the same name\n")
+        assert not out_path.exists()
+
     def test_enforce_on_conformant_input_is_canonical_identity(
             self, capsys, fixtures_dir, tmp_path):
         out_path = tmp_path / "pruned.objs"

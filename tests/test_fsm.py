@@ -231,6 +231,20 @@ class TestFileFormats:
         assert payload == {"x": IntV(3), "label": StrV("hello there"),
                            "done": BoolV(True)}
 
+    def test_hash_inside_a_guard_string_is_not_a_comment(self):
+        parsed = parse_machine(
+            "machine m\nstate A\nstate B\ninitial A\nevent e\n"
+            "trans A -> B on e when s = 'a#b'  # the only way out\n")
+        assert parsed.ok, parsed.diagnostics
+        assert parsed.model.transitions[0].guard_text == "s = 'a#b'"
+        session = run_scenario(parsed.model, [("e", {"s": StrV("a#b")})])
+        assert session.current_state == "B"
+
+    def test_hash_inside_a_payload_string_is_not_a_comment(self):
+        steps, diags = parse_scenario('go x="a#b" # a comment\n')
+        assert not diags
+        assert steps == [("go", {"x": StrV("a#b")})]
+
     def test_scenario_bad_payload(self):
         steps, diags = parse_scenario("tick x=\n")
         assert diags and not steps

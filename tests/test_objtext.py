@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from modelkit.metamodel import (
     BoolV,
     ClassModel,
@@ -99,3 +101,49 @@ def test_strings_with_newlines_survive_the_round_trip():
         "o1", "K", slots=[AttributeLink("s", StrV('line1\nline2\t"quoted"'))])])
     text = serialize_object_model(objects)
     assert parse_object_model(text, EMPTY_MODEL).model == objects
+
+
+def _where(result):
+    return [(d.code, d.span.line, d.message) for d in result.diagnostics]
+
+
+def test_marker_characters_inside_strings_survive_the_round_trip():
+    from modelkit.metamodel import AttributeLink, ObjectDef, ObjectModel
+    values = ["O'Brien", "\\\"'", "a#b", "'", "it's \"quoted\" ' not a comment"]
+    objects = ObjectModel(objects=[ObjectDef(
+        "o1", "K", slots=[AttributeLink(f"s{i}", StrV(v)) for i, v in enumerate(values)])])
+    text = serialize_object_model(objects)
+    reparsed = parse_object_model(text, EMPTY_MODEL)
+    assert reparsed.ok, reparsed.diagnostics
+    assert reparsed.model == objects
+
+
+def test_comment_after_a_string_holding_an_apostrophe():
+    text = ('@startobjects\n'
+            'object p1 : Person\n'
+            'p1.name = "O\'Brien" \' the surname\n'
+            '@endobjects\n')
+    result = parse_object_model(text, EMPTY_MODEL)
+    assert result.ok, result.diagnostics
+    assert result.model.objects[0].slots[0].value == StrV("O'Brien")
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A missing start marker is reported and its line read as a statement.
+    ("a.x = 1\n@endobjects\n",
+     [("syntax", 1, "expected @startobjects"),
+      ("unknown-object", 1, "slot assigned to undeclared object 'a'")]),
+    ("@endobjects\nobject a : X\n",
+     [("syntax", 1, "expected @startobjects"), ("syntax", 2, "content after @endobjects")]),
+    # Empty input reports the start marker on the last line.
+    ("", [("syntax", 1, "expected @startobjects")]),
+    ("\n", [("syntax", 2, "expected @startobjects")]),
+    # Content after the end marker is reported once and ends the parse.
+    ("@startobjects\n@endobjects\nobject a : X\nbogus\n",
+     [("syntax", 3, "content after @endobjects")]),
+    ("@startobjects\nobject a : X\n", [("syntax", 3, "missing @endobjects")]),
+])
+def test_envelope_diagnostics(text, expected):
+    result = parse_object_model(text, EMPTY_MODEL)
+    assert _where(result) == expected
+    assert result.model is None

@@ -233,3 +233,49 @@ def test_roundtrip_on_random_models():
         assert reparsed.model == model
         # Serialization is deterministic: equal models, identical bytes.
         assert serialize_class_model(reparsed.model) == text
+
+
+def _where(result):
+    return [(d.code, d.span.line, d.message) for d in result.diagnostics]
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A missing start marker is reported and its line read as a declaration.
+    ("class A {\n}\n@enduml\n", [("syntax", 1, "expected @startuml")]),
+    ("@enduml\n", [("syntax", 1, "expected @startuml")]),
+    # Empty input reports the start marker on the last line.
+    ("", [("syntax", 1, "expected @startuml")]),
+    ("\n\n", [("syntax", 3, "expected @startuml")]),
+    # Content after the end marker is reported once and ends the parse.
+    ("@startuml\n@enduml\nclass A {\n  x y\n", [("syntax", 3, "content after @enduml")]),
+    # A repeated end marker is not content.
+    ("@startuml\n@enduml\n@enduml\n", []),
+    ("@startuml\nclass A {\n}\n\n", [("syntax", 5, "missing @enduml")]),
+    ("@startuml\nclass A {\n  x : int\n",
+     [("syntax", 4, "class 'A' body is never closed"), ("syntax", 4, "missing @enduml")]),
+    ("@startuml\nenum E {\n  RED\n  bad one\n",
+     [("syntax", 4, "malformed literal in enum 'E': bad one"),
+      ("syntax", 5, "enum 'E' body is never closed"), ("syntax", 5, "missing @enduml")]),
+    # A malformed declaration's block is skipped without a word about its body.
+    ("@startuml\nclass A B {\n  junk here\n}\nclass C {\n  n : int\n}\n@enduml\n",
+     [("syntax", 2, "malformed class declaration")]),
+    ("@startuml\nenum {\n  X\n",
+     [("syntax", 2, "malformed enum declaration"), ("syntax", 4, "missing @enduml")]),
+    # The end marker inside a body is body text.
+    ("@startuml\nclass A {\n@enduml\n",
+     [("syntax", 3, "malformed attribute in class 'A': @enduml"),
+      ("syntax", 4, "class 'A' body is never closed"), ("syntax", 4, "missing @enduml")]),
+])
+def test_envelope_and_block_diagnostics(text, expected):
+    result = parse_class_model(text)
+    assert _where(result) == expected
+    assert result.ok == (not expected)
+
+
+def test_apostrophe_inside_a_double_quoted_string_is_not_a_comment():
+    result = parse_class_model(
+        '@startuml\nclass A {\n}\nA "1\'" -- A : r \' a comment\n@enduml\n')
+    assert _where(result) == [("syntax", 4, 'malformed multiplicity "1\'"')]
+    result = parse_class_model(
+        '@startuml\nclass A {\n}\nA "1" -- "0..*" A : r \' it\'s "quoted"\n@enduml\n')
+    assert result.ok, result.diagnostics
