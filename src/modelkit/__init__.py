@@ -1,87 +1,50 @@
 """Modeling kernel: class/object models, OCL checking, code generation,
-state machines, and flexible modeling."""
+state machines, and flexible modeling.
 
-from modelkit.metamodel import (
-    Association,
-    AssociationEnd,
-    AttributeLink,
-    BoolV,
-    ClassDef,
-    ClassModel,
-    EnumDef,
-    EnumV,
-    FloatV,
-    Generalization,
-    IntV,
-    Link,
-    LinkEnd,
-    Multiplicity,
-    NULL,
-    NullV,
-    ObjectDef,
-    ObjectModel,
-    Property,
-    StrV,
-    Value,
-    all_properties,
-    is_subclass_of,
-    validate_class_model,
-)
-from modelkit.diagnostics import (
-    Diagnostic,
-    ParseResult,
-    Severity,
-    SourceSpan,
-    has_errors,
-)
-from modelkit.conformance import check_conformance
-from modelkit.puml import parse_class_model, serialize_class_model
-from modelkit.objtext import parse_object_model, serialize_object_model
-from modelkit.ocl import (
-    EvalResult,
-    OclConstraint,
-    check_all,
-    evaluate_constraint,
-    evaluate_expression,
-    parse_ocl,
-)
-from modelkit.codegen import (
-    GeneratedArtifact,
-    GeneratorDescriptor,
-    GeneratorError,
-    GeneratorRegistry,
-    builtin_registry,
-)
-from modelkit.fsm import (
-    Session,
-    State,
-    StateMachine,
-    StepError,
-    TraceEntry,
-    Transition,
-    format_trace,
-    new_session,
-    parse_machine,
-    parse_scenario,
-    run_scenario,
-    step,
-    validate_machine,
-)
-from modelkit.flex import enforce_conformance, infer_class_model
+Exports are loaded on first use (PEP 562): `import modelkit` imports no
+submodule, and `modelkit.X` or `from modelkit import X` imports only the
+module that defines X.
+"""
 
-__all__ = [
-    "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
-    "ClassModel", "Diagnostic", "EnumDef", "EnumV", "EvalResult", "FloatV",
-    "GeneratedArtifact", "Generalization", "GeneratorDescriptor",
-    "GeneratorError", "GeneratorRegistry", "IntV", "Link", "LinkEnd",
-    "Multiplicity", "NULL", "NullV", "ObjectDef", "ObjectModel",
-    "OclConstraint", "ParseResult", "Property", "Session", "Severity",
-    "SourceSpan", "State", "StateMachine", "StepError", "StrV", "TraceEntry",
-    "Transition", "Value", "all_properties", "builtin_registry", "check_all",
-    "check_conformance", "enforce_conformance", "evaluate_constraint",
-    "evaluate_expression", "format_trace", "has_errors", "infer_class_model",
-    "is_subclass_of", "new_session", "parse_class_model", "parse_machine",
-    "parse_object_model", "parse_ocl", "parse_scenario", "run_scenario",
-    "serialize_class_model", "serialize_object_model", "step",
-    "validate_class_model", "validate_machine",
-]
+import importlib
+
+# Each exported name, under the module that defines it.
+_EXPORTS = {
+    "modelkit.metamodel": (
+        "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
+        "ClassModel", "EnumDef", "EnumV", "FloatV", "Generalization", "IntV",
+        "Link", "LinkEnd", "Multiplicity", "NULL", "NullV", "ObjectDef",
+        "ObjectModel", "Property", "StrV", "Value", "all_properties",
+        "is_subclass_of", "validate_class_model"),
+    "modelkit.diagnostics": (
+        "Diagnostic", "ParseResult", "Severity", "SourceSpan", "has_errors"),
+    "modelkit.conformance": ("check_conformance",),
+    "modelkit.puml": ("parse_class_model", "serialize_class_model"),
+    "modelkit.objtext": ("parse_object_model", "serialize_object_model"),
+    "modelkit.ocl": (
+        "EvalResult", "OclConstraint", "check_all", "evaluate_constraint",
+        "evaluate_expression", "parse_ocl"),
+    "modelkit.codegen": (
+        "GeneratedArtifact", "GeneratorDescriptor", "GeneratorError",
+        "GeneratorRegistry", "builtin_registry"),
+    "modelkit.fsm": (
+        "Session", "State", "StateMachine", "StepError", "TraceEntry",
+        "Transition", "format_trace", "new_session", "parse_machine",
+        "parse_scenario", "run_scenario", "step", "validate_machine"),
+    "modelkit.flex": ("enforce_conformance", "infer_class_model"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("codegen", "conformance", "diagnostics", "flex", "fsm", "index",
+               "metamodel", "objtext", "ocl", "puml")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(_HOME[name]), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,26 +19,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from modelkit.codegen import GeneratorError, builtin_registry
-from modelkit.conformance import check_conformance
-from modelkit.diagnostics import (
-    Diagnostic,
-    SYNTAX_CODES,
-    Severity,
-    has_errors,
-)
-from modelkit.flex import enforce_conformance, infer_class_model
-from modelkit.fsm import StepError, format_trace, parse_machine, parse_scenario, run_scenario
-from modelkit.objtext import parse_object_model, serialize_object_model
-from modelkit.ocl import check_all, parse_ocl
-from modelkit.puml import parse_class_model, serialize_class_model
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _report(diagnostics: list[Diagnostic]) -> None:
+def _report(diagnostics: list) -> None:
+    from modelkit.diagnostics import Severity
+
     for diag in diagnostics:
         print(diag.format())
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
@@ -66,8 +54,10 @@ def _write(path: Path, content: str) -> bool:
         return False
 
 
-def _parse_exit(diagnostics: list[Diagnostic]) -> int:
+def _parse_exit(diagnostics: list) -> int:
     """2 when anything failed to parse, else 1 for semantic errors."""
+    from modelkit.diagnostics import SYNTAX_CODES, Severity
+
     if any(d.code in SYNTAX_CODES and d.severity is Severity.ERROR
            for d in diagnostics):
         return EXIT_USAGE
@@ -76,6 +66,8 @@ def _parse_exit(diagnostics: list[Diagnostic]) -> int:
 
 def _load_class_model(path: str):
     """Returns (model, exit_code); exactly one of the two is meaningful."""
+    from modelkit.puml import parse_class_model
+
     text = _read(path)
     if text is None:
         return None, EXIT_USAGE
@@ -87,6 +79,8 @@ def _load_class_model(path: str):
 
 
 def _load_object_model(path: str, model):
+    from modelkit.objtext import parse_object_model
+
     text = _read(path)
     if text is None:
         return None, EXIT_USAGE
@@ -98,6 +92,8 @@ def _load_object_model(path: str, model):
 
 
 def cmd_validate(args) -> int:
+    from modelkit.puml import parse_class_model
+
     text = _read(args.model)
     if text is None:
         return EXIT_USAGE
@@ -109,6 +105,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from modelkit.conformance import check_conformance
+    from modelkit.diagnostics import has_errors
+    from modelkit.ocl import check_all, parse_ocl
+
     model, code = _load_class_model(args.model)
     if model is None:
         return code
@@ -145,6 +145,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from modelkit.codegen import GeneratorError, builtin_registry
+    from modelkit.diagnostics import has_errors
+
     model, code = _load_class_model(args.model)
     if model is None:
         return code
@@ -165,6 +168,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fsm_run(args) -> int:
+    from modelkit.fsm import (StepError, format_trace, parse_machine, parse_scenario,
+                              run_scenario)
+
     machine_text = _read(args.machine)
     if machine_text is None:
         return EXIT_USAGE
@@ -191,10 +197,13 @@ def cmd_fsm_run(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    from modelkit.flex import infer_class_model
+    from modelkit.puml import serialize_class_model
+
     objects, code = _load_object_model(args.objects, None)  # needs no class model
     if objects is None:
         return code
-    diagnostics: list[Diagnostic] = []
+    diagnostics: list = []
     model = infer_class_model(objects, diagnostics)
     _report(diagnostics)
     try:
@@ -209,6 +218,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_enforce(args) -> int:
+    from modelkit.diagnostics import has_errors
+    from modelkit.flex import enforce_conformance
+    from modelkit.objtext import serialize_object_model
+
     model, code = _load_class_model(args.model)
     if model is None:
         return code

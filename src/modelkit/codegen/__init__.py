@@ -24,7 +24,7 @@ class GeneratorError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeneratedArtifact:
     relative_path: str
     content: str
@@ -43,7 +43,7 @@ class GenerationResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeneratorDescriptor:
     id: str
     display_name: str

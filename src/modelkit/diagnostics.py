@@ -19,7 +19,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass
 class SourceSpan:
     """1-based position of a construct inside an input file."""
 
@@ -28,7 +28,7 @@ class SourceSpan:
     column: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class Diagnostic:
     severity: Severity
     code: str
@@ -88,10 +88,10 @@ class ParseResult:
 # marker is text, and other characters.  Strings are double-quoted with JSON
 # escapes; `#`-comment files also hold single-quoted OCL strings.  A quote
 # that never closes is an ordinary character.
-_JSON_STRING = r'"(?:[^"\\]|\\.)*"'
+JSON_STRING = r'"(?:[^"\\]|\\.)*"'
 _BEFORE_COMMENT = {
-    "'": (('"',), re.compile(rf"(?:{_JSON_STRING}|[^'])*")),
-    "#": (('"', "'"), re.compile(rf"(?:{_JSON_STRING}|'[^']*'|[^#])*")),
+    "'": (('"',), re.compile(rf"(?:{JSON_STRING}|[^'])*")),
+    "#": (('"', "'"), re.compile(rf"(?:{JSON_STRING}|'[^']*'|[^#])*")),
 }
 
 

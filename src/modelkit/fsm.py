@@ -1,9 +1,9 @@
 """Finite-state machines with guarded, event-triggered transitions.
 
-Machines are immutable; stepping is functional (a step returns a new
-session).  State bodies are symbolic action identifiers recorded in the
-trace, for the host to bind; guards are expressions over session
-variables, written in the same language as OCL invariants.
+Machines are treated as immutable; stepping is functional (a step
+returns a new session).  State bodies are symbolic action identifiers
+recorded in the trace, for the host to bind; guards are expressions over
+session variables, written in the same language as OCL invariants.
 
 Machine file format (line oriented; `#` comments, except inside a
 double-quoted or single-quoted string):
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from modelkit.diagnostics import (
+    JSON_STRING,
     Diagnostic,
     ParseResult,
     SourceSpan,
@@ -63,7 +64,7 @@ class StateMachine:
     initial_state: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceEntry:
     event: str
     source: str
@@ -291,7 +292,7 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
                        diagnostics)
 
 
-_PAYLOAD_RE = re.compile(r"(?P<key>[A-Za-z_]\w*)=(?P<value>\"[^\"]*\"|\S+)")
+_PAYLOAD_RE = re.compile(rf"(?P<key>[A-Za-z_]\w*)=(?P<value>{JSON_STRING}|\S+)")
 
 
 def parse_scenario(text: str, filename: str = "<scenario>"

@@ -25,38 +25,38 @@ def is_identifier(name: str) -> bool:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
+@dataclass
 class Value:
     """Base of the value union stored in object slots."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class IntV(Value):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class FloatV(Value):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class StrV(Value):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoolV(Value):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass
 class EnumV(Value):
     enum: str
     literal: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class NullV(Value):
     pass
 
@@ -67,7 +67,7 @@ NULL = NullV()
 # ---------------------------------------------------------------------------
 # Class model
 
-@dataclass(frozen=True)
+@dataclass
 class Multiplicity:
     """[lower, upper] bound on links at an association end; upper None = unbounded."""
 
@@ -157,7 +157,7 @@ class ObjectDef:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass
 class LinkEnd:
     object_id: str
 
@@ -178,15 +178,6 @@ class ObjectModel:
 
 # ---------------------------------------------------------------------------
 # Inheritance helpers
-
-def ancestors(model: ClassModel, class_name: str) -> list[str]:
-    """Ancestor class names, general-most first, each listed once.
-
-    Tolerates cyclic generalization graphs by never revisiting a class, so
-    it is safe to call while validation is still pending.
-    """
-    return list(ModelIndex(model).ancestors(class_name))
-
 
 def all_properties(model: ClassModel, class_name: str) -> list[Property]:
     """Own properties preceded by inherited ones, general-most first."""

@@ -1,9 +1,9 @@
 """OCL-subset abstract syntax.
 
-Expression nodes are immutable.  `Nav` covers both attribute access and
-association navigation; which one applies is resolved against the class
-model at evaluation time, since the constraint text alone cannot tell
-them apart.
+Expression nodes are treated as immutable.  `Nav` covers both attribute
+access and association navigation; which one applies is resolved against
+the class model at evaluation time, since the constraint text alone
+cannot tell them apart.
 """
 
 from __future__ import annotations
@@ -24,48 +24,48 @@ class OclExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class Literal(OclExpr):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass
 class SelfRef(OclExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class VarRef(OclExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Nav(OclExpr):
     source: OclExpr
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class Unary(OclExpr):
     op: str  # 'not' | '-'
     operand: OclExpr
 
 
-@dataclass(frozen=True)
+@dataclass
 class Binary(OclExpr):
     op: str  # * / + - < <= > >= = <> and or implies
     lhs: OclExpr
     rhs: OclExpr
 
 
-@dataclass(frozen=True)
+@dataclass
 class If(OclExpr):
     condition: OclExpr
     then_branch: OclExpr
     else_branch: OclExpr
 
 
-@dataclass(frozen=True)
+@dataclass
 class CollectionOp(OclExpr):
     source: OclExpr
     op: str

@@ -47,7 +47,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Token:
     kind: str  # int float string ident op eof
     text: str

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV
+from modelkit.metamodel import NULL, BoolV, ClassModel, EnumV, IntV, ObjectModel, StrV
 from modelkit.fsm import (
     State,
     StateMachine,
@@ -244,6 +244,22 @@ class TestFileFormats:
         steps, diags = parse_scenario('go x="a#b" # a comment\n')
         assert not diags
         assert steps == [("go", {"x": StrV("a#b")})]
+
+    def test_escaped_quote_inside_a_payload_string(self):
+        steps, diags = parse_scenario('go x="a\\"b" y="c\\\\" z=1\n')
+        assert not diags
+        assert steps == [("go", {"x": StrV('a"b'), "y": StrV("c\\"), "z": IntV(1)})]
+
+    def test_unquoted_payload_values_are_unchanged(self):
+        steps, diags = parse_scenario("go x=3 y=true z=null w=Color::red\n")
+        assert not diags
+        assert steps == [("go", {"x": IntV(3), "y": BoolV(True), "z": NULL,
+                                 "w": EnumV("Color", "red")})]
+
+    def test_unterminated_payload_string_is_a_bad_value(self):
+        steps, diags = parse_scenario('go x="a\\"\n')
+        assert not steps
+        assert [d.code for d in diags] == ["bad-value"]
 
     def test_scenario_bad_payload(self):
         steps, diags = parse_scenario("tick x=\n")

@@ -1,0 +1,91 @@
+"""What each entry point imports.
+
+The CLI imports, per subcommand, only the modules that subcommand calls,
+and `import modelkit` re-exports lazily (PEP 562).  Each footprint is
+taken in a fresh interpreter, so the modules this test process has
+already loaded cannot hide an import.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import modelkit
+from conftest import FIXTURES, REPO
+
+BASE = {"modelkit", "modelkit.cli"}
+CLASS_MODEL = {"modelkit.diagnostics", "modelkit.index", "modelkit.metamodel",
+               "modelkit.puml"}
+OCL = {"modelkit.ocl", "modelkit.ocl.interp", "modelkit.ocl.nodes",
+       "modelkit.ocl.parser"}
+
+
+def loaded(code: str) -> tuple[set[str], bool]:
+    """The modelkit modules a fresh interpreter holds after running `code`,
+    and whether it loaded `dataclasses`."""
+    probe = (code + "\nimport sys\n"
+             "print(*sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('modelkit', 'dataclasses')))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert result.returncode == 0, result.stderr
+    names = set(result.stdout.splitlines()[-1].split())
+    return names - {"dataclasses"}, "dataclasses" in names
+
+
+def test_importing_the_cli_loads_no_other_module():
+    assert loaded("import modelkit.cli") == (BASE, False)
+
+
+def test_importing_the_package_loads_nothing_else():
+    assert loaded("import modelkit") == ({"modelkit"}, False)
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("validate --model {fx}/dpp.buml.puml", CLASS_MODEL),
+    ("check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl {fx}/dpp.ocl",
+     CLASS_MODEL | OCL | {"modelkit.conformance", "modelkit.objtext"}),
+    ("generate --model {fx}/dpp.buml.puml --target sql --out {out}",
+     CLASS_MODEL | {"modelkit.codegen", "modelkit.codegen.plainclasses",
+                    "modelkit.codegen.sqlddl"}),
+    ("fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario",
+     OCL | {"modelkit.diagnostics", "modelkit.fsm", "modelkit.index",
+            "modelkit.metamodel", "modelkit.objtext"}),
+], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
+def test_a_subcommand_loads_only_its_modules(command, modules, tmp_path):
+    argv = [arg.format(fx=FIXTURES, out=tmp_path) for arg in command.split()]
+    code = f"from modelkit.cli import main\nassert main({argv!r}) == 0"
+    assert loaded(code)[0] == BASE | modules
+
+
+def test_every_export_is_its_home_modules_object():
+    for name in modelkit.__all__:
+        home = importlib.import_module(modelkit._HOME[name])
+        assert getattr(modelkit, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from modelkit import *", namespace)
+    assert set(modelkit.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(modelkit, name) for name in modelkit.__all__)
+
+
+def test_submodules_are_attributes_of_a_bare_import():
+    code = ("import sys, modelkit\n"
+            "assert 'modelkit.fsm' not in sys.modules\n"
+            "assert modelkit.fsm.run_scenario is modelkit.run_scenario\n"
+            "assert modelkit.ocl.parser.parse_ocl is modelkit.parse_ocl")
+    modules, _ = loaded(code)
+    assert "modelkit.fsm" in modules and "modelkit.flex" not in modules
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        modelkit.nope
+    with pytest.raises(ImportError):
+        exec("from modelkit import nope", {})

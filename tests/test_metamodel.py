@@ -12,10 +12,10 @@ from modelkit.metamodel import (
     Multiplicity,
     Property,
     all_properties,
-    ancestors,
     is_subclass_of,
     validate_class_model,
 )
+from modelkit.index import ModelIndex
 from modelkit.puml import parse_class_model
 from model_gen import random_class_model
 
@@ -210,7 +210,7 @@ class TestDeepHierarchies:
         result = parse_class_model(text)
         assert result.ok
         assert result.diagnostics == []
-        assert ancestors(result.model, f"C{depth - 1}") == \
+        assert ModelIndex(result.model).ancestors(f"C{depth - 1}") == \
             [f"C{i}" for i in range(depth - 1)]
 
     def test_cycles_still_report_gen_cycle_with_the_same_text(self):
