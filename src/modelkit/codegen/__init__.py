@@ -26,6 +26,8 @@ class GeneratorError(Exception):
 
 @dataclass
 class GeneratedArtifact:
+    """One generated file: a normalized relative path and its text."""
+
     relative_path: str
     content: str
 
@@ -39,12 +41,16 @@ class GeneratedArtifact:
 
 @dataclass
 class GenerationResult:
+    """The files a generator produced and the diagnostics it reported."""
+
     artifacts: list[GeneratedArtifact] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 @dataclass
 class GeneratorDescriptor:
+    """A generator registered under `id`, and the function that runs it."""
+
     id: str
     display_name: str
     produce: Callable[[ClassModel], GenerationResult]

@@ -42,6 +42,8 @@ _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "bool": "BOOLEAN"
 
 @dataclass
 class _Table:
+    """A table being built: columns, keys and the tables it references."""
+
     name: str
     order: int
     columns: list[tuple[str, str]] = field(default_factory=list)  # (name, rendered type)

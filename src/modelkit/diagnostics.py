@@ -19,7 +19,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceSpan:
     """1-based position of a construct inside an input file."""
 
@@ -28,8 +28,10 @@ class SourceSpan:
     column: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostic:
+    """One reported problem: severity, stable code, message and position."""
+
     severity: Severity
     code: str
     message: str
@@ -72,7 +74,7 @@ SYNTAX_CODES = frozenset({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseResult:
     """Outcome of one parse: a model only when nothing went wrong."""
 

@@ -33,8 +33,8 @@ from modelkit.diagnostics import (
     has_errors,
     read_lines,
 )
-from modelkit.metamodel import BoolV, ClassModel, ObjectModel, Value
-from modelkit.objtext import parse_value
+from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
+from modelkit.objtext import PLAIN_CHARS, parse_value
 from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
@@ -42,12 +42,16 @@ from modelkit.ocl.parser import parse_expression
 
 @dataclass
 class State:
+    """A state and the action its entry fires, if any."""
+
     name: str
     body_action: Optional[str] = None
 
 
 @dataclass
 class Transition:
+    """An edge from `source` to `target` on `event`, taken if its guard holds."""
+
     source: str
     target: str
     event: str
@@ -57,6 +61,8 @@ class Transition:
 
 @dataclass
 class StateMachine:
+    """States, events and transitions in declaration order, and the initial state."""
+
     name: str
     states: list[State] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
@@ -66,6 +72,8 @@ class StateMachine:
 
 @dataclass
 class TraceEntry:
+    """One step taken: event, states left and entered, actions fired."""
+
     event: str
     source: str
     target: str
@@ -74,6 +82,8 @@ class TraceEntry:
 
 @dataclass
 class Session:
+    """A machine's current state, its variables and the trace so far."""
+
     current_state: str
     variables: dict[str, Value] = field(default_factory=dict)
     trace: list[TraceEntry] = field(default_factory=list)
@@ -292,7 +302,13 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
                        diagnostics)
 
 
-_PAYLOAD_RE = re.compile(rf"(?P<key>[A-Za-z_]\w*)=(?P<value>{JSON_STRING}|\S+)")
+_EVENT_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+# One payload item and the blanks before it.  An integer is taken only when
+# it runs to a blank or the line's end, so `x=1y=2` stays one `\S+` value;
+# a string ends at its closing quote, so `x="a"y=2` holds two items.
+_PAYLOAD_ITEM_RE = re.compile(
+    rf'\s*(?P<key>[A-Za-z_]\w*)=(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>-?\d+)(?!\S)'
+    rf"|(?P<value>{JSON_STRING}|\S+))")
 
 
 def parse_scenario(text: str, filename: str = "<scenario>"
@@ -303,35 +319,34 @@ def parse_scenario(text: str, filename: str = "<scenario>"
     for lineno, line in read_lines(text, "#"):
         parts = line.split(None, 1)
         event = parts[0]
-        if not re.match(r"^[A-Za-z_]\w*$", event):
+        if not _EVENT_NAME_RE.fullmatch(event):
             diagnostics.append(error("syntax", f"malformed event name '{event}'",
                                      SourceSpan(filename, lineno)))
             continue
         payload: dict[str, Value] = {}
         rest = parts[1] if len(parts) > 1 else ""
-        pos = 0
-        ok = True
-        while pos < len(rest):
-            if rest[pos].isspace():
-                pos += 1
-                continue
-            m = _PAYLOAD_RE.match(rest, pos)
+        pos, end = 0, len(rest)
+        while pos < end:
+            m = _PAYLOAD_ITEM_RE.match(rest, pos)
             if m is None:
                 diagnostics.append(error(
-                    "syntax", f"malformed payload near: {rest[pos:]}",
+                    "syntax", f"malformed payload near: {rest[pos:].lstrip()}",
                     SourceSpan(filename, lineno)))
-                ok = False
                 break
-            value = parse_value(m.group("value"))
-            if value is None:
-                diagnostics.append(error(
-                    "bad-value",
-                    f"malformed payload value for '{m.group('key')}'",
-                    SourceSpan(filename, lineno)))
-                ok = False
-                break
-            payload[m.group("key")] = value
+            key, plain, digits, other = m.groups()
+            if plain is not None:
+                value = StrV(plain)
+            elif digits is not None:
+                value = IntV(int(digits))
+            else:
+                value = parse_value(other)
+                if value is None:
+                    diagnostics.append(error(
+                        "bad-value", f"malformed payload value for '{key}'",
+                        SourceSpan(filename, lineno)))
+                    break
+            payload[key] = value
             pos = m.end()
-        if ok:
+        else:
             steps.append((event, payload))
     return steps, diagnostics

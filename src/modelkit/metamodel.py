@@ -25,40 +25,50 @@ def is_identifier(name: str) -> bool:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass
+@dataclass(slots=True)
 class Value:
     """Base of the value union stored in object slots."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IntV(Value):
+    """An integer slot value."""
+
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatV(Value):
+    """A floating-point slot value."""
+
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class StrV(Value):
+    """A string slot value."""
+
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolV(Value):
+    """A boolean slot value."""
+
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class EnumV(Value):
+    """A qualified enumeration literal, `Enum::LITERAL`."""
+
     enum: str
     literal: str
 
 
-@dataclass
+@dataclass(slots=True)
 class NullV(Value):
-    pass
+    """The null slot value; use the NULL singleton."""
 
 
 NULL = NullV()
@@ -67,7 +77,7 @@ NULL = NullV()
 # ---------------------------------------------------------------------------
 # Class model
 
-@dataclass
+@dataclass(slots=True)
 class Multiplicity:
     """[lower, upper] bound on links at an association end; upper None = unbounded."""
 
@@ -75,31 +85,39 @@ class Multiplicity:
     upper: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Property:
+    """A typed attribute of a class, optionally its identifier."""
+
     name: str
     type_name: str  # one of index.PRIMITIVE_TYPES, a class name, or an enum name
     is_id: bool = False
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDef:
+    """A class with its own (not inherited) properties."""
+
     name: str
     is_abstract: bool = False
     properties: list[Property] = field(default_factory=list)
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class EnumDef:
+    """An enumeration and its literals, in declaration order."""
+
     name: str
     literals: list[str] = field(default_factory=list)
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class AssociationEnd:
+    """One end of a binary association: target class, role and multiplicity."""
+
     target: str  # class name
     role: Optional[str] = None
     multiplicity: Multiplicity = field(default_factory=Multiplicity)
@@ -110,22 +128,28 @@ class AssociationEnd:
         return self.role if self.role is not None else self.target
 
 
-@dataclass
+@dataclass(slots=True)
 class Association:
+    """A named binary association between two ends."""
+
     name: str
     ends: tuple[AssociationEnd, AssociationEnd]
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Generalization:
+    """`specific` inherits from `general`."""
+
     general: str
     specific: str
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassModel:
+    """A class model: classes, enumerations, associations and generalizations."""
+
     name: str = "model"
     classes: list[ClassDef] = field(default_factory=list)
     enumerations: list[EnumDef] = field(default_factory=list)
@@ -136,15 +160,19 @@ class ClassModel:
 # ---------------------------------------------------------------------------
 # Object model
 
-@dataclass
+@dataclass(slots=True)
 class AttributeLink:
+    """A slot of an object: a property name and its value."""
+
     property_name: str
     value: Value
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectDef:
+    """An object: its id, classifier and slots in assignment order."""
+
     id: str
     classifier: str
     slots: list[AttributeLink] = field(default_factory=list)
@@ -157,20 +185,26 @@ class ObjectDef:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkEnd:
+    """The object at one end of a link."""
+
     object_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
+    """An instance of an association, its ends in association-end order."""
+
     association_name: str
     ends: tuple[LinkEnd, LinkEnd]
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectModel:
+    """A population: objects in declaration order, then links."""
+
     name: str = "objects"
     objects: list[ObjectDef] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)

@@ -7,8 +7,9 @@ line:
     p1.code = "DPP-001"                assigns a slot value
     link p1 -- s1 : stages             links two objects via an association
 
-Slot values: integers, floats, double-quoted strings (JSON escaping),
-true/false, null, and qualified enum literals `Color::RED`.  Objects must
+Slot values: integers, floats (one that overflows to infinity is
+malformed, as JSON has no infinity), double-quoted strings (JSON
+escaping), true/false, null, and qualified enum literals `Color::RED`.  Objects must
 be declared before they are assigned or linked.  Comments run from an
 apostrophe outside a string to end of line.
 
@@ -20,6 +21,7 @@ conformance checker's job.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Optional
 
@@ -47,13 +49,20 @@ from modelkit.metamodel import (
     Value,
 )
 
-_OBJECT_RE = re.compile(
-    r"^object\s+(?P<id>[A-Za-z_]\w*)\s*:\s*(?P<class>[A-Za-z_]\w*)$")
-_SLOT_RE = re.compile(
-    r"^(?P<id>[A-Za-z_]\w*)\.(?P<prop>[A-Za-z_]\w*)\s*=\s*(?P<value>.+)$")
-_LINK_RE = re.compile(
-    r"^link\s+(?P<a>[A-Za-z_]\w*)\s*--\s*(?P<b>[A-Za-z_]\w*)"
-    r"\s*:\s*(?P<assoc>[A-Za-z_]\w*)$")
+# The characters of a JSON string that has nothing to escape (RFC 8259
+# section 7: no quote, backslash or control character).  The readers take
+# such a string, and an integer, straight from their match, and any other
+# value goes through parse_value; render_value writes such a string as is.
+PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
+_PLAIN_RE = re.compile(PLAIN_CHARS)
+
+# Object, slot and link statements, tried in that order.
+_STATEMENT_RE = re.compile(
+    r"object\s+(?P<oid>[A-Za-z_]\w*)\s*:\s*(?P<classifier>[A-Za-z_]\w*)"
+    r"|(?P<sid>[A-Za-z_]\w*)\.(?P<prop>[A-Za-z_]\w*)\s*=\s*"
+    rf'(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>-?\d+)|(?P<value>.+))'
+    r"|link\s+(?P<a>[A-Za-z_]\w*)\s*--\s*(?P<b>[A-Za-z_]\w*)"
+    r"\s*:\s*(?P<assoc>[A-Za-z_]\w*)")
 
 _INT_RE = re.compile(r"^-?\d+$")
 _FLOAT_RE = re.compile(r"^-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)$")
@@ -72,7 +81,8 @@ def parse_value(text: str) -> Optional[Value]:
     if _INT_RE.match(text):
         return IntV(int(text))
     if _FLOAT_RE.match(text):
-        return FloatV(float(text))
+        number = float(text)
+        return None if math.isinf(number) else FloatV(number)
     if text.startswith('"'):
         try:
             decoded = json.loads(text)
@@ -91,7 +101,10 @@ def render_value(value: Value) -> str:
     if isinstance(value, FloatV):
         return repr(value.value)
     if isinstance(value, StrV):
-        return json.dumps(value.value, ensure_ascii=False)
+        text = value.value
+        if _PLAIN_RE.fullmatch(text):
+            return '"' + text + '"'
+        return json.dumps(text, ensure_ascii=False)
     if isinstance(value, BoolV):
         return "true" if value.value else "false"
     if isinstance(value, EnumV):
@@ -108,59 +121,54 @@ def parse_object_model(text: str, model: ClassModel,
     diagnostics = []
     result = ObjectModel(name="objects")
     by_id: dict[str, ObjectDef] = {}
+    assigned: set[tuple[str, str]] = set()
 
     def err(code: str, message: str, lineno: int) -> None:
         diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
 
     for lineno, line in read_envelope(read_lines(text, "'"), text.count("\n") + 1,
                                       "@startobjects", "@endobjects", err):
-        m = _OBJECT_RE.match(line)
-        if m:
-            oid = m.group("id")
+        m = _STATEMENT_RE.fullmatch(line)
+        if m is None:
+            err("syntax", f"unrecognized statement: {line}", lineno)
+            continue
+        oid, classifier, sid, prop, plain, digits, other, a, b, assoc = m.groups()
+        if oid is not None:
             if oid in by_id:
                 err("dup-object", f"object '{oid}' declared twice", lineno)
                 continue
-            obj = ObjectDef(id=oid, classifier=m.group("class"),
-                            span=SourceSpan(filename, lineno))
+            obj = ObjectDef(oid, classifier, span=SourceSpan(filename, lineno))
             by_id[oid] = obj
             result.objects.append(obj)
-            continue
-
-        m = _SLOT_RE.match(line)
-        if m:
-            oid = m.group("id")
-            obj = by_id.get(oid)
+        elif sid is not None:
+            obj = by_id.get(sid)
             if obj is None:
-                err("unknown-object", f"slot assigned to undeclared object '{oid}'",
+                err("unknown-object", f"slot assigned to undeclared object '{sid}'",
                     lineno)
                 continue
-            prop = m.group("prop")
-            if obj.slot(prop) is not None:
-                err("dup-slot", f"slot '{oid}.{prop}' assigned twice", lineno)
+            if (sid, prop) in assigned:
+                err("dup-slot", f"slot '{sid}.{prop}' assigned twice", lineno)
                 continue
-            value = parse_value(m.group("value"))
-            if value is None:
-                err("bad-value", f"malformed value for '{oid}.{prop}': "
-                    f"{m.group('value').strip()}", lineno)
-                continue
-            obj.slots.append(AttributeLink(property_name=prop, value=value,
-                                           span=SourceSpan(filename, lineno)))
-            continue
-
-        m = _LINK_RE.match(line)
-        if m:
-            missing = [o for o in (m.group("a"), m.group("b")) if o not in by_id]
+            if plain is not None:
+                value = StrV(plain)
+            elif digits is not None:
+                value = IntV(int(digits))
+            else:
+                value = parse_value(other)
+                if value is None:
+                    err("bad-value", f"malformed value for '{sid}.{prop}': "
+                        f"{other.strip()}", lineno)
+                    continue
+            obj.slots.append(AttributeLink(prop, value, SourceSpan(filename, lineno)))
+            assigned.add((sid, prop))
+        else:
+            missing = [o for o in (a, b) if o not in by_id]
             if missing:
                 err("unknown-object",
                     f"link references undeclared object '{missing[0]}'", lineno)
                 continue
-            result.links.append(Link(
-                association_name=m.group("assoc"),
-                ends=(LinkEnd(m.group("a")), LinkEnd(m.group("b"))),
-                span=SourceSpan(filename, lineno)))
-            continue
-
-        err("syntax", f"unrecognized statement: {line}", lineno)
+            result.links.append(Link(assoc, (LinkEnd(a), LinkEnd(b)),
+                                     SourceSpan(filename, lineno)))
 
     return ParseResult(result if not has_errors(diagnostics) else None, diagnostics)
 

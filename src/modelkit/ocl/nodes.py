@@ -26,33 +26,43 @@ class OclExpr:
 
 @dataclass
 class Literal(OclExpr):
+    """A constant value."""
+
     value: Value
 
 
 @dataclass
 class SelfRef(OclExpr):
-    pass
+    """`self`, the instance being checked."""
 
 
 @dataclass
 class VarRef(OclExpr):
+    """A reference to an iterator variable or a session variable."""
+
     name: str
 
 
 @dataclass
 class Nav(OclExpr):
+    """`source.name`: an attribute read or an association navigation."""
+
     source: OclExpr
     name: str
 
 
 @dataclass
 class Unary(OclExpr):
+    """`not` or negation applied to one operand."""
+
     op: str  # 'not' | '-'
     operand: OclExpr
 
 
 @dataclass
 class Binary(OclExpr):
+    """An arithmetic, comparison or logical operator on two operands."""
+
     op: str  # * / + - < <= > >= = <> and or implies
     lhs: OclExpr
     rhs: OclExpr
@@ -60,6 +70,8 @@ class Binary(OclExpr):
 
 @dataclass
 class If(OclExpr):
+    """`if condition then ... else ... endif`."""
+
     condition: OclExpr
     then_branch: OclExpr
     else_branch: OclExpr
@@ -67,6 +79,8 @@ class If(OclExpr):
 
 @dataclass
 class CollectionOp(OclExpr):
+    """`source->op(...)`: a collection operation, with an iterator or argument."""
+
     source: OclExpr
     op: str
     var: Optional[str] = None  # iterator variable for forAll/exists/select/collect
@@ -85,6 +99,8 @@ class OclConstraint:
 
 @dataclass
 class InstanceResult:
+    """The verdict of one constraint on one instance."""
+
     object_id: str
     verdict: str  # 'true' | 'false' | 'error'
     message: Optional[str] = None

@@ -49,6 +49,8 @@ _TOKEN_RE = re.compile(r"""
 
 @dataclass
 class Token:
+    """A lexical token and its 1-based position."""
+
     kind: str  # int float string ident op eof
     text: str
     line: int
@@ -100,6 +102,8 @@ def tokenize(text: str, filename: str = "<ocl>") -> list[Token]:
 
 @dataclass
 class OclParseResult:
+    """The constraints parsed from a file and the diagnostics reported."""
+
     constraints: list[OclConstraint] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

@@ -261,6 +261,12 @@ class TestFileFormats:
         assert not steps
         assert [d.code for d in diags] == ["bad-value"]
 
+    def test_a_payload_float_that_overflows_is_a_bad_value(self):
+        steps, diags = parse_scenario("go x=1 y=-1e999\n")
+        assert not steps
+        assert [(d.code, d.message) for d in diags] == [
+            ("bad-value", "malformed payload value for 'y'")]
+
     def test_scenario_bad_payload(self):
         steps, diags = parse_scenario("tick x=\n")
         assert diags and not steps

@@ -6,6 +6,7 @@ taken in a fresh interpreter, so the modules this test process has
 already loaded cannot hide an import.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 
 import modelkit
 from conftest import FIXTURES, REPO
+from modelkit.metamodel import ClassModel
+from modelkit.objtext import parse_object_model
 
 BASE = {"modelkit", "modelkit.cli"}
 CLASS_MODEL = {"modelkit.diagnostics", "modelkit.index", "modelkit.metamodel",
@@ -89,3 +92,26 @@ def test_an_unknown_name_raises_attribute_error():
         modelkit.nope
     with pytest.raises(ImportError):
         exec("from modelkit import nope", {})
+
+
+def test_every_dataclass_has_a_docstring():
+    """Without one, `dataclasses` builds a docstring from
+    `inspect.signature` when the class is defined, on every import."""
+    undocumented = []
+    for path in sorted((REPO / "src" / "modelkit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ClassDef) and not ast.get_docstring(node)
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                undocumented.append(f"{path.name}:{node.lineno} {node.name}")
+    assert undocumented == []
+
+
+def test_parsed_records_are_slotted():
+    """The per-line records of a parsed population carry no `__dict__`."""
+    text = ('@startobjects\nobject a : K\na.s = "x"\nlink a -- a : r\n'
+            '@endobjects\n')
+    objects = parse_object_model(text, ClassModel(name="m")).model
+    obj, link = objects.objects[0], objects.links[0]
+    slot = obj.slots[0]
+    for record in (obj, slot, slot.value, slot.span, link):
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -84,6 +84,17 @@ def test_value_literals():
     assert parse_value('"unterminated') is None
 
 
+def test_a_float_that_overflows_is_a_bad_value():
+    """JSON has no infinity, so `1e999` cannot be written back; it is
+    rejected where it is read instead of becoming FloatV(inf)."""
+    assert parse_value("1e999") is None and parse_value("-1.5e400") is None
+    assert parse_value("1e-999") == FloatV(0.0)
+    text = "@startobjects\nobject a : X\na.x = 1e999\n@endobjects\n"
+    result = parse_object_model(text, EMPTY_MODEL)
+    assert result.model is None
+    assert _where(result) == [("bad-value", 3, "malformed value for 'a.x': 1e999")]
+
+
 def test_roundtrip_random_populations():
     rng = random.Random(53)
     for _ in range(100):

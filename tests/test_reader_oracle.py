@@ -1,0 +1,161 @@
+"""Differential tests of the object and scenario readers against the
+naive reference readers in `reader_oracle`, on generated lines made to
+reach every branch of a statement: plain and escaped strings, control
+characters, Unicode digits and blanks, items with no blank between them,
+duplicate and undeclared ids, and comments.  Derandomized, so every run
+tries the same examples."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reader_oracle
+from modelkit.fsm import parse_scenario
+from modelkit.metamodel import ClassModel, StrV
+from modelkit.objtext import parse_object_model, render_value
+
+ORACLE = settings(derandomize=True, max_examples=200, deadline=None)
+
+# Characters a literal or a blank can be made of: quotes, backslashes,
+# control characters (tab included), DEL, comment markers, Unicode digits
+# (Arabic-Indic, fullwidth, superscript) and Unicode blanks.
+CHARS = st.sampled_from(
+    list('"\\\'# \t=.-:') + ["\x00", "\x01", "\x1f", "\x7f", "\x0b", "\x1c", "\xa0",
+                             " ", "٣", "５", "²", "a", "Z", "_",
+                             "e", "1", "0", "é"])
+SOME_TEXT = st.one_of(st.text(CHARS, max_size=6), st.text(max_size=4))
+BLANK = st.sampled_from(["", " ", "  ", "\t", " \t ", "\xa0"])
+# `c` is never declared up front; the others are.
+DECLARED = ["a", "b", "object", "link", "x_1", "xé"]
+IDS = st.sampled_from(DECLARED + ["c"])
+
+# Slot and payload values, about two in three well-formed.
+VALUE = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    SOME_TEXT.map(lambda s: '"' + s + '"'),                  # plain or not, raw
+    SOME_TEXT.map(json.dumps),                               # escaped, ASCII
+    SOME_TEXT.map(lambda s: json.dumps(s, ensure_ascii=False)),
+    st.sampled_from(["٣١", "-٣", "５", "²", "007", "-0", "1e999", "-1e999", "1e-999",
+                     "2.5", "1E3", "1.", ".5", "null", "true", "false", "E::X", "E::",
+                     "nan", "inf", "-", '"a" "b"', '"a', '"\\"', '"\\u00e9"',
+                     '"\\ud800"', "x", "'"]),
+)
+# What may follow a line's last item: mostly nothing, else a blank, a
+# comment or a malformed item.
+OBJECT_END = st.sampled_from(["", "", "", "", " ", " ' note", "'", " ' \"x\"", " x"])
+SCENARIO_END = st.sampled_from(["", "", "", "", " ", " # note", "#", " # 'x'", " 1k=1",
+                                " x = 1", " x", " =1", "x=1"])
+
+
+@st.composite
+def object_line(draw):
+    kind = draw(st.sampled_from(["object"] + ["slot"] * 6 + ["link"] * 2 + ["text"]))
+    if kind == "object":
+        line = (f"object{draw(BLANK)} {draw(IDS)}{draw(BLANK)}:{draw(BLANK)}"
+                f"{draw(IDS)}")
+    elif kind == "slot":
+        line = (f"{draw(IDS)}.{draw(st.sampled_from(['p', 'q', 'r2']))}{draw(BLANK)}="
+                f"{draw(BLANK)}{draw(VALUE)}")
+    elif kind == "link":
+        line = (f"link {draw(IDS)}{draw(BLANK)}--{draw(BLANK)}{draw(IDS)}{draw(BLANK)}"
+                f":{draw(BLANK)}{draw(IDS)}")
+    else:
+        line = draw(SOME_TEXT)
+    return draw(BLANK) + line + draw(BLANK) + draw(OBJECT_END)
+
+
+@st.composite
+def object_text(draw):
+    lines = [f"object {oid} : K" for oid in DECLARED]
+    lines += draw(st.lists(object_line(), max_size=12))
+    head = draw(st.sampled_from([["@startobjects"], ["@startobjects"], []]))
+    tail = draw(st.sampled_from([["@endobjects"], ["@endobjects"], [],
+                                 ["@endobjects", "x"]]))
+    return "\n".join(head + lines + tail) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def scenario_line(draw):
+    event = draw(st.sampled_from(["go", "tick", "x_1", "xé", "_", "1go", "go!", "été",
+                                  None]))
+    if event is None:
+        event = draw(SOME_TEXT)
+    items = draw(st.lists(st.tuples(st.sampled_from(["x", "y", "label"]), VALUE,
+                                    st.sampled_from(["", " ", " ", "\t", "  \xa0"])),
+                          max_size=4))
+    payload = "".join(f"{key}={value}{gap}" for key, value, gap in items)
+    return draw(BLANK) + event + draw(BLANK) + " " + payload + draw(SCENARIO_END)
+
+
+def _agree(actual, expected):
+    """Equal models, spans included, and the same diagnostics in order."""
+    assert repr(actual) == repr(expected)
+
+
+@ORACLE
+@given(st.lists(object_line(), max_size=8))
+def test_object_lines_match_the_oracle(lines):
+    """Each line on its own after the declarations, so that one bad line
+    does not hide what the others parse to."""
+    head = "".join(f"object {oid} : K\n" for oid in DECLARED)
+    for line in lines:
+        text = f"@startobjects\n{head}{line}\n@endobjects\n"
+        actual = parse_object_model(text, ClassModel(name="m"))
+        expected = reader_oracle.parse_object_model(text)
+        _agree(actual.model, expected.model)
+        _agree(actual.diagnostics, expected.diagnostics)
+
+
+@ORACLE
+@given(object_text())
+def test_object_reader_matches_the_oracle(text):
+    actual = parse_object_model(text, ClassModel(name="m"))
+    expected = reader_oracle.parse_object_model(text)
+    _agree(actual.model, expected.model)
+    _agree(actual.diagnostics, expected.diagnostics)
+
+
+@ORACLE
+@given(st.lists(scenario_line(), max_size=6).map("\n".join))
+def test_scenario_reader_matches_the_oracle(text):
+    steps, diagnostics = parse_scenario(text)
+    expected_steps, expected_diagnostics = reader_oracle.parse_scenario(text)
+    _agree(steps, expected_steps)
+    _agree(diagnostics, expected_diagnostics)
+
+
+# Lines each reader must treat as the old reader did, whatever the
+# generators happen to draw.
+OBJECT_CASES = [
+    'a.p = "plain"', 'a.p = "tab\there"', 'a.p = "q\\"x"', 'a.p = "\\u00e9"',
+    "a.p = 12", "a.p = -٣", "a.p = ５", "a.p = ²", "a.p = 1e999", "a.p = 2.5",
+    'a.p = "a" "b"', "a.p = x", "a.p = 1\na.p = 2", "a.p = bad\na.p = 1",
+    "z.p = 1", "object a : B", "link a -- z : r", "a.p = \"O'Brien\" ' comment",
+]
+SCENARIO_CASES = [
+    'go x="a"y=2', "go x=1y=2", "go x=1 y=2", 'go x="a b" y="c\\"d"',
+    "go x=\t-7\xa0y=٣", "go x=1e999", "go x=1.5 y=true z=null w=E::X",
+    "go x=", "go =1", "go x=1 # comment", "1go x=1", 'go x="a#b"', "go x=1 y",
+]
+
+
+@pytest.mark.parametrize("line", OBJECT_CASES)
+def test_object_cases_match_the_oracle(line):
+    """`line` between a declaration of `a` and a link."""
+    text = f"@startobjects\nobject a : A\n{line}\nlink a -- a : r\n@endobjects\n"
+    actual = parse_object_model(text, ClassModel(name="m"))
+    expected = reader_oracle.parse_object_model(text)
+    _agree(actual.model, expected.model)
+    _agree(actual.diagnostics, expected.diagnostics)
+
+
+@pytest.mark.parametrize("line", SCENARIO_CASES)
+def test_scenario_cases_match_the_oracle(line):
+    _agree(parse_scenario(line + "\n"), reader_oracle.parse_scenario(line + "\n"))
+
+
+@ORACLE
+@given(st.text())
+def test_render_value_writes_what_json_dumps_writes(s):
+    assert render_value(StrV(s)) == json.dumps(s, ensure_ascii=False)
