@@ -92,16 +92,7 @@ def _load_object_model(path: str, model):
 
 
 def cmd_validate(args) -> int:
-    from modelkit.puml import parse_class_model
-
-    text = _read(args.model)
-    if text is None:
-        return EXIT_USAGE
-    result = parse_class_model(text, filename=args.model)
-    _report(result.diagnostics)
-    if result.model is not None:
-        return EXIT_OK
-    return _parse_exit(result.diagnostics)
+    return _load_class_model(args.model)[1]
 
 
 def cmd_check(args) -> int:

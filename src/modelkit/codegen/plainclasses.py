@@ -20,7 +20,7 @@ from modelkit.index import ModelIndex
 from modelkit.metamodel import ClassModel
 
 
-def _association_fields(model: ClassModel) -> dict[str, dict[str, bool]]:
+def _association_fields(index: ModelIndex) -> dict[str, dict[str, bool]]:
     """Per class, field name -> is_collection for every far end reachable
     from it, in association order.
 
@@ -28,9 +28,7 @@ def _association_fields(model: ClassModel) -> dict[str, dict[str, bool]]:
     repeated names keep their first occurrence only.
     """
     fields: dict[str, dict[str, bool]] = {}
-    for assoc in model.associations:
-        if len(assoc.ends) != 2:
-            continue
+    for assoc in index.binary:
         for j in (0, 1):
             far = assoc.ends[j]
             fields.setdefault(assoc.ends[1 - j].target, {}).setdefault(
@@ -41,7 +39,7 @@ def _association_fields(model: ClassModel) -> dict[str, dict[str, bool]]:
 def generate_plain_classes(model: ClassModel) -> GenerationResult:
     result = GenerationResult()
     index = ModelIndex(model)
-    association_fields = _association_fields(model)
+    association_fields = _association_fields(index)
     for cls in model.classes:
         params = [p.name for p in index.flat(cls.name)]
         lines = [f"class {cls.name}:"]

@@ -93,9 +93,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
     fk_assocs: list[tuple[Association, int, int]] = []
     join_assocs: list[Association] = []
     referenced: set[str] = set()
-    for assoc in model.associations:
-        if len(assoc.ends) != 2:
-            continue
+    for assoc in index.binary:
         involved = [index.classes.get(end.target) for end in assoc.ends]
         if any(c is None for c in involved):
             continue  # invalid model; validation reports it

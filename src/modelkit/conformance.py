@@ -22,9 +22,10 @@ from modelkit.metamodel import (
     Value,
 )
 
-# Value classes each primitive type admits.
-_PRIMITIVE_VALUES = {"int": IntV, "float": (IntV, FloatV), "str": (StrV, EnumV),
-                     "bool": BoolV}
+# The value classes each primitive type admits, narrowest type first: the
+# only such table, which inference also types observed values by.
+PRIMITIVE_VALUES = {"int": (IntV,), "float": (IntV, FloatV), "bool": (BoolV,),
+                    "str": (StrV, EnumV)}
 
 
 def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
@@ -39,7 +40,7 @@ def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
         return True
     kind = index.kind(declared_type)
     if kind == "primitive":
-        return isinstance(value, _PRIMITIVE_VALUES[declared_type])
+        return isinstance(value, PRIMITIVE_VALUES[declared_type])
     if kind == "enum":
         return (isinstance(value, EnumV) and value.enum == declared_type
                 and value.literal in index.enums[declared_type].literals)
@@ -55,7 +56,7 @@ def check_conformance(objects: ObjectModel, model: ClassModel) -> list[Diagnosti
         _check_object(obj, index, diags)
     for i, link in enumerate(objects.links):
         _check_link(i, link, population.objects, index, diags)
-    _check_multiplicities(objects, index, population, diags)
+    _check_multiplicities(index, population, diags)
     return diags
 
 
@@ -135,19 +136,14 @@ def _check_link(position, link, known, index, diags) -> None:
                                link.span, subject=subject))
 
 
-def _check_multiplicities(objects, index, population, diags) -> None:
+def _check_multiplicities(index, population, diags) -> None:
     # The multiplicity at end j bounds, for each instance at the opposite
     # end, how many links of the association it participates in.
-    for assoc in index.model.associations:
-        if len(assoc.ends) != 2:
-            continue
+    for assoc in index.binary:
         for j, bound_end in enumerate(assoc.ends):
-            i = 1 - j
-            for obj in objects.objects:
-                if not index.conforms(obj.classifier, assoc.ends[i].target):
-                    continue
-                count = len(population.linked(assoc.name, i, obj.id))
-                mult = bound_end.multiplicity
+            mult = bound_end.multiplicity
+            for obj, links in population.bounded(index, assoc, j):
+                count = len(links)
                 if count < mult.lower:
                     diags.append(error(
                         "mult-lower",

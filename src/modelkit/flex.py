@@ -9,48 +9,22 @@ from __future__ import annotations
 
 from typing import Optional
 
-from modelkit.conformance import check_conformance, value_conforms
+from modelkit.conformance import PRIMITIVE_VALUES, check_conformance, value_conforms
 from modelkit.diagnostics import Diagnostic, warning
 from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
-    EnumV,
-    FloatV,
     Generalization,
-    IntV,
     Multiplicity,
     NullV,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
 )
-
-# Observed value kinds form a little lattice: int < float, everything
-# else joins at str (enum literals are observable as strings), and null
-# is bottom.  A kind of None stands for null/bottom.
-_KINDS = {IntV: "int", FloatV: "float", BoolV: "bool", StrV: "str", EnumV: "str"}
-
-
-def _kind(value) -> Optional[str]:
-    if isinstance(value, NullV):
-        return None
-    return _KINDS[type(value)]
-
-
-def _lub(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    if {a, b} == {"int", "float"}:
-        return "float"
-    return "str"
 
 
 def infer_class_model(objects: ObjectModel,
@@ -59,60 +33,68 @@ def infer_class_model(objects: ObjectModel,
     """Infer the class model an object population instantiates.
 
     One concrete class per distinct classifier, one property per observed
-    slot name (typed by the kind lattice above, all-null defaulting to
-    str), one association per distinct link name with multiplicities
-    [min, max] of the observed per-object link counts, widened to
-    unbounded when max exceeds one.  No hierarchy is invented among the
-    observed classes themselves; the one exception is an association end
-    that observes several classifiers, which gets a fresh property-less
-    general class that exactly those classifiers specialize, so the end
-    stays typeable.  The result always accepts the population it was
-    inferred from.
+    slot name, typed as the narrowest primitive type that admits every
+    observed value by conformance's `PRIMITIVE_VALUES`, or str with a
+    warning when the values are all null or no primitive admits them all.
+    One association per distinct link name with multiplicities [min, max]
+    of the observed per-object link counts, widened to unbounded when max
+    exceeds one.  No hierarchy is invented among the observed classes
+    themselves; the one exception is an association end that observes
+    several classifiers, which gets a fresh property-less general class
+    that exactly those classifiers specialize, so the end stays typeable.
+    The result accepts the population it was inferred from, except for
+    slots some objects omit and for mixed-kind values.
     """
     sink = diagnostics if diagnostics is not None else []
     model = ClassModel(name="inferred")
-    classes: dict[str, ClassDef] = {}
-    slot_kinds: dict[str, dict[str, Optional[str]]] = {}
+    # Per classifier and slot name, the classes of its observed values.
+    slot_values: dict[str, dict[str, set[type]]] = {}
 
     for obj in objects.objects:
-        if obj.classifier not in classes:
-            cls = ClassDef(name=obj.classifier)
-            classes[obj.classifier] = cls
-            slot_kinds[obj.classifier] = {}
-            model.classes.append(cls)
-        kinds = slot_kinds[obj.classifier]
+        if obj.classifier not in slot_values:
+            slot_values[obj.classifier] = {}
+            model.classes.append(ClassDef(name=obj.classifier))
+        seen = slot_values[obj.classifier]
         for slot in obj.slots:
-            if slot.property_name in kinds:
-                kinds[slot.property_name] = _lub(kinds[slot.property_name],
-                                                 _kind(slot.value))
+            if slot.property_name in seen:
+                seen[slot.property_name].add(type(slot.value))
             else:
-                kinds[slot.property_name] = _kind(slot.value)
+                seen[slot.property_name] = {type(slot.value)}
 
     for cls in model.classes:
-        for name, kind in slot_kinds[cls.name].items():
-            if kind is None:
+        for name, kinds in slot_values[cls.name].items():
+            kinds.discard(NullV)
+            subject = f"{cls.name}.{name}"
+            type_name = next((t for t, admitted in PRIMITIVE_VALUES.items()
+                              if kinds and kinds.issubset(admitted)), "str")
+            if not kinds:
                 sink.append(warning(
                     "all-null",
-                    f"every observed value of '{cls.name}.{name}' is null; "
+                    f"every observed value of '{subject}' is null; "
                     f"defaulting its type to str",
-                    subject=f"{cls.name}.{name}"))
-                kind = "str"
-            cls.properties.append(Property(name=name, type_name=kind))
+                    subject=subject))
+            elif not kinds.issubset(PRIMITIVE_VALUES[type_name]):
+                sink.append(warning(
+                    "mixed-kind",
+                    f"no primitive type admits every observed value of "
+                    f"'{subject}'; defaulting its type to str",
+                    subject=subject))
+            cls.properties.append(Property(name=name, type_name=type_name))
 
-    by_id = {obj.id: obj for obj in objects.objects}
+    population = PopulationIndex(objects)
     observed: dict[str, tuple[list[str], list[str]]] = {}
     for link in objects.links:
         if len(link.ends) != 2:
             continue
-        if any(e.object_id not in by_id for e in link.ends):
+        holders = [population.objects.get(e.object_id) for e in link.ends]
+        if None in holders:
             raise ValueError(
                 f"link of '{link.association_name}' references an object that "
                 f"does not exist in the population")
         sides = observed.setdefault(link.association_name, ([], []))
-        for pos in (0, 1):
-            classifier = by_id[link.ends[pos].object_id].classifier
-            if classifier not in sides[pos]:
-                sides[pos].append(classifier)
+        for side, holder in zip(sides, holders):
+            if holder.classifier not in side:
+                side.append(holder.classifier)
 
     # Classes, enums, and associations share one namespace.
     taken = {c.name for c in model.classes} | set(observed)
@@ -135,26 +117,18 @@ def infer_class_model(objects: ObjectModel,
             subject=assoc_name))
         return base
 
-    # All end classes exist before the model is indexed for the link counts.
-    end_targets = {name: (end_class(name, 0, seen0), end_class(name, 1, seen1))
-                   for name, (seen0, seen1) in observed.items()}
+    for name, (seen0, seen1) in observed.items():
+        model.associations.append(Association(name=name, ends=(
+            AssociationEnd(target=end_class(name, 0, seen0)),
+            AssociationEnd(target=end_class(name, 1, seen1)))))
+    # Every end class exists now, so the link counts can be taken.
     index = ModelIndex(model)
-    population = PopulationIndex(objects)
-    for name, targets in end_targets.items():
-        mults = []
-        for j in (0, 1):
-            # End j's multiplicity bounds link counts per instance
-            # conforming to the opposite end's class.
-            i = 1 - j
-            counts = [len(population.linked(name, i, obj.id)) for obj in objects.objects
-                      if index.conforms(obj.classifier, targets[i])]
-            low = min(counts) if counts else 0
-            high = max(counts) if counts else 1
-            mults.append(Multiplicity(low, None if high > 1 else max(high, 1)))
-        model.associations.append(Association(
-            name=name,
-            ends=(AssociationEnd(target=targets[0], multiplicity=mults[0]),
-                  AssociationEnd(target=targets[1], multiplicity=mults[1]))))
+    for assoc in index.binary:
+        for j, end in enumerate(assoc.ends):
+            counts = [len(links) for _, links in population.bounded(index, assoc, j)]
+            high = max(counts, default=1)
+            end.multiplicity = Multiplicity(min(counts, default=0),
+                                            None if high > 1 else max(high, 1))
     return model
 
 
@@ -164,8 +138,9 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
 
     Removes, in order: objects with unknown or abstract classifiers, slots
     naming unknown properties or carrying ill-typed values, links with
-    unknown associations, dangling or ill-typed ends, then links past an
-    upper bound (newest declared dropped first, keeping the earliest).
+    unknown associations, other than two ends, or dangling or ill-typed
+    ends, then links past an upper bound (newest declared dropped first,
+    keeping the earliest).
     Lower-bound and missing-slot violations cannot be fixed by removal,
     so they stay in the output as residual diagnostics.  The returned
     diagnostics list removals (warnings) followed by residuals (errors).
@@ -217,43 +192,21 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
     population = PopulationIndex(ObjectModel(objects=pruned_objects, links=objects.links))
     dropped: set[int] = set()  # id() of every removed link
     for position, link in enumerate(objects.links):
-        subject = f"link[{position}]"
-        assoc = index.associations.get(link.association_name)
-        if assoc is None or len(link.ends) != 2:
-            removed("link", subject, f"unknown association '{link.association_name}'")
-            dropped.add(id(link))
-            continue
-        bad = None
-        for pos, link_end in enumerate(link.ends):
-            holder = population.objects.get(link_end.object_id)
-            if holder is None:
-                bad = f"end object '{link_end.object_id}' is gone or unknown"
-                break
-            end = assoc.ends[pos]
-            if not index.conforms(holder.classifier, end.target):
-                bad = (f"object '{holder.id}' ({holder.classifier}) cannot occupy "
-                       f"the '{end.target}' end")
-                break
+        bad = _link_fault(link, index, population)
         if bad is not None:
-            removed("link", subject, bad)
+            removed("link", f"link[{position}]", bad)
             dropped.add(id(link))
 
     # Upper bounds: walk associations and directions deterministically,
     # dropping the newest-declared surplus links as we go.
     link_index = {id(ln): i for i, ln in enumerate(objects.links)}
-    for assoc in model.associations:
-        if len(assoc.ends) != 2:
-            continue
+    for assoc in index.binary:
         for j, bound_end in enumerate(assoc.ends):
             upper = bound_end.multiplicity.upper
             if upper is None:
                 continue
-            i = 1 - j
-            for obj in pruned_objects:
-                if not index.conforms(obj.classifier, assoc.ends[i].target):
-                    continue
-                mine = [ln for ln in population.linked(assoc.name, i, obj.id)
-                        if id(ln) not in dropped]
+            for obj, links in population.bounded(index, assoc, j):
+                mine = [ln for ln in links if id(ln) not in dropped]
                 for surplus in mine[upper:][::-1]:
                     dropped.add(id(surplus))
                     removed("link", f"link[{link_index[id(surplus)]}]",
@@ -265,3 +218,20 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
     residual = check_conformance(result, model)
     diags.extend(residual)
     return result, diags
+
+
+def _link_fault(link, index, population) -> Optional[str]:
+    """Why enforcement removes `link` before counting bounds, or None."""
+    assoc = index.associations.get(link.association_name)
+    if assoc is None:
+        return f"unknown association '{link.association_name}'"
+    if len(link.ends) != 2:
+        return f"link of '{assoc.name}' must have exactly two ends"
+    for end, link_end in zip(assoc.ends, link.ends):
+        holder = population.objects.get(link_end.object_id)
+        if holder is None:
+            return f"end object '{link_end.object_id}' is gone or unknown"
+        if not index.conforms(holder.classifier, end.target):
+            return (f"object '{holder.id}' ({holder.classifier}) cannot occupy "
+                    f"the '{end.target}' end")
+    return None

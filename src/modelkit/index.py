@@ -16,11 +16,13 @@ class ModelIndex:
     class model, each computed at most once per class."""
 
     def __init__(self, model):
-        self.model = model
         # Built from the back, so the first declaration of a name wins.
         self.classes = {c.name: c for c in reversed(model.classes)}
         self.enums = {e.name: e for e in reversed(model.enumerations)}
         self.associations = {a.name: a for a in reversed(model.associations)}
+        # The associations with exactly two ends, in declaration order; any
+        # other is invalid, reported by validation and skipped everywhere else.
+        self.binary = [a for a in model.associations if len(a.ends) == 2]
         self.parents: dict[str, list[str]] = {}
         for gen in model.generalizations:
             self.parents.setdefault(gen.specific, []).append(gen.general)
@@ -89,8 +91,8 @@ class ModelIndex:
     def _resolve(self, classifier: str, name: str):
         if classifier in self.classes and name in self.properties(classifier):
             return self.properties(classifier)[name]
-        for assoc in self.model.associations:
-            for j in (0, 1) if len(assoc.ends) == 2 else ():
+        for assoc in self.binary:
+            for j in (0, 1):
                 if (assoc.ends[j].nav_name() == name
                         and self.conforms(classifier, assoc.ends[1 - j].target)):
                     return assoc, j
@@ -98,10 +100,12 @@ class ModelIndex:
 
 
 class PopulationIndex:
-    """The first object per id, and the two-ended links of each association
-    grouped by (association name, end position, object id) in link order."""
+    """The objects in population order, the first object per id, and the
+    two-ended links of each association grouped by (association name, end
+    position, object id) in link order."""
 
     def __init__(self, objects):
+        self.listed = objects.objects
         self.objects = {o.id: o for o in reversed(objects.objects)}
         self._links: dict[tuple[str, int, str], list] = {}
         for link in objects.links:
@@ -113,3 +117,13 @@ class PopulationIndex:
     def linked(self, association: str, pos: int, object_id: str):
         """Links of `association` whose end `pos` names `object_id`."""
         return self._links.get((association, pos, object_id), ())
+
+    def bounded(self, index: ModelIndex, assoc, j: int):
+        """Each object, in population order, that conforms to the class at
+        the end opposite end j of `assoc`, with its links of `assoc` at that
+        end: the objects and link counts end j's multiplicity bounds."""
+        i = 1 - j
+        target = assoc.ends[i].target
+        for obj in self.listed:
+            if index.conforms(obj.classifier, target):
+                yield obj, self.linked(assoc.name, i, obj.id)

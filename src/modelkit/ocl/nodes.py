@@ -17,7 +17,6 @@ from modelkit.metamodel import Value
 COLLECTION_OPS = ("size", "isEmpty", "notEmpty", "includes",
                   "forAll", "exists", "select", "collect")
 NULLARY_OPS = ("size", "isEmpty", "notEmpty")
-ITERATOR_OPS = ("forAll", "exists", "select", "collect")
 
 
 class OclExpr:

@@ -1,13 +1,16 @@
 import random
 
-from modelkit.conformance import check_conformance
+from modelkit.conformance import check_conformance, value_conforms
 from modelkit.flex import enforce_conformance, infer_class_model
+from modelkit.index import ModelIndex
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
+    BoolV,
     ClassDef,
     ClassModel,
+    EnumV,
     FloatV,
     IntV,
     Link,
@@ -97,6 +100,31 @@ class TestInfer:
             model = infer_class_model(objects)
             assert validate_class_model(model) == []
             assert check_conformance(objects, model) == []
+
+    def test_kinds_no_primitive_admits_warn_and_only_they_fail_the_check(self):
+        diags = []
+        objects = population(
+            ObjectDef("a", "K", slots=[AttributeLink("x", IntV(1)),
+                                       AttributeLink("y", IntV(2)),
+                                       AttributeLink("z", IntV(3))]),
+            ObjectDef("b", "K", slots=[AttributeLink("x", BoolV(True)),
+                                       AttributeLink("y", StrV("s")),
+                                       AttributeLink("z", FloatV(0.5))]))
+        model = infer_class_model(objects, diags)
+        types = [(p.name, p.type_name) for p in model.classes[0].properties]
+        assert types == [("x", "str"), ("y", "str"), ("z", "float")]
+        assert [(d.code, d.subject) for d in diags] == [
+            ("mixed-kind", "K.x"), ("mixed-kind", "K.y")]
+        assert [(d.code, d.subject) for d in check_conformance(objects, model)] == [
+            ("slot-type", "a.x"), ("slot-type", "a.y"), ("slot-type", "b.x")]
+
+    def test_duplicate_ids_resolve_link_ends_first_wins(self):
+        objects = population(
+            ObjectDef("a", "A"), ObjectDef("a", "B"), ObjectDef("c", "C"),
+            links=[Link("r", (LinkEnd("a"), LinkEnd("c")))])
+        model = infer_class_model(objects)
+        assert [e.target for e in model.associations[0].ends] == ["A", "C"]
+        assert check_conformance(objects, model) == []
 
 
 class TestEnforce:
@@ -199,3 +227,83 @@ class TestEnforce:
             assert repeat == once
             assert [d.format() for d in repeat_diags] == \
                 [d.format() for d in first_diags]
+
+    def test_link_of_a_known_association_with_three_ends_names_its_end_count(self):
+        model = self.make_model()
+        objects = population(
+            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("s1", "S"),
+            links=[Link("r", (LinkEnd("p1"), LinkEnd("s1"), LinkEnd("s1")))])
+        pruned, diags = enforce_conformance(objects, model)
+        assert pruned.links == []
+        assert [d.message for d in diags] == [
+            "removed link link[0]: link of 'r' must have exactly two ends"]
+
+    def test_link_of_an_unknown_association_names_the_association(self):
+        model = self.make_model()
+        objects = population(
+            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("s1", "S"),
+            links=[Link("q", (LinkEnd("p1"), LinkEnd("s1")))])
+        pruned, diags = enforce_conformance(objects, model)
+        assert pruned.links == []
+        assert [d.message for d in diags] == [
+            "removed link link[0]: unknown association 'q'"]
+
+
+# One maker per value kind; a column draws from a few of them, so some
+# columns mix kinds that no primitive type admits together.
+_VALUE_MAKERS = (
+    lambda rng: IntV(rng.randint(-3, 3)),
+    lambda rng: FloatV(rng.random()),
+    lambda rng: BoolV(rng.random() < 0.5),
+    lambda rng: StrV(rng.choice("ab")),
+    lambda rng: EnumV("E", "lit"),
+    lambda rng: NULL,
+)
+_NARROWEST_FIRST = ("int", "float", "bool", "str")
+
+
+def _mixed_kind_population(rng):
+    classifiers = ["A", "B", "C"][:rng.randint(1, 3)]
+    columns = {(c, p): rng.sample(_VALUE_MAKERS, rng.randint(1, 3))
+               for c in classifiers for p in ("x", "y", "z")}
+    objects = []
+    for n in range(rng.randint(1, 8)):
+        c = rng.choice(classifiers)
+        objects.append(ObjectDef(f"o{n}", c, slots=[
+            AttributeLink(p, rng.choice(columns[c, p])(rng))
+            for p in ("x", "y", "z") if rng.random() < 0.9]))
+    return population(*objects)
+
+
+def test_inferred_types_follow_the_table_conformance_checks_against():
+    rng = random.Random(61)
+    for _ in range(300):
+        objects = _mixed_kind_population(rng)
+        diags = []
+        model = infer_class_model(objects, diags)
+        index = ModelIndex(model)
+        warned = {d.subject: d.code for d in diags}
+        columns: dict[str, list] = {}
+        for obj in objects.objects:
+            for slot in obj.slots:
+                columns.setdefault(f"{obj.classifier}.{slot.property_name}",
+                                   []).append(slot.value)
+        for subject, values in columns.items():
+            classifier, name = subject.split(".")
+            declared = index.properties(classifier)[name].type_name
+            fits = [t for t in _NARROWEST_FIRST
+                    if all(value_conforms(v, t, index) for v in values)]
+            if all(v == NULL for v in values):
+                assert (declared, warned.get(subject)) == ("str", "all-null")
+            elif fits:
+                assert (declared, warned.get(subject)) == (fits[0], None)
+            else:
+                assert (declared, warned.get(subject)) == ("str", "mixed-kind")
+        classifier_of = {o.id: o.classifier for o in objects.objects}
+        for d in check_conformance(objects, model):
+            obj_id, name = d.subject.split(".")
+            subject = f"{classifier_of[obj_id]}.{name}"
+            assert d.code == "slot-missing" or (
+                d.code == "slot-type" and warned.get(subject) == "mixed-kind")
