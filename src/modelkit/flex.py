@@ -43,7 +43,7 @@ def infer_class_model(objects: ObjectModel,
     several classifiers, which gets a fresh property-less general class
     that exactly those classifiers specialize, so the end stays typeable.
     The result accepts the population it was inferred from, except for
-    slots some objects omit and for mixed-kind values.
+    slots some objects omit, mixed-kind values and links without two ends.
     """
     sink = diagnostics if diagnostics is not None else []
     model = ClassModel(name="inferred")

@@ -174,13 +174,18 @@ def parse_object_model(text: str, model: ClassModel,
 
 
 def serialize_object_model(objects: ObjectModel) -> str:
-    """Canonical text: object blocks (each with its slots) then all links."""
+    """Canonical text: object blocks (each with its slots) then all links.
+    Raises ValueError on a link with other than two ends."""
     out = ["@startobjects"]
     for obj in objects.objects:
         out.append(f"object {obj.id} : {obj.classifier}")
         for slot in obj.slots:
             out.append(f"{obj.id}.{slot.property_name} = {render_value(slot.value)}")
     for link in objects.links:
+        if len(link.ends) != 2:
+            raise ValueError(f"cannot write link of '{link.association_name}' with "
+                             f"{len(link.ends)} ends ({', '.join(e.object_id for e in link.ends)})"
+                             ": the notation holds two")
         out.append(f"link {link.ends[0].object_id} -- {link.ends[1].object_id} "
                    f": {link.association_name}")
     out.append("@endobjects")

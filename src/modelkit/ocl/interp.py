@@ -64,6 +64,7 @@ from modelkit.ocl.nodes import (
 # What an expression can evaluate to: a plain value, an object reference,
 # or an ordered collection of either.
 Evaluated = Union[Value, ObjectDef, list]
+_NUMBER = (IntV, FloatV)
 
 
 class OclRuntimeError(Exception):
@@ -71,30 +72,18 @@ class OclRuntimeError(Exception):
 
 
 class Binding:
-    """Stack of variable scopes; `self` sits in the outermost frame."""
+    """Stack of variable scopes; `self` sits in the outermost frame.  An
+    iterator appends one frame for its whole loop and rebinds its variable
+    there for each item."""
 
     def __init__(self, initial: Optional[dict[str, Evaluated]] = None):
         self.frames: list[dict[str, Evaluated]] = [dict(initial or {})]
-
-    def push(self, name: str, value: Evaluated) -> None:
-        self.frames.append({name: value})
-
-    def pop(self) -> None:
-        self.frames.pop()
 
     def lookup(self, name: str) -> Evaluated:
         for frame in reversed(self.frames):
             if name in frame:
                 return frame[name]
         raise OclRuntimeError(f"unbound variable '{name}'")
-
-
-def _is_number(v: Evaluated) -> bool:
-    return isinstance(v, (IntV, FloatV))
-
-
-def _num(v) -> Union[int, float]:
-    return v.value
 
 
 class Scope:
@@ -117,8 +106,8 @@ class Scope:
 def value_equal(a: Evaluated, b: Evaluated) -> bool:
     """Total equality: numeric across int/float, objects by id, collections
     pairwise; any other kind mismatch is simply unequal."""
-    if _is_number(a) and _is_number(b):
-        return _num(a) == _num(b)
+    if isinstance(a, _NUMBER) and isinstance(b, _NUMBER):
+        return a.value == b.value
     if isinstance(a, ObjectDef) and isinstance(b, ObjectDef):
         return a.id == b.id
     if isinstance(a, list) and isinstance(b, list):
@@ -128,26 +117,22 @@ def value_equal(a: Evaluated, b: Evaluated) -> bool:
     return False
 
 
-def _read_slot(obj: ObjectDef, name: str) -> Evaluated:
-    slot = obj.slot(name)
-    if slot is None:
-        return NULL
-    if isinstance(slot.value, EnumV):
-        return StrV(slot.value.literal)  # enum literals read as strings
-    return slot.value
-
-
 def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
     found = scope.types.navigation(obj.classifier, name)
     if found is None:
         raise OclRuntimeError(
             f"'{obj.classifier}' has no attribute or association '{name}'")
     if not isinstance(found, tuple):
-        return _read_slot(obj, name)
+        slot = obj.slot(name)
+        if slot is None:
+            return NULL
+        if isinstance(slot.value, EnumV):
+            return StrV(slot.value.literal)  # enum literals read as strings
+        return slot.value
     assoc, j = found
-    partners: list[Evaluated] = []
-    for link in scope.links.linked(assoc.name, 1 - j, obj.id):
-        partner = scope.links.objects.get(link.ends[j].object_id)
+    population, partners = scope.links, []
+    for link in population.linked(assoc.name, 1 - j, obj.id):
+        partner = population.objects.get(link.ends[j].object_id)
         if partner is None:
             raise OclRuntimeError(
                 f"link of '{assoc.name}' references unknown object "
@@ -180,58 +165,50 @@ def _eval_top(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
 
 
 def _eval(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, SelfRef):
-        return env.lookup("self")
-    if isinstance(expr, VarRef):
-        return env.lookup(expr.name)
-    if isinstance(expr, Nav):
-        source = _eval(expr.source, env, scope)
-        if isinstance(source, NullV):
-            raise OclRuntimeError(f"navigation '{expr.name}' on null")
-        if isinstance(source, list):
-            raise OclRuntimeError(
-                f"navigation '{expr.name}' on a collection (no implicit collect)")
-        if not isinstance(source, ObjectDef):
-            raise OclRuntimeError(f"navigation '{expr.name}' on a plain value")
-        return _navigate(source, expr.name, scope)
-    if isinstance(expr, Unary):
-        return _eval_unary(expr, env, scope)
-    if isinstance(expr, Binary):
-        return _eval_binary(expr, env, scope)
-    if isinstance(expr, If):
-        cond = _eval(expr.condition, env, scope)
-        branch = expr.then_branch if _require_bool(cond, "if condition") \
-            else expr.else_branch
-        return _eval(branch, env, scope)
-    if isinstance(expr, CollectionOp):
-        return _eval_collection_op(expr, env, scope)
+    return _HANDLERS.get(type(expr), _eval_unknown)(expr, env, scope)
+
+
+def _eval_unknown(expr, env, scope) -> Evaluated:
     raise OclRuntimeError(f"unknown expression node {type(expr).__name__}")
+
+
+def _eval_nav(expr, env, scope) -> Evaluated:
+    source = _eval(expr.source, env, scope)
+    if isinstance(source, ObjectDef):
+        return _navigate(source, expr.name, scope)
+    if isinstance(source, NullV):
+        raise OclRuntimeError(f"navigation '{expr.name}' on null")
+    if isinstance(source, list):
+        raise OclRuntimeError(
+            f"navigation '{expr.name}' on a collection (no implicit collect)")
+    raise OclRuntimeError(f"navigation '{expr.name}' on a plain value")
+
+
+def _eval_if(expr, env, scope) -> Evaluated:
+    cond = _require_bool(_eval(expr.condition, env, scope), "if condition")
+    return _eval(expr.then_branch if cond else expr.else_branch, env, scope)
 
 
 def _eval_unary(expr, env, scope) -> Evaluated:
     operand = _eval(expr.operand, env, scope)
     if expr.op == "not":
         return BoolV(not _require_bool(operand, "operand of 'not'"))
-    if _is_number(operand):
-        result = -_num(operand)
-        return IntV(result) if isinstance(operand, IntV) else FloatV(result)
+    if isinstance(operand, _NUMBER):
+        return type(operand)(-operand.value)
     raise OclRuntimeError("unary '-' on a non-number")
+
+
+# op -> (the left operand's value that decides the result, that result)
+_SHORT_CIRCUIT = {"and": (False, False), "or": (True, True), "implies": (False, True)}
 
 
 def _eval_binary(expr, env, scope) -> Evaluated:
     op = expr.op
-    if op in ("and", "or", "implies"):
-        lhs = _require_bool(_eval(expr.lhs, env, scope), f"left operand of '{op}'")
-        if op == "and" and not lhs:
-            return BoolV(False)
-        if op == "or" and lhs:
-            return BoolV(True)
-        if op == "implies" and not lhs:
-            return BoolV(True)
-        return BoolV(_require_bool(_eval(expr.rhs, env, scope),
-                                   f"right operand of '{op}'"))
+    if op in _SHORT_CIRCUIT:
+        decides, result = _SHORT_CIRCUIT[op]
+        if _require_bool(_eval(expr.lhs, env, scope), f"left operand of '{op}'") == decides:
+            return BoolV(result)
+        return BoolV(_require_bool(_eval(expr.rhs, env, scope), f"right operand of '{op}'"))
 
     lhs = _eval(expr.lhs, env, scope)
     rhs = _eval(expr.rhs, env, scope)
@@ -242,9 +219,9 @@ def _eval_binary(expr, env, scope) -> Evaluated:
         return BoolV(not value_equal(lhs, rhs))
 
     if op in ("+", "-", "*", "/"):
-        if not (_is_number(lhs) and _is_number(rhs)):
+        if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)):
             raise OclRuntimeError(f"arithmetic '{op}' on non-numbers")
-        a, b = _num(lhs), _num(rhs)
+        a, b = lhs.value, rhs.value
         both_int = isinstance(lhs, IntV) and isinstance(rhs, IntV)
         if op == "+":
             r = a + b
@@ -259,12 +236,10 @@ def _eval_binary(expr, env, scope) -> Evaluated:
         return IntV(r) if both_int else FloatV(float(r))
 
     # Ordering comparisons.
-    if _is_number(lhs) and _is_number(rhs):
-        a, b = _num(lhs), _num(rhs)
-    elif isinstance(lhs, StrV) and isinstance(rhs, StrV):
-        a, b = lhs.value, rhs.value
-    else:
+    if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)
+            or isinstance(lhs, StrV) and isinstance(rhs, StrV)):
         raise OclRuntimeError(f"comparison '{op}' needs two numbers or two strings")
+    a, b = lhs.value, rhs.value
     if op == "<":
         return BoolV(a < b)
     if op == "<=":
@@ -290,30 +265,42 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
         return BoolV(any(value_equal(item, needle) for item in source))
 
     results: list[Evaluated] = []
-    for item in source:
-        env.push(expr.var, item)
-        try:
-            value = _eval(expr.body, env, scope)
-        finally:
-            env.pop()
-        if op == "forAll":
-            if not _require_bool(value, "forAll body"):
-                return BoolV(False)
-        elif op == "exists":
-            if _require_bool(value, "exists body"):
-                return BoolV(True)
-        elif op == "select":
-            if _require_bool(value, "select body"):
-                results.append(item)
-        else:  # collect
-            if isinstance(value, list):
-                raise OclRuntimeError("collect body produced a nested collection")
-            results.append(value)
-    if op == "forAll":
-        return BoolV(True)
-    if op == "exists":
-        return BoolV(False)
-    return results
+    var, body, frame = expr.var, expr.body, {}
+    env.frames.append(frame)
+    try:
+        for item in source:
+            frame[var] = item
+            value = _eval(body, env, scope)
+            if op == "forAll":
+                if not _require_bool(value, "forAll body"):
+                    return BoolV(False)
+            elif op == "exists":
+                if _require_bool(value, "exists body"):
+                    return BoolV(True)
+            elif op == "select":
+                if _require_bool(value, "select body"):
+                    results.append(item)
+            else:  # collect
+                if isinstance(value, list):
+                    raise OclRuntimeError("collect body produced a nested collection")
+                results.append(value)
+    finally:
+        env.frames.pop()
+    # No item decided: forAll holds and exists fails.
+    return results if op in ("select", "collect") else BoolV(op == "forAll")
+
+
+# The handler of each node type; a type not listed is reported, not guessed.
+_HANDLERS = {
+    Literal: lambda expr, env, scope: expr.value,
+    SelfRef: lambda expr, env, scope: env.lookup("self"),
+    VarRef: lambda expr, env, scope: env.lookup(expr.name),
+    Nav: _eval_nav,
+    Unary: _eval_unary,
+    Binary: _eval_binary,
+    If: _eval_if,
+    CollectionOp: _eval_collection_op,
+}
 
 
 def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
@@ -323,15 +310,20 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
     subclass instances included, in object declaration order.  `scope`
     shares indexes among constraints over the same objects and model."""
     scope = scope or Scope(objects, model)
-    if constraint.context_class not in scope.types.classes:
+    context = constraint.context_class
+    if context not in scope.types.classes:
         return EvalResult(
             constraint=constraint.name,
-            message=f"unknown context class '{constraint.context_class}'")
+            message=f"unknown context class '{context}'")
     result = EvalResult(constraint=constraint.name)
+    conforms: dict[str, bool] = {}  # decided once per classifier
+    env = Binding()
     for obj in objects.objects:
-        if not scope.types.conforms(obj.classifier, constraint.context_class):
+        if obj.classifier not in conforms:
+            conforms[obj.classifier] = scope.types.conforms(obj.classifier, context)
+        if not conforms[obj.classifier]:
             continue
-        env = Binding({"self": obj})
+        env.frames[0]["self"] = obj
         try:
             value = _eval_top(constraint.body, env, scope)
         except OclRuntimeError as exc:

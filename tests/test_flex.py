@@ -126,6 +126,18 @@ class TestInfer:
         assert [e.target for e in model.associations[0].ends] == ["A", "C"]
         assert check_conformance(objects, model) == []
 
+    def test_links_without_two_ends_infer_no_association(self):
+        # The third exception to "accepts its source population": the
+        # inferred model has no association for a name only such links use.
+        objects = population(
+            ObjectDef("a", "A"), ObjectDef("b", "B"), ObjectDef("c", "C"),
+            links=[Link("r", (LinkEnd("a"), LinkEnd("b"), LinkEnd("c"))),
+                   Link("q", (LinkEnd("a"), LinkEnd("b")))])
+        model = infer_class_model(objects)
+        assert [a.name for a in model.associations] == ["q"]
+        assert [(d.code, d.message) for d in check_conformance(objects, model)] == [
+            ("unknown-association", "link references unknown association 'r'")]
+
 
 class TestEnforce:
     def make_model(self):

@@ -158,3 +158,15 @@ def test_envelope_diagnostics(text, expected):
     result = parse_object_model(text, EMPTY_MODEL)
     assert _where(result) == expected
     assert result.model is None
+
+
+@pytest.mark.parametrize("ends, listed", [(("a", "b", "c"), "3 ends (a, b, c)"),
+                                          (("a",), "1 ends (a)")])
+def test_a_link_without_exactly_two_ends_is_not_written(ends, listed):
+    from modelkit.metamodel import Link, LinkEnd, ObjectDef, ObjectModel
+    objects = ObjectModel(objects=[ObjectDef(i, "K") for i in "abc"],
+                          links=[Link("r", tuple(LinkEnd(i) for i in ends))])
+    with pytest.raises(ValueError) as caught:
+        serialize_object_model(objects)
+    assert str(caught.value) == \
+        f"cannot write link of 'r' with {listed}: the notation holds two"

@@ -28,7 +28,8 @@ from modelkit.ocl import (
     parse_expression,
     parse_ocl,
 )
-from modelkit.ocl.nodes import Binary, Literal, Nav, OclConstraint, SelfRef
+from modelkit.ocl.nodes import Binary, Literal, Nav, OclConstraint, OclExpr, SelfRef
+from ocl_oracle import OracleError, naive_eval
 
 EMPTY_OBJECTS = ObjectModel(name="none")
 EMPTY_MODEL = ClassModel(name="none")
@@ -376,3 +377,141 @@ class TestNestingTooDeep:
         assert [(i.verdict, i.message) for i in deep.per_instance] == \
             [("error", "expression nested too deeply")]
         assert [i.verdict for i in fine.per_instance] == ["true"]
+
+
+def error_world():
+    """dpp_world plus a passport `p2` without slots whose one link names a
+    missing stage, bound as `orphan` next to `self` (p1)."""
+    model, objects = dpp_world(n_stages=1)
+    objects.objects.append(ObjectDef("p2", "ProductPassport"))
+    objects.links.append(Link("stages", (LinkEnd("p2"), LinkEnd("ghost"))))
+    return model, objects, {"self": objects.objects[0], "orphan": objects.objects[2]}
+
+
+class Mystery(OclExpr):
+    """A node type the evaluator has no handler for."""
+
+
+class TestRuntimeErrorMessages:
+    """Every runtime error's text, exactly: `check` prints it on its ERROR
+    lines."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("ghost = 1", "unbound variable 'ghost'"),
+        ("self.nope", "'ProductPassport' has no attribute or association 'nope'"),
+        ("orphan.stages->size()", "link of 'stages' references unknown object 'ghost'"),
+        ("not 3", "operand of 'not' is not a boolean"),
+        ("1 and true", "left operand of 'and' is not a boolean"),
+        ("true and 1", "right operand of 'and' is not a boolean"),
+        ("1 or true", "left operand of 'or' is not a boolean"),
+        ("false or 1", "right operand of 'or' is not a boolean"),
+        ("1 implies true", "left operand of 'implies' is not a boolean"),
+        ("true implies 1", "right operand of 'implies' is not a boolean"),
+        ("if 1 then true else false endif", "if condition is not a boolean"),
+        ("self.stages->forAll(s | 1)", "forAll body is not a boolean"),
+        ("self.stages->exists(s | 'x')", "exists body is not a boolean"),
+        ("self.stages->select(s | null)", "select body is not a boolean"),
+        ("self.stages->collect(s | self.stages)",
+         "collect body produced a nested collection"),
+        ("orphan.code.size", "navigation 'size' on null"),
+        ("self.stages.start_date",
+         "navigation 'start_date' on a collection (no implicit collect)"),
+        ("self.code.size", "navigation 'size' on a plain value"),
+        ("-true", "unary '-' on a non-number"),
+        ("1 + 'a'", "arithmetic '+' on non-numbers"),
+        ("null - 1", "arithmetic '-' on non-numbers"),
+        ("2 * true", "arithmetic '*' on non-numbers"),
+        ("self / 2", "arithmetic '/' on non-numbers"),
+        ("1 / 0", "division by zero"),
+        ("1.5 / 0.0", "division by zero"),
+        ("1 < 'a'", "comparison '<' needs two numbers or two strings"),
+        ("true >= false", "comparison '>=' needs two numbers or two strings"),
+        ("(1)->size()", "'->size' on a non-collection"),
+        ("self.code->includes('x')", "'->includes' on a non-collection"),
+        ("+".join(["1"] * 500) + " > 0", "expression nested too deeply"),
+    ])
+    def test_expression_error_text(self, text, message):
+        model, objects, env = error_world()
+        expr, diags = parse_expression(text)
+        assert not diags, diags
+        with pytest.raises(OclRuntimeError) as caught:
+            evaluate_expression(expr, Binding(env), objects, model)
+        assert str(caught.value) == message
+
+    def test_unknown_expression_node(self):
+        with pytest.raises(OclRuntimeError) as caught:
+            evaluate_expression(Binary("and", Literal(BoolV(True)), Mystery()),
+                                Binding(), EMPTY_OBJECTS, EMPTY_MODEL)
+        assert str(caught.value) == "unknown expression node Mystery"
+
+    def test_constraint_level_messages(self):
+        model, objects = dpp_world(n_stages=0)
+        parsed = parse_ocl("context ProductPassport inv n: 1\n"
+                           "context Ghost inv g: true\n")
+        number, ghost = check_all(parsed.constraints, objects, model)
+        assert [(i.verdict, i.message) for i in number.per_instance] == \
+            [("error", "invariant did not yield a boolean")]
+        assert ghost.message == "unknown context class 'Ghost'"
+
+
+class TestVariablesAgainstTheOracle:
+    """Variable shapes the seeded expression generator never produces, each
+    compared with the naive evaluator in tests/ocl_oracle.py."""
+
+    SHADOWING = [
+        # The inner `s` hides the outer one; the outer is visible again after.
+        "self.stages->exists(s | self.stages->forAll(s | s.start_date <> '')"
+        " and s.start_date = '2024-01-01')",
+        "self.stages->collect(s | if self.stages->select(s | s.start_date > "
+        "'2024-01-01')->size() = 1 then s.start_date else '' endif)",
+        "self.stages->select(s | self.stages->exists(s | s.start_date = "
+        "'2024-02-01') and s.start_date < '2024-02-01')",
+        "self.stages->forAll(s | self.stages->collect(s | s.start_date)"
+        "->includes(s.start_date))",
+        "self.stages->collect(s | s.ProductPassport.stages->collect(s | "
+        "s.start_date)->size())",
+        "self.stages->exists(s | s.start_date = '')",
+        # An error inside nested loops must still leave the frames as they were.
+        "self.stages->exists(s | self.stages->forAll(s | s.nope = 1))",
+    ]
+    # Free variables read through several frames, innermost first; `x`
+    # appears in two frames and as an iterator variable.
+    FRAMES = [{"x": IntV(1), "limit": IntV(10)}, {"y": IntV(7)}, {"x": IntV(5)}]
+    FREE = [
+        "x + y < limit",
+        "x = 5 and y = 7 and limit = 10",
+        "self.stages->collect(x | x.start_date)->size() = 2 and x = 5",
+        "self.stages->exists(x | x.start_date = '2024-02-01') implies x > y",
+        "self.stages->collect(s | x * y)",
+        "self.stages->select(y | y.start_date <> '')->collect(z | y)",
+        "if x > 1 then self.stages->collect(x | x)->size() else limit endif",
+        "z = 1",
+    ]
+
+    def _pair(self, text, frames):
+        model, objects = dpp_world(n_stages=2)
+        frames = [{"self": objects.objects[0], **frames[0]}] + frames[1:]
+        env = Binding(frames[0])
+        env.frames.extend(dict(f) for f in frames[1:])
+        before = [dict(f) for f in env.frames]
+        expr, diags = parse_expression(text)
+        assert not diags, diags
+        try:
+            expected = naive_eval(expr, [kv for f in frames for kv in f.items()],
+                                  objects, model)
+        except OracleError:
+            expected = OracleError
+        try:
+            actual = evaluate_expression(expr, env, objects, model)
+        except OclRuntimeError:
+            actual = OracleError
+        assert actual == expected, text
+        assert env.frames == before, "the evaluation left its frames behind"
+
+    @pytest.mark.parametrize("text", SHADOWING)
+    def test_shadowing_iterators(self, text):
+        self._pair(text, [{}])
+
+    @pytest.mark.parametrize("text", FREE)
+    def test_free_variables_through_several_frames(self, text):
+        self._pair(text, self.FRAMES)
