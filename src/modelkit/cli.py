@@ -114,7 +114,6 @@ def cmd_check(args) -> int:
         _report(ocl.diagnostics)
         return EXIT_USAGE
 
-    failed = False
     conformance = check_conformance(objects, model)
     _report(conformance)
     failed = has_errors(conformance)
@@ -227,44 +226,28 @@ def cmd_enforce(args) -> int:
     return EXIT_FAIL if has_errors(diagnostics) else EXIT_OK
 
 
+# Each subcommand: its name, help text, the options it requires, its handler.
+_COMMANDS = (
+    ("validate", "well-formedness of a class model", ("model",), cmd_validate),
+    ("check", "conformance plus OCL invariants over objects", ("model", "objects", "ocl"),
+     cmd_check),
+    ("generate", "run a code generator", ("model", "target", "out"), cmd_generate),
+    ("fsm-run", "run a scenario against a machine", ("machine", "scenario"), cmd_fsm_run),
+    ("infer", "infer a class model from objects", ("objects", "out"), cmd_infer),
+    ("enforce", "prune non-conforming elements", ("model", "objects", "out"), cmd_enforce),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modelkit",
         description="Validate, check, and transform class/object models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="well-formedness of a class model")
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("check",
-                       help="conformance plus OCL invariants over objects")
-    p.add_argument("--model", required=True)
-    p.add_argument("--objects", required=True)
-    p.add_argument("--ocl", required=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("generate", help="run a code generator")
-    p.add_argument("--model", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("fsm-run", help="run a scenario against a machine")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--scenario", required=True)
-    p.set_defaults(func=cmd_fsm_run)
-
-    p = sub.add_parser("infer", help="infer a class model from objects")
-    p.add_argument("--objects", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("enforce", help="prune non-conforming elements")
-    p.add_argument("--model", required=True)
-    p.add_argument("--objects", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_enforce)
+    for name, help_text, options, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", required=True)
+        p.set_defaults(func=func)
     return parser
 
 

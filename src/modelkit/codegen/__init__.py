@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import posixpath
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
-from modelkit.diagnostics import Diagnostic
+from modelkit.diagnostics import Diagnostic, Record
 from modelkit.metamodel import AssociationEnd, ClassModel
 
 
@@ -24,36 +23,39 @@ class GeneratorError(Exception):
         self.code = code
 
 
-@dataclass
-class GeneratedArtifact:
+class GeneratedArtifact(Record):
     """One generated file: a normalized relative path and its text."""
 
-    relative_path: str
-    content: str
+    __slots__ = ("relative_path", "content")
 
-    def __post_init__(self):
-        path = self.relative_path
+    def __init__(self, relative_path: str, content: str):
+        path = relative_path
         normalized = posixpath.normpath(path)
         if (path != normalized or posixpath.isabs(path)
                 or normalized.startswith("..") or normalized == "."):
             raise ValueError(f"artifact path must be relative and normalized: {path!r}")
+        self.relative_path, self.content = path, content
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(Record):
     """The files a generator produced and the diagnostics it reported."""
 
-    artifacts: list[GeneratedArtifact] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("artifacts", "diagnostics")
+
+    def __init__(self, artifacts: Optional[list[GeneratedArtifact]] = None,
+                 diagnostics: Optional[list[Diagnostic]] = None):
+        self.artifacts = [] if artifacts is None else artifacts
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
-@dataclass
-class GeneratorDescriptor:
+class GeneratorDescriptor(Record):
     """A generator registered under `id`, and the function that runs it."""
 
-    id: str
-    display_name: str
-    produce: Callable[[ClassModel], GenerationResult]
+    __slots__ = ("id", "display_name", "produce")
+
+    def __init__(self, id: str, display_name: str,
+                 produce: Callable[[ClassModel], GenerationResult]):
+        self.id, self.display_name, self.produce = id, display_name, produce
 
 
 class GeneratorRegistry:

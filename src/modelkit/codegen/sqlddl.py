@@ -24,7 +24,6 @@ Single `schema.sql` artifact.  Mapping rules:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from modelkit.codegen import (
     GeneratedArtifact,
@@ -33,23 +32,29 @@ from modelkit.codegen import (
     end_name,
     snake_case,
 )
-from modelkit.diagnostics import Diagnostic, error, warning
+from modelkit.diagnostics import Diagnostic, Record, error, warning
 from modelkit.index import ModelIndex
 from modelkit.metamodel import Association, ClassModel
 
 _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "bool": "BOOLEAN"}
 
 
-@dataclass
-class _Table:
-    """A table being built: columns, keys and the tables it references."""
+class _Table(Record):
+    """A table being built: columns as (name, rendered type), keys, and the
+    tables it references."""
 
-    name: str
-    order: int
-    columns: list[tuple[str, str]] = field(default_factory=list)  # (name, rendered type)
-    primary_key: list[str] = field(default_factory=list)
-    foreign_keys: list[tuple[list[str], str, list[str]]] = field(default_factory=list)
-    depends_on: set[str] = field(default_factory=set)
+    __slots__ = ("name", "order", "columns", "primary_key", "foreign_keys", "depends_on")
+
+    def __init__(self, name: str, order: int,
+                 columns: list[tuple[str, str]] | None = None,
+                 primary_key: list[str] | None = None,
+                 foreign_keys: list[tuple[list[str], str, list[str]]] | None = None,
+                 depends_on: set[str] | None = None):
+        self.name, self.order = name, order
+        self.columns = [] if columns is None else columns
+        self.primary_key = [] if primary_key is None else primary_key
+        self.foreign_keys = [] if foreign_keys is None else foreign_keys
+        self.depends_on = set() if depends_on is None else depends_on
 
     def add_column(self, name: str, rendered: str,
                    diags: list[Diagnostic], context: str) -> bool:

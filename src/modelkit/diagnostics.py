@@ -1,5 +1,5 @@
-"""Diagnostics shared by every layer, and the line reading shared by the
-text notations.
+"""Diagnostics shared by every layer, the base of every plain record, and
+the line reading shared by the text notations.
 
 Checks accumulate diagnostics instead of aborting, so one run reports
 everything it can find.  Codes are short stable identifiers; the full
@@ -9,7 +9,6 @@ catalog is documented in README.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -19,24 +18,55 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(slots=True)
-class SourceSpan:
+class Record:
+    """Base of the plain records: each subclass lists its fields, in
+    constructor order, as `__slots__`.  Records compare field by field, as
+    tuples do, only with the same class and skipping the `_uncompared`
+    field; they are unhashable, their repr is `Name(field=value, ...)`, and
+    class patterns take their fields positionally."""
+
+    __slots__ = ()
+    _uncompared = "span"  # where a record came from
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        skip = self._uncompared
+        for name in self.__slots__:
+            if name != skip:
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if mine is not theirs and not mine == theirs:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SourceSpan(Record):
     """1-based position of a construct inside an input file."""
 
-    file: str
-    line: int
-    column: int = 1
+    __slots__ = ("file", "line", "column")
+
+    def __init__(self, file: str, line: int, column: int = 1):
+        self.file, self.line, self.column = file, line, column
 
 
-@dataclass(slots=True)
-class Diagnostic:
-    """One reported problem: severity, stable code, message and position."""
+class Diagnostic(Record):
+    """One reported problem: severity, stable code, message, position and,
+    for tooling, the id or name of the offending element."""
 
-    severity: Severity
-    code: str
-    message: str
-    span: Optional[SourceSpan] = None
-    subject: Optional[str] = None  # id/name of the offending element, for tooling
+    __slots__ = ("severity", "code", "message", "span", "subject")
+    _uncompared = None  # unlike other records', a diagnostic's span counts
+
+    def __init__(self, severity: Severity, code: str, message: str,
+                 span: Optional[SourceSpan] = None, subject: Optional[str] = None):
+        self.severity, self.code, self.message = severity, code, message
+        self.span, self.subject = span, subject
 
     def format(self) -> str:
         """Render as one report line: `severity code file:line:col message`."""
@@ -74,12 +104,14 @@ SYNTAX_CODES = frozenset({
 })
 
 
-@dataclass(slots=True)
-class ParseResult:
+class ParseResult(Record):
     """Outcome of one parse: a model only when nothing went wrong."""
 
-    model: Any
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("model", "diagnostics")
+
+    def __init__(self, model: Any, diagnostics: Optional[list[Diagnostic]] = None):
+        self.model = model
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self) -> bool:

@@ -21,13 +21,13 @@ use the object-model literal syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from modelkit.diagnostics import (
     JSON_STRING,
     Diagnostic,
     ParseResult,
+    Record,
     SourceSpan,
     error,
     has_errors,
@@ -40,53 +40,61 @@ from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
 
 
-@dataclass
-class State:
+class State(Record):
     """A state and the action its entry fires, if any."""
 
-    name: str
-    body_action: Optional[str] = None
+    __slots__ = ("name", "body_action")
+
+    def __init__(self, name: str, body_action: Optional[str] = None):
+        self.name, self.body_action = name, body_action
 
 
-@dataclass
-class Transition:
+class Transition(Record):
     """An edge from `source` to `target` on `event`, taken if its guard holds."""
 
-    source: str
-    target: str
-    event: str
-    guard: Optional[OclExpr] = None
-    guard_text: Optional[str] = None
+    __slots__ = ("source", "target", "event", "guard", "guard_text")
+
+    def __init__(self, source: str, target: str, event: str,
+                 guard: Optional[OclExpr] = None, guard_text: Optional[str] = None):
+        self.source, self.target, self.event = source, target, event
+        self.guard, self.guard_text = guard, guard_text
 
 
-@dataclass
-class StateMachine:
+class StateMachine(Record):
     """States, events and transitions in declaration order, and the initial state."""
 
-    name: str
-    states: list[State] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
-    transitions: list[Transition] = field(default_factory=list)
-    initial_state: str = ""
+    __slots__ = ("name", "states", "events", "transitions", "initial_state")
+
+    def __init__(self, name: str, states: Optional[list[State]] = None,
+                 events: Optional[list[str]] = None,
+                 transitions: Optional[list[Transition]] = None, initial_state: str = ""):
+        self.name, self.initial_state = name, initial_state
+        self.states = [] if states is None else states
+        self.events = [] if events is None else events
+        self.transitions = [] if transitions is None else transitions
 
 
-@dataclass
-class TraceEntry:
+class TraceEntry(Record):
     """One step taken: event, states left and entered, actions fired."""
 
-    event: str
-    source: str
-    target: str
-    actions_fired: tuple[str, ...] = ()
+    __slots__ = ("event", "source", "target", "actions_fired")
+
+    def __init__(self, event: str, source: str, target: str,
+                 actions_fired: tuple[str, ...] = ()):
+        self.event, self.source, self.target = event, source, target
+        self.actions_fired = actions_fired
 
 
-@dataclass
-class Session:
+class Session(Record):
     """A machine's current state, its variables and the trace so far."""
 
-    current_state: str
-    variables: dict[str, Value] = field(default_factory=dict)
-    trace: list[TraceEntry] = field(default_factory=list)
+    __slots__ = ("current_state", "variables", "trace")
+
+    def __init__(self, current_state: str, variables: Optional[dict[str, Value]] = None,
+                 trace: Optional[list[TraceEntry]] = None):
+        self.current_state = current_state
+        self.variables = {} if variables is None else variables
+        self.trace = [] if trace is None else trace
 
 
 class StepError(Exception):

@@ -1,18 +1,17 @@
 """Core model types: class models, object models, and values.
 
-Models are plain dataclasses, treated as immutable once built; every
-operation over them is a pure function.  Source spans attached by the text
-parsers are excluded from equality so that structural comparison ignores
-where a model came from.
+Models are plain slotted records (`diagnostics.Record`), treated as
+immutable once built; every operation over them is a pure function.
+Source spans attached by the text parsers are excluded from equality so
+that structural comparison ignores where a model came from.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from modelkit.diagnostics import Diagnostic, SourceSpan, error
+from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error
 from modelkit.index import ModelIndex
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -25,50 +24,72 @@ def is_identifier(name: str) -> bool:
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(slots=True)
-class Value:
+class Value(Record):
     """Base of the value union stored in object slots."""
 
+    __slots__ = ()
 
-@dataclass(slots=True)
+
+def _same_value(self, other):
+    # The one-field values compare directly: OCL's `=` calls this.
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self.value,) == (other.value,)
+
+
 class IntV(Value):
     """An integer slot value."""
 
-    value: int
+    __slots__ = ("value",)
+    __eq__ = _same_value
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
 class FloatV(Value):
     """A floating-point slot value."""
 
-    value: float
+    __slots__ = ("value",)
+    __eq__ = _same_value
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(slots=True)
 class StrV(Value):
     """A string slot value."""
 
-    value: str
+    __slots__ = ("value",)
+    __eq__ = _same_value
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(slots=True)
 class BoolV(Value):
     """A boolean slot value."""
 
-    value: bool
+    __slots__ = ("value",)
+    __eq__ = _same_value
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True)
 class EnumV(Value):
     """A qualified enumeration literal, `Enum::LITERAL`."""
 
-    enum: str
-    literal: str
+    __slots__ = ("enum", "literal")
+
+    def __init__(self, enum: str, literal: str):
+        self.enum, self.literal = enum, literal
 
 
-@dataclass(slots=True)
 class NullV(Value):
     """The null slot value; use the NULL singleton."""
+
+    __slots__ = ()
 
 
 NULL = NullV()
@@ -77,106 +98,122 @@ NULL = NullV()
 # ---------------------------------------------------------------------------
 # Class model
 
-@dataclass(slots=True)
-class Multiplicity:
+class Multiplicity(Record):
     """[lower, upper] bound on links at an association end; upper None = unbounded."""
 
-    lower: int = 0
-    upper: Optional[int] = None
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int = 0, upper: Optional[int] = None):
+        self.lower, self.upper = lower, upper
 
 
-@dataclass(slots=True)
-class Property:
-    """A typed attribute of a class, optionally its identifier."""
+class Property(Record):
+    """A typed attribute of a class, optionally its identifier; `type_name` is
+    one of index.PRIMITIVE_TYPES, a class name, or an enum name."""
 
-    name: str
-    type_name: str  # one of index.PRIMITIVE_TYPES, a class name, or an enum name
-    is_id: bool = False
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "type_name", "is_id", "span")
+
+    def __init__(self, name: str, type_name: str, is_id: bool = False,
+                 span: Optional[SourceSpan] = None):
+        self.name, self.type_name = name, type_name
+        self.is_id, self.span = is_id, span
 
 
-@dataclass(slots=True)
-class ClassDef:
+class ClassDef(Record):
     """A class with its own (not inherited) properties."""
 
-    name: str
-    is_abstract: bool = False
-    properties: list[Property] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "is_abstract", "properties", "span")
+
+    def __init__(self, name: str, is_abstract: bool = False,
+                 properties: Optional[list[Property]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.name, self.is_abstract, self.span = name, is_abstract, span
+        self.properties = [] if properties is None else properties
 
 
-@dataclass(slots=True)
-class EnumDef:
+class EnumDef(Record):
     """An enumeration and its literals, in declaration order."""
 
-    name: str
-    literals: list[str] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "literals", "span")
+
+    def __init__(self, name: str, literals: Optional[list[str]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.name, self.span = name, span
+        self.literals = [] if literals is None else literals
 
 
-@dataclass(slots=True)
-class AssociationEnd:
-    """One end of a binary association: target class, role and multiplicity."""
+class AssociationEnd(Record):
+    """One end of a binary association: target class name, role and multiplicity."""
 
-    target: str  # class name
-    role: Optional[str] = None
-    multiplicity: Multiplicity = field(default_factory=Multiplicity)
-    is_composite: bool = False
+    __slots__ = ("target", "role", "multiplicity", "is_composite")
+
+    def __init__(self, target: str, role: Optional[str] = None,
+                 multiplicity: Optional[Multiplicity] = None, is_composite: bool = False):
+        self.target, self.role, self.is_composite = target, role, is_composite
+        self.multiplicity = Multiplicity() if multiplicity is None else multiplicity
 
     def nav_name(self) -> str:
         """Name this end answers to when navigating: role, or class name."""
         return self.role if self.role is not None else self.target
 
 
-@dataclass(slots=True)
-class Association:
+class Association(Record):
     """A named binary association between two ends."""
 
-    name: str
-    ends: tuple[AssociationEnd, AssociationEnd]
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("name", "ends", "span")
+
+    def __init__(self, name: str, ends: tuple[AssociationEnd, AssociationEnd],
+                 span: Optional[SourceSpan] = None):
+        self.name, self.ends, self.span = name, ends, span
 
 
-@dataclass(slots=True)
-class Generalization:
+class Generalization(Record):
     """`specific` inherits from `general`."""
 
-    general: str
-    specific: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("general", "specific", "span")
+
+    def __init__(self, general: str, specific: str, span: Optional[SourceSpan] = None):
+        self.general, self.specific, self.span = general, specific, span
 
 
-@dataclass(slots=True)
-class ClassModel:
+class ClassModel(Record):
     """A class model: classes, enumerations, associations and generalizations."""
 
-    name: str = "model"
-    classes: list[ClassDef] = field(default_factory=list)
-    enumerations: list[EnumDef] = field(default_factory=list)
-    associations: list[Association] = field(default_factory=list)
-    generalizations: list[Generalization] = field(default_factory=list)
+    __slots__ = ("name", "classes", "enumerations", "associations", "generalizations")
+
+    def __init__(self, name: str = "model", classes: Optional[list[ClassDef]] = None,
+                 enumerations: Optional[list[EnumDef]] = None,
+                 associations: Optional[list[Association]] = None,
+                 generalizations: Optional[list[Generalization]] = None):
+        self.name = name
+        self.classes = [] if classes is None else classes
+        self.enumerations = [] if enumerations is None else enumerations
+        self.associations = [] if associations is None else associations
+        self.generalizations = [] if generalizations is None else generalizations
 
 
 # ---------------------------------------------------------------------------
 # Object model
 
-@dataclass(slots=True)
-class AttributeLink:
+class AttributeLink(Record):
     """A slot of an object: a property name and its value."""
 
-    property_name: str
-    value: Value
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("property_name", "value", "span")
+
+    def __init__(self, property_name: str, value: Value, span: Optional[SourceSpan] = None):
+        self.property_name, self.value, self.span = property_name, value, span
 
 
-@dataclass(slots=True)
-class ObjectDef:
+class ObjectDef(Record):
     """An object: its id, classifier and slots in assignment order."""
 
-    id: str
-    classifier: str
-    slots: list[AttributeLink] = field(default_factory=list)
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("id", "classifier", "slots", "span")
+
+    def __init__(self, id: str, classifier: str,
+                 slots: Optional[list[AttributeLink]] = None,
+                 span: Optional[SourceSpan] = None):
+        self.id, self.classifier, self.span = id, classifier, span
+        self.slots = [] if slots is None else slots
 
     def slot(self, property_name: str) -> Optional[AttributeLink]:
         for s in self.slots:
@@ -185,29 +222,35 @@ class ObjectDef:
         return None
 
 
-@dataclass(slots=True)
-class LinkEnd:
+class LinkEnd(Record):
     """The object at one end of a link."""
 
-    object_id: str
+    __slots__ = ("object_id",)
+
+    def __init__(self, object_id: str):
+        self.object_id = object_id
 
 
-@dataclass(slots=True)
-class Link:
+class Link(Record):
     """An instance of an association, its ends in association-end order."""
 
-    association_name: str
-    ends: tuple[LinkEnd, LinkEnd]
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("association_name", "ends", "span")
+
+    def __init__(self, association_name: str, ends: tuple[LinkEnd, LinkEnd],
+                 span: Optional[SourceSpan] = None):
+        self.association_name, self.ends, self.span = association_name, ends, span
 
 
-@dataclass(slots=True)
-class ObjectModel:
+class ObjectModel(Record):
     """A population: objects in declaration order, then links."""
 
-    name: str = "objects"
-    objects: list[ObjectDef] = field(default_factory=list)
-    links: list[Link] = field(default_factory=list)
+    __slots__ = ("name", "objects", "links")
+
+    def __init__(self, name: str = "objects", objects: Optional[list[ObjectDef]] = None,
+                 links: Optional[list[Link]] = None):
+        self.name = name
+        self.objects = [] if objects is None else objects
+        self.links = [] if links is None else links
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ conformance checker's job.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from typing import Optional
@@ -84,6 +83,7 @@ def parse_value(text: str) -> Optional[Value]:
         number = float(text)
         return None if math.isinf(number) else FloatV(number)
     if text.startswith('"'):
+        import json  # deferred: the readers take plain strings from their match
         try:
             decoded = json.loads(text)
         except ValueError:
@@ -96,14 +96,18 @@ def parse_value(text: str) -> Optional[Value]:
 
 
 def render_value(value: Value) -> str:
+    """The literal for `value`; ValueError for a float that is not finite."""
     if isinstance(value, IntV):
         return str(value.value)
     if isinstance(value, FloatV):
+        if not math.isfinite(value.value):
+            raise ValueError(f"the notation has no literal for {value.value!r}")
         return repr(value.value)
     if isinstance(value, StrV):
         text = value.value
         if _PLAIN_RE.fullmatch(text):
             return '"' + text + '"'
+        import json
         return json.dumps(text, ensure_ascii=False)
     if isinstance(value, BoolV):
         return "true" if value.value else "false"
@@ -175,12 +179,17 @@ def parse_object_model(text: str, model: ClassModel,
 
 def serialize_object_model(objects: ObjectModel) -> str:
     """Canonical text: object blocks (each with its slots) then all links.
-    Raises ValueError on a link with other than two ends."""
+    Raises ValueError on a float slot that is not finite and on a link with
+    other than two ends."""
     out = ["@startobjects"]
     for obj in objects.objects:
         out.append(f"object {obj.id} : {obj.classifier}")
         for slot in obj.slots:
-            out.append(f"{obj.id}.{slot.property_name} = {render_value(slot.value)}")
+            try:
+                out.append(f"{obj.id}.{slot.property_name} = {render_value(slot.value)}")
+            except ValueError as exc:
+                raise ValueError(f"cannot write slot '{obj.id}.{slot.property_name}': "
+                                 f"{exc}") from None
     for link in objects.links:
         if len(link.ends) != 2:
             raise ValueError(f"cannot write link of '{link.association_name}' with "

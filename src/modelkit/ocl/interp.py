@@ -72,12 +72,13 @@ class OclRuntimeError(Exception):
 
 
 class Binding:
-    """Stack of variable scopes; `self` sits in the outermost frame.  An
-    iterator appends one frame for its whole loop and rebinds its variable
-    there for each item."""
+    """Stack of variable scopes; `self` sits in the outermost frame, which is
+    `initial` itself, not a copy: the evaluator only reads it.  An iterator
+    appends one frame for its whole loop and rebinds its variable there for
+    each item."""
 
     def __init__(self, initial: Optional[dict[str, Evaluated]] = None):
-        self.frames: list[dict[str, Evaluated]] = [dict(initial or {})]
+        self.frames: list[dict[str, Evaluated]] = [{} if initial is None else initial]
 
     def lookup(self, name: str) -> Evaluated:
         for frame in reversed(self.frames):

@@ -8,10 +8,9 @@ cannot tell them apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from modelkit.diagnostics import SourceSpan
+from modelkit.diagnostics import Record, SourceSpan
 from modelkit.metamodel import Value
 
 COLLECTION_OPS = ("size", "isEmpty", "notEmpty", "includes",
@@ -19,103 +18,118 @@ COLLECTION_OPS = ("size", "isEmpty", "notEmpty", "includes",
 NULLARY_OPS = ("size", "isEmpty", "notEmpty")
 
 
-class OclExpr:
-    pass
+class OclExpr(Record):
+    """Base of the expression nodes."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Literal(OclExpr):
     """A constant value."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
-@dataclass
 class SelfRef(OclExpr):
     """`self`, the instance being checked."""
 
+    __slots__ = ()
 
-@dataclass
+
 class VarRef(OclExpr):
     """A reference to an iterator variable or a session variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class Nav(OclExpr):
     """`source.name`: an attribute read or an association navigation."""
 
-    source: OclExpr
-    name: str
+    __slots__ = ("source", "name")
+
+    def __init__(self, source: OclExpr, name: str):
+        self.source, self.name = source, name
 
 
-@dataclass
 class Unary(OclExpr):
-    """`not` or negation applied to one operand."""
+    """`not` or negation (op 'not' or '-') applied to one operand."""
 
-    op: str  # 'not' | '-'
-    operand: OclExpr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: OclExpr):
+        self.op, self.operand = op, operand
 
 
-@dataclass
 class Binary(OclExpr):
-    """An arithmetic, comparison or logical operator on two operands."""
+    """An operator (* / + - < <= > >= = <> and or implies) on two operands."""
 
-    op: str  # * / + - < <= > >= = <> and or implies
-    lhs: OclExpr
-    rhs: OclExpr
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: OclExpr, rhs: OclExpr):
+        self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
-@dataclass
 class If(OclExpr):
     """`if condition then ... else ... endif`."""
 
-    condition: OclExpr
-    then_branch: OclExpr
-    else_branch: OclExpr
+    __slots__ = ("condition", "then_branch", "else_branch")
+
+    def __init__(self, condition: OclExpr, then_branch: OclExpr, else_branch: OclExpr):
+        self.condition, self.then_branch, self.else_branch = (
+            condition, then_branch, else_branch)
 
 
-@dataclass
 class CollectionOp(OclExpr):
-    """`source->op(...)`: a collection operation, with an iterator or argument."""
+    """`source->op(...)`: a collection operation; `var` and `body` are the
+    iterator variable and body, or `body` is the includes argument."""
 
-    source: OclExpr
-    op: str
-    var: Optional[str] = None  # iterator variable for forAll/exists/select/collect
-    body: Optional[OclExpr] = None  # iterator body, or the includes argument
+    __slots__ = ("source", "op", "var", "body")
+
+    def __init__(self, source: OclExpr, op: str, var: Optional[str] = None,
+                 body: Optional[OclExpr] = None):
+        self.source, self.op = source, op
+        self.var, self.body = var, body
 
 
-@dataclass
-class OclConstraint:
+class OclConstraint(Record):
     """A named invariant over every instance of its context class."""
 
-    context_class: str
-    name: str
-    body: OclExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    __slots__ = ("context_class", "name", "body", "span")
+
+    def __init__(self, context_class: str, name: str, body: OclExpr,
+                 span: Optional[SourceSpan] = None):
+        self.context_class, self.name = context_class, name
+        self.body, self.span = body, span
 
 
-@dataclass
-class InstanceResult:
-    """The verdict of one constraint on one instance."""
+class InstanceResult(Record):
+    """The verdict ('true', 'false' or 'error') of one constraint on one instance."""
 
-    object_id: str
-    verdict: str  # 'true' | 'false' | 'error'
-    message: Optional[str] = None
+    __slots__ = ("object_id", "verdict", "message")
+
+    def __init__(self, object_id: str, verdict: str, message: Optional[str] = None):
+        self.object_id, self.verdict, self.message = object_id, verdict, message
 
 
-@dataclass
-class EvalResult:
+class EvalResult(Record):
     """Per-instance outcome of evaluating one constraint.
 
     `message` is set for constraint-level failures (e.g. a context class
     that does not exist), in which case per_instance is empty.
     """
 
-    constraint: str
-    per_instance: list[InstanceResult] = field(default_factory=list)
-    message: Optional[str] = None
+    __slots__ = ("constraint", "per_instance", "message")
+
+    def __init__(self, constraint: str, per_instance: Optional[list[InstanceResult]] = None,
+                 message: Optional[str] = None):
+        self.constraint, self.message = constraint, message
+        self.per_instance = [] if per_instance is None else per_instance
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,9 @@ single-quoted and carry no escape sequences.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from modelkit.diagnostics import Diagnostic, SourceSpan, error
+from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error
 from modelkit.metamodel import BoolV, FloatV, IntV, NULL, StrV
 from modelkit.ocl.nodes import (
     Binary,
@@ -47,14 +46,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
-class Token:
-    """A lexical token and its 1-based position."""
+class Token(Record):
+    """A lexical token (int, float, string, ident, op or eof) and its 1-based position."""
 
-    kind: str  # int float string ident op eof
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text = kind, text
+        self.line, self.column = line, column
 
 
 # Left-associative binary operators, one set per level, loosest first.  An
@@ -100,12 +99,15 @@ def tokenize(text: str, filename: str = "<ocl>") -> list[Token]:
     return tokens
 
 
-@dataclass
-class OclParseResult:
+class OclParseResult(Record):
     """The constraints parsed from a file and the diagnostics reported."""
 
-    constraints: list[OclConstraint] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("constraints", "diagnostics")
+
+    def __init__(self, constraints: Optional[list[OclConstraint]] = None,
+                 diagnostics: Optional[list[Diagnostic]] = None):
+        self.constraints = [] if constraints is None else constraints
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self) -> bool:

@@ -134,6 +134,30 @@ class TestStep:
         step(machine, start, "greet", {})
         assert start.current_state == "Idle" and start.trace == []
 
+    def test_a_guard_leaves_the_step_variables_unchanged(self, monkeypatch):
+        """Guards read the step's variables dict itself, not a copy, and
+        write nothing into it, also when they hold or raise."""
+        import modelkit.fsm
+        seen = []
+
+        def evaluate(expr, env, objects, model):
+            seen.append(env.frames[0])
+            return evaluate_expression(expr, env, objects, model)
+
+        monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
+        machine = guarded_machine()
+        for variables in ({"x": IntV(1)}, {"x": IntV(-1), "y": StrV("s")}):
+            before = dict(variables)
+            run = run_scenario(machine, [("tick", variables)])
+            assert variables == before and run.variables == before
+            assert seen.pop() == before
+        session = new_session(machine)
+        with pytest.raises(StepError):
+            step(machine, session, "tick", {"x": StrV("not a number")})
+        assert seen.pop() == {"x": StrV("not a number")} and session.variables == {}
+        env = Binding(before)
+        assert env.frames[0] is before and Binding().frames[0] == {}
+
 
 class TestRunScenario:
     def test_empty_scenario(self):

@@ -1,13 +1,15 @@
 """What each entry point imports.
 
 The CLI imports, per subcommand, only the modules that subcommand calls,
-and `import modelkit` re-exports lazily (PEP 562).  Each footprint is
-taken in a fresh interpreter, so the modules this test process has
-already loaded cannot hide an import.
+and `import modelkit` re-exports lazily (PEP 562).  No subcommand loads
+`dataclasses` or `inspect`, and `json` only for a string with escapes.
+Each footprint is taken in a fresh interpreter, so the modules this test
+process has already loaded cannot hide an import.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -26,26 +28,30 @@ OCL = {"modelkit.ocl", "modelkit.ocl.interp", "modelkit.ocl.nodes",
        "modelkit.ocl.parser"}
 
 
-def loaded(code: str) -> tuple[set[str], bool]:
+WATCHED = ("dataclasses", "inspect", "json")
+
+
+def loaded(code: str) -> tuple[set[str], set[str]]:
     """The modelkit modules a fresh interpreter holds after running `code`,
-    and whether it loaded `dataclasses`."""
+    and which of the WATCHED standard modules it loaded."""
     probe = (code + "\nimport sys\n"
              "print(*sorted(m for m in sys.modules"
-             " if m.split('.')[0] in ('modelkit', 'dataclasses')))\n")
+             f" if m.split('.')[0] in {('modelkit',) + WATCHED!r}))\n")
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert result.returncode == 0, result.stderr
     names = set(result.stdout.splitlines()[-1].split())
-    return names - {"dataclasses"}, "dataclasses" in names
+    ours = {name for name in names if name.split(".")[0] == "modelkit"}
+    return ours, {name.split(".")[0] for name in names - ours}
 
 
 def test_importing_the_cli_loads_no_other_module():
-    assert loaded("import modelkit.cli") == (BASE, False)
+    assert loaded("import modelkit.cli") == (BASE, set())
 
 
 def test_importing_the_package_loads_nothing_else():
-    assert loaded("import modelkit") == ({"modelkit"}, False)
+    assert loaded("import modelkit") == ({"modelkit"}, set())
 
 
 @pytest.mark.parametrize("command, modules", [
@@ -58,11 +64,30 @@ def test_importing_the_package_loads_nothing_else():
     ("fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario",
      OCL | {"modelkit.diagnostics", "modelkit.fsm", "modelkit.index",
             "modelkit.metamodel", "modelkit.objtext"}),
+    ("infer --objects {fx}/dpp.objs --out {out}/inferred.buml.puml",
+     CLASS_MODEL | {"modelkit.conformance", "modelkit.flex", "modelkit.objtext"}),
+    ("enforce --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --out {out}/pruned.objs",
+     CLASS_MODEL | {"modelkit.conformance", "modelkit.flex", "modelkit.objtext"}),
 ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
 def test_a_subcommand_loads_only_its_modules(command, modules, tmp_path):
+    """The fixtures hold no escaped string, so no subcommand needs `json`."""
     argv = [arg.format(fx=FIXTURES, out=tmp_path) for arg in command.split()]
     code = f"from modelkit.cli import main\nassert main({argv!r}) == 0"
-    assert loaded(code)[0] == BASE | modules
+    assert loaded(code) == (BASE | modules, set())
+
+
+@pytest.mark.parametrize("value", ['"say \\"hi\\""', '"tab\\there"'])
+def test_only_an_escaped_string_loads_json(value, tmp_path):
+    """Reading and writing a string with escapes is what needs `json`."""
+    objs = tmp_path / "escaped.objs"
+    objs.write_text(f"@startobjects\nobject a : K\na.s = {value}\n@endobjects\n")
+    argv = ["infer", "--objects", str(objs), "--out", str(tmp_path / "m.buml.puml")]
+    code = f"from modelkit.cli import main\nassert main({argv!r}) == 0"
+    assert loaded(code)[1] == {"json"}
+    code = ("from modelkit.metamodel import StrV\n"
+            "from modelkit.objtext import render_value\n"
+            f"assert render_value(StrV({json.loads(value)!r})) == {value!r}")
+    assert loaded(code)[1] == {"json"}
 
 
 def test_every_export_is_its_home_modules_object():
@@ -94,16 +119,22 @@ def test_an_unknown_name_raises_attribute_error():
         exec("from modelkit import nope", {})
 
 
-def test_every_dataclass_has_a_docstring():
-    """Without one, `dataclasses` builds a docstring from
-    `inspect.signature` when the class is defined, on every import."""
-    undocumented = []
+def test_no_module_imports_dataclasses():
+    """`dataclasses` builds each class's methods by `exec` when the class is
+    defined, on every import, and loads `inspect` with it; the records
+    write out their own `__init__` over a shared `diagnostics.Record`."""
+    importers = []
     for path in sorted((REPO / "src" / "modelkit").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.ClassDef) and not ast.get_docstring(node)
-                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
-                undocumented.append(f"{path.name}:{node.lineno} {node.name}")
-    assert undocumented == []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_parsed_records_are_slotted():

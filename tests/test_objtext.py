@@ -170,3 +170,21 @@ def test_a_link_without_exactly_two_ends_is_not_written(ends, listed):
         serialize_object_model(objects)
     assert str(caught.value) == \
         f"cannot write link of 'r' with {listed}: the notation holds two"
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_a_float_that_is_not_finite_is_not_written(number):
+    """The reader rejects `nan` and `inf` as bad values, so the writer
+    refuses them instead of writing text it cannot read back."""
+    from modelkit.metamodel import AttributeLink, ObjectDef, ObjectModel
+    from modelkit.objtext import render_value
+    with pytest.raises(ValueError) as caught:
+        render_value(FloatV(number))
+    assert str(caught.value) == f"the notation has no literal for {number!r}"
+    assert parse_value(repr(number)) is None
+    objects = ObjectModel(objects=[ObjectDef("a", "K", [AttributeLink("ok", FloatV(1.5)),
+                                                        AttributeLink("x", FloatV(number))])])
+    with pytest.raises(ValueError) as caught:
+        serialize_object_model(objects)
+    assert str(caught.value) == \
+        f"cannot write slot 'a.x': the notation has no literal for {number!r}"
