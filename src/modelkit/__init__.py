@@ -14,8 +14,8 @@ _EXPORTS = {
         "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
         "ClassModel", "EnumDef", "EnumV", "FloatV", "Generalization", "IntV",
         "Link", "LinkEnd", "Multiplicity", "NULL", "NullV", "ObjectDef",
-        "ObjectModel", "Property", "StrV", "Value", "all_properties",
-        "is_subclass_of", "validate_class_model"),
+        "ObjectModel", "Property", "StrV", "Value", "validate_class_model"),
+    "modelkit.index": ("ModelIndex",),
     "modelkit.diagnostics": (
         "Diagnostic", "ParseResult", "Severity", "SourceSpan", "has_errors"),
     "modelkit.conformance": ("check_conformance",),

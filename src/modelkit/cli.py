@@ -64,46 +64,36 @@ def _parse_exit(diagnostics: list) -> int:
     return EXIT_FAIL
 
 
-def _load_class_model(path: str):
-    """Returns (model, exit_code); exactly one of the two is meaningful."""
-    from modelkit.puml import parse_class_model
-
+def _load(path: str, parse, *args):
+    """The model `parse(text, *args, filename=path)` reads from `path`, and
+    an exit code; exactly one of the two is meaningful."""
     text = _read(path)
     if text is None:
         return None, EXIT_USAGE
-    result = parse_class_model(text, filename=path)
+    result = parse(text, *args, filename=path)
     if result.model is None:
         _report(result.diagnostics)
         return None, _parse_exit(result.diagnostics)
     return result.model, EXIT_OK
 
 
-def _load_object_model(path: str, model):
-    from modelkit.objtext import parse_object_model
-
-    text = _read(path)
-    if text is None:
-        return None, EXIT_USAGE
-    result = parse_object_model(text, model, filename=path)
-    if result.model is None:
-        _report(result.diagnostics)
-        return None, EXIT_USAGE
-    return result.model, EXIT_OK
-
-
 def cmd_validate(args) -> int:
-    return _load_class_model(args.model)[1]
+    from modelkit.puml import parse_class_model
+
+    return _load(args.model, parse_class_model)[1]
 
 
 def cmd_check(args) -> int:
     from modelkit.conformance import check_conformance
     from modelkit.diagnostics import has_errors
+    from modelkit.objtext import parse_object_model
     from modelkit.ocl import check_all, parse_ocl
+    from modelkit.puml import parse_class_model
 
-    model, code = _load_class_model(args.model)
+    model, code = _load(args.model, parse_class_model)
     if model is None:
         return code
-    objects, code = _load_object_model(args.objects, model)
+    objects, code = _load(args.objects, parse_object_model, model)
     if objects is None:
         return code
     ocl_text = _read(args.ocl)
@@ -137,8 +127,9 @@ def cmd_check(args) -> int:
 def cmd_generate(args) -> int:
     from modelkit.codegen import GeneratorError, builtin_registry
     from modelkit.diagnostics import has_errors
+    from modelkit.puml import parse_class_model
 
-    model, code = _load_class_model(args.model)
+    model, code = _load(args.model, parse_class_model)
     if model is None:
         return code
     registry = builtin_registry()
@@ -188,9 +179,10 @@ def cmd_fsm_run(args) -> int:
 
 def cmd_infer(args) -> int:
     from modelkit.flex import infer_class_model
+    from modelkit.objtext import parse_object_model
     from modelkit.puml import serialize_class_model
 
-    objects, code = _load_object_model(args.objects, None)  # needs no class model
+    objects, code = _load(args.objects, parse_object_model, None)  # needs no class model
     if objects is None:
         return code
     diagnostics: list = []
@@ -210,12 +202,13 @@ def cmd_infer(args) -> int:
 def cmd_enforce(args) -> int:
     from modelkit.diagnostics import has_errors
     from modelkit.flex import enforce_conformance
-    from modelkit.objtext import serialize_object_model
+    from modelkit.objtext import parse_object_model, serialize_object_model
+    from modelkit.puml import parse_class_model
 
-    model, code = _load_class_model(args.model)
+    model, code = _load(args.model, parse_class_model)
     if model is None:
         return code
-    objects, code = _load_object_model(args.objects, model)
+    objects, code = _load(args.objects, parse_object_model, model)
     if objects is None:
         return code
     pruned, diagnostics = enforce_conformance(objects, model)

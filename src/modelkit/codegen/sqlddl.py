@@ -185,29 +185,29 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
                                  f"columns; adding synthetic column 'id'",
                                  subject=cls.name))
 
-    def fk_columns(table: _Table, referenced_class: str, base: str,
-                   required: bool, context: str) -> list[str]:
+    def add_foreign_key(table: _Table, referenced_class: str, base: str,
+                        required: bool, context: str) -> None:
+        """Columns for the referenced class's key and a foreign key over them."""
         cols = []
         for key_name, key_type in keys[referenced_class]:
             rendered = key_type + (" NOT NULL" if required else "")
             col = f"{base}_{key_name}"
             if table.add_column(col, rendered, diags, context):
                 cols.append(col)
-        return cols
+        if cols:
+            ref_table = class_table[referenced_class]
+            table.foreign_keys.append(
+                (cols, ref_table, [k for k, _ in keys[referenced_class]]))
+            table.depends_on.add(ref_table)
 
     for assoc, ref, holder in fk_assocs:
         holder_name = class_table.get(assoc.ends[holder].target)
         ref_class = assoc.ends[ref].target
         if holder_name is None or ref_class not in class_table:
             continue
-        table = tables[holder_name]
         end = assoc.ends[ref]
-        cols = fk_columns(table, ref_class, end_name(end),
-                          end.multiplicity.lower >= 1, f"association '{assoc.name}'")
-        if cols:
-            table.foreign_keys.append(
-                (cols, class_table[ref_class], [k for k, _ in keys[ref_class]]))
-            table.depends_on.add(class_table[ref_class])
+        add_foreign_key(tables[holder_name], ref_class, end_name(end),
+                        end.multiplicity.lower >= 1, f"association '{assoc.name}'")
 
     assoc_order = {a.name: i for i, a in enumerate(model.associations)}
     for assoc in join_assocs:
@@ -218,12 +218,8 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
         if table is None:
             continue
         for end in assoc.ends:
-            cols = fk_columns(table, end.target, end_name(end), True,
-                              f"association '{assoc.name}'")
-            if cols:
-                table.foreign_keys.append(
-                    (cols, class_table[end.target], [k for k, _ in keys[end.target]]))
-                table.depends_on.add(class_table[end.target])
+            add_foreign_key(table, end.target, end_name(end), True,
+                            f"association '{assoc.name}'")
         table.primary_key = [name for name, _ in table.columns]
 
     ordered = _dependency_order(tables)

@@ -91,6 +91,17 @@ def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
+# The most digits an integer literal may have: CPython's default limit on
+# int() and str(), fixed here so that what the notations read and write is
+# the same on every interpreter and under every PYTHONINTMAXSTRDIGITS.
+MAX_DIGITS = 4300
+
+
+def read_int(digits: str) -> Optional[int]:
+    """The integer a signed run of digits spells; None past MAX_DIGITS digits."""
+    return int(digits) if len(digits.lstrip("+-")) <= MAX_DIGITS else None
+
+
 # Codes emitted by parsers (as opposed to model-level validation); the CLI
 # maps these to its usage/parse exit status.
 SYNTAX_CODES = frozenset({

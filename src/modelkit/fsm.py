@@ -34,7 +34,7 @@ from modelkit.diagnostics import (
     read_lines,
 )
 from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
-from modelkit.objtext import PLAIN_CHARS, parse_value
+from modelkit.objtext import INT_CHARS, PLAIN_CHARS, parse_value
 from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
@@ -244,14 +244,15 @@ def format_trace(session: Session) -> str:
 # ---------------------------------------------------------------------------
 # File formats
 
-_MACHINE_RE = re.compile(r"^machine\s+(?P<name>[A-Za-z_]\w*)$")
-_STATE_RE = re.compile(
-    r"^state\s+(?P<name>[A-Za-z_]\w*)(?:\s+action\s+(?P<action>[A-Za-z_]\w*))?$")
-_INITIAL_RE = re.compile(r"^initial\s+(?P<name>[A-Za-z_]\w*)$")
-_EVENT_RE = re.compile(r"^event\s+(?P<name>[A-Za-z_]\w*)$")
-_TRANS_RE = re.compile(
-    r"^trans\s+(?P<src>[A-Za-z_]\w*)\s*->\s*(?P<dst>[A-Za-z_]\w*)"
-    r"\s+on\s+(?P<event>[A-Za-z_]\w*)(?:\s+when\s+(?P<guard>.+))?$")
+# Machine, state, initial, event and transition statements, tried in that
+# order; a transition's event is its `on` group.
+_STATEMENT_RE = re.compile(
+    r"machine\s+(?P<machine>[A-Za-z_]\w*)"
+    r"|state\s+(?P<state>[A-Za-z_]\w*)(?:\s+action\s+(?P<action>[A-Za-z_]\w*))?"
+    r"|initial\s+(?P<initial>[A-Za-z_]\w*)"
+    r"|event\s+(?P<event>[A-Za-z_]\w*)"
+    r"|trans\s+(?P<src>[A-Za-z_]\w*)\s*->\s*(?P<dst>[A-Za-z_]\w*)"
+    r"\s+on\s+(?P<on>[A-Za-z_]\w*)(?:\s+when\s+(?P<guard>.+))?")
 
 
 def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
@@ -260,47 +261,37 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
     diagnostics: list[Diagnostic] = []
     machine = StateMachine(name="machine")
 
-    def err(message: str, lineno: int, code: str = "syntax") -> None:
-        diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
+    def err(message: str, lineno: int) -> None:
+        diagnostics.append(error("syntax", message, SourceSpan(filename, lineno)))
 
     named = False
     for lineno, line in read_lines(text, "#"):
-        m = _MACHINE_RE.match(line)
-        if m:
+        m = _STATEMENT_RE.fullmatch(line)
+        if m is None:
+            err(f"unrecognized statement: {line}", lineno)
+            continue
+        name, state, action, initial, event, src, dst, on, guard_text = m.groups()
+        if name is not None:
             if named:
                 err("machine name declared twice", lineno)
-            machine.name = m.group("name")
+            machine.name = name
             named = True
-            continue
-        m = _STATE_RE.match(line)
-        if m:
-            machine.states.append(State(name=m.group("name"),
-                                        body_action=m.group("action")))
-            continue
-        m = _INITIAL_RE.match(line)
-        if m:
-            machine.initial_state = m.group("name")
-            continue
-        m = _EVENT_RE.match(line)
-        if m:
-            if m.group("name") not in machine.events:
-                machine.events.append(m.group("name"))
-            continue
-        m = _TRANS_RE.match(line)
-        if m:
-            guard_text = m.group("guard")
-            guard = None
-            if guard_text is not None:
-                guard, guard_diags = parse_expression(guard_text.strip(), filename)
-                if guard is None:
-                    err(f"malformed guard: {guard_diags[0].message}", lineno)
-                    continue
-            machine.transitions.append(Transition(
-                source=m.group("src"), target=m.group("dst"),
-                event=m.group("event"), guard=guard,
-                guard_text=guard_text.strip() if guard_text else None))
-            continue
-        err(f"unrecognized statement: {line}", lineno)
+        elif state is not None:
+            machine.states.append(State(state, action))
+        elif initial is not None:
+            machine.initial_state = initial
+        elif event is not None:
+            if event not in machine.events:
+                machine.events.append(event)
+        elif guard_text is None:
+            machine.transitions.append(Transition(src, dst, on))
+        else:
+            guard_text = guard_text.strip()
+            guard, guard_diags = parse_expression(guard_text, filename)
+            if guard is None:
+                err(f"malformed guard: {guard_diags[0].message}", lineno)
+            else:
+                machine.transitions.append(Transition(src, dst, on, guard, guard_text))
 
     if not named:
         err("missing machine declaration", 1)
@@ -315,7 +306,7 @@ _EVENT_NAME_RE = re.compile(r"[A-Za-z_]\w*")
 # it runs to a blank or the line's end, so `x=1y=2` stays one `\S+` value;
 # a string ends at its closing quote, so `x="a"y=2` holds two items.
 _PAYLOAD_ITEM_RE = re.compile(
-    rf'\s*(?P<key>[A-Za-z_]\w*)=(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>-?\d+)(?!\S)'
+    rf'\s*(?P<key>[A-Za-z_]\w*)=(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>{INT_CHARS})(?!\S)'
     rf"|(?P<value>{JSON_STRING}|\S+))")
 
 

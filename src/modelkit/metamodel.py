@@ -254,26 +254,6 @@ class ObjectModel(Record):
 
 
 # ---------------------------------------------------------------------------
-# Inheritance helpers
-
-def all_properties(model: ClassModel, class_name: str) -> list[Property]:
-    """Own properties preceded by inherited ones, general-most first."""
-    index = ModelIndex(model)
-    if class_name not in index.classes:
-        raise ValueError(f"unknown class '{class_name}'")
-    return list(index.flat(class_name))
-
-
-def is_subclass_of(model: ClassModel, sub: str, sup: str) -> bool:
-    """True iff sup is reachable from sub via generalizations, or sub == sup."""
-    index = ModelIndex(model)
-    for name in (sub, sup):
-        if name not in index.classes:
-            raise ValueError(f"unknown class '{name}'")
-    return index.conforms(sub, sup)
-
-
-# ---------------------------------------------------------------------------
 # Well-formedness
 
 def _generalization_cycles(model: ClassModel) -> list[list[str]]:

@@ -25,11 +25,13 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import (
+    MAX_DIGITS,
     ParseResult,
     SourceSpan,
     error,
     has_errors,
     read_envelope,
+    read_int,
     read_lines,
 )
 from modelkit.metamodel import (
@@ -50,16 +52,18 @@ from modelkit.metamodel import (
 
 # The characters of a JSON string that has nothing to escape (RFC 8259
 # section 7: no quote, backslash or control character).  The readers take
-# such a string, and an integer, straight from their match, and any other
-# value goes through parse_value; render_value writes such a string as is.
+# such a string, and an integer of up to MAX_DIGITS digits, straight from
+# their match, and any other value goes through parse_value, which refuses
+# a longer integer; render_value writes such a string as is.
 PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
 _PLAIN_RE = re.compile(PLAIN_CHARS)
+INT_CHARS = rf"-?\d{{1,{MAX_DIGITS}}}"
 
 # Object, slot and link statements, tried in that order.
 _STATEMENT_RE = re.compile(
     r"object\s+(?P<oid>[A-Za-z_]\w*)\s*:\s*(?P<classifier>[A-Za-z_]\w*)"
     r"|(?P<sid>[A-Za-z_]\w*)\.(?P<prop>[A-Za-z_]\w*)\s*=\s*"
-    rf'(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>-?\d+)|(?P<value>.+))'
+    rf'(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>{INT_CHARS})|(?P<value>.+))'
     r"|link\s+(?P<a>[A-Za-z_]\w*)\s*--\s*(?P<b>[A-Za-z_]\w*)"
     r"\s*:\s*(?P<assoc>[A-Za-z_]\w*)")
 
@@ -78,7 +82,8 @@ def parse_value(text: str) -> Optional[Value]:
     if text == "false":
         return BoolV(False)
     if _INT_RE.match(text):
-        return IntV(int(text))
+        number = read_int(text)
+        return None if number is None else IntV(number)
     if _FLOAT_RE.match(text):
         number = float(text)
         return None if math.isinf(number) else FloatV(number)
@@ -96,9 +101,14 @@ def parse_value(text: str) -> Optional[Value]:
 
 
 def render_value(value: Value) -> str:
-    """The literal for `value`; ValueError for a float that is not finite."""
+    """The literal for `value`; ValueError for a float that is not finite
+    and for an integer of more than MAX_DIGITS digits."""
     if isinstance(value, IntV):
-        return str(value.value)
+        n = value.value  # |n| < 2**(3 * MAX_DIGITS) has at most MAX_DIGITS digits
+        if n.bit_length() > 3 * MAX_DIGITS and abs(n) >= 10 ** MAX_DIGITS:
+            raise ValueError(f"the notation has no literal for an integer of more than "
+                             f"{MAX_DIGITS} digits")
+        return str(n)
     if isinstance(value, FloatV):
         if not math.isfinite(value.value):
             raise ValueError(f"the notation has no literal for {value.value!r}")
@@ -179,8 +189,8 @@ def parse_object_model(text: str, model: ClassModel,
 
 def serialize_object_model(objects: ObjectModel) -> str:
     """Canonical text: object blocks (each with its slots) then all links.
-    Raises ValueError on a float slot that is not finite and on a link with
-    other than two ends."""
+    Raises ValueError on a float or integer slot the notation has no literal
+    for and on a link with other than two ends."""
     out = ["@startobjects"]
     for obj in objects.objects:
         out.append(f"object {obj.id} : {obj.classifier}")

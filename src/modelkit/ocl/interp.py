@@ -2,8 +2,8 @@
 
 Semantics, in brief:
 
-- Arithmetic works on int/float; any float operand promotes the result,
-  int `/` int is floor division, and dividing by zero is a runtime error.
+- Arithmetic on int/float: a float operand promotes the result, int `/`
+  int floors, and zero divisors and float overflow are runtime errors.
 - `and`/`or`/`implies` short-circuit on the left operand and demand
   booleans; `if` demands a boolean condition and evaluates one branch.
 - `=`/`<>` are total: numbers compare by value across int/float, objects
@@ -29,6 +29,7 @@ per-instance verdict 'error'.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Optional, Union
 
@@ -153,8 +154,8 @@ def _require_bool(v: Evaluated, context: str) -> bool:
 def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
                         model: ClassModel) -> Evaluated:
     """Evaluate one expression; raises OclRuntimeError on type errors,
-    division by zero, null navigation, unknown names and nesting too deep
-    for the interpreter's stack."""
+    division by zero, float overflow, null navigation, unknown names and
+    nesting too deep for the interpreter's stack."""
     return _eval_top(expr, env, Scope(objects, model))
 
 
@@ -163,6 +164,8 @@ def _eval_top(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
         return _eval(expr, env, scope)
     except RecursionError:
         raise OclRuntimeError("expression nested too deeply") from None
+    except OverflowError:  # an int past a float's range met a float
+        raise OclRuntimeError("integer too large to convert to float") from None
 
 
 def _eval(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
@@ -201,6 +204,9 @@ def _eval_unary(expr, env, scope) -> Evaluated:
 
 # op -> (the left operand's value that decides the result, that result)
 _SHORT_CIRCUIT = {"and": (False, False), "or": (True, True), "implies": (False, True)}
+# `/` maps to None: it checks for zero and floors two ints, below.
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": None}
+_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _eval_binary(expr, env, scope) -> Evaluated:
@@ -219,35 +225,23 @@ def _eval_binary(expr, env, scope) -> Evaluated:
     if op == "<>":
         return BoolV(not value_equal(lhs, rhs))
 
-    if op in ("+", "-", "*", "/"):
+    if op in _ARITHMETIC:
         if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)):
             raise OclRuntimeError(f"arithmetic '{op}' on non-numbers")
         a, b = lhs.value, rhs.value
         both_int = isinstance(lhs, IntV) and isinstance(rhs, IntV)
-        if op == "+":
-            r = a + b
-        elif op == "-":
-            r = a - b
-        elif op == "*":
-            r = a * b
+        if op != "/":
+            r = _ARITHMETIC[op](a, b)
+        elif b == 0:
+            raise OclRuntimeError("division by zero")
         else:
-            if b == 0:
-                raise OclRuntimeError("division by zero")
             r = a // b if both_int else a / b
         return IntV(r) if both_int else FloatV(float(r))
 
-    # Ordering comparisons.
     if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)
             or isinstance(lhs, StrV) and isinstance(rhs, StrV)):
         raise OclRuntimeError(f"comparison '{op}' needs two numbers or two strings")
-    a, b = lhs.value, rhs.value
-    if op == "<":
-        return BoolV(a < b)
-    if op == "<=":
-        return BoolV(a <= b)
-    if op == ">":
-        return BoolV(a > b)
-    return BoolV(a >= b)
+    return BoolV(_ORDERING[op](lhs.value, rhs.value))
 
 
 def _eval_collection_op(expr, env, scope) -> Evaluated:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error
+from modelkit.diagnostics import MAX_DIGITS, Diagnostic, Record, SourceSpan, error, read_int
 from modelkit.metamodel import BoolV, FloatV, IntV, NULL, StrV
 from modelkit.ocl.nodes import (
     Binary,
@@ -67,6 +67,9 @@ _BINARY_LEVELS = (
     frozenset({"*", "/"}),
 )
 
+# The keywords that spell a value; values are immutable, so literals share them.
+_CONSTANTS = {"true": BoolV(True), "false": BoolV(False), "null": NULL}
+
 
 class OclSyntaxError(Exception):
     def __init__(self, message: str, token: Token):
@@ -74,8 +77,12 @@ class OclSyntaxError(Exception):
         self.message = message
         self.token = token
 
+    def diagnostic(self, filename: str) -> Diagnostic:
+        return error("syntax", self.message,
+                     SourceSpan(filename, self.token.line, self.token.column))
 
-def tokenize(text: str, filename: str = "<ocl>") -> list[Token]:
+
+def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
@@ -220,8 +227,11 @@ class _Parser:
     def parse_primary(self) -> OclExpr:
         tok = self.peek()
         if tok.kind == "int":
+            number = read_int(tok.text)
+            if number is None:
+                raise OclSyntaxError(f"integer literal of more than {MAX_DIGITS} digits", tok)
             self.next()
-            return Literal(IntV(int(tok.text)))
+            return Literal(IntV(number))
         if tok.kind == "float":
             self.next()
             return Literal(FloatV(float(tok.text)))
@@ -234,15 +244,9 @@ class _Parser:
             self.expect_op(")")
             return expr
         if tok.kind == "ident":
-            if tok.text == "true":
+            if tok.text in _CONSTANTS:
                 self.next()
-                return Literal(BoolV(True))
-            if tok.text == "false":
-                self.next()
-                return Literal(BoolV(False))
-            if tok.text == "null":
-                self.next()
-                return Literal(NULL)
+                return Literal(_CONSTANTS[tok.text])
             if tok.text == "self":
                 self.next()
                 return SelfRef()
@@ -299,9 +303,7 @@ class _Parser:
                         context_class=ctx.text, name=name.text, body=body,
                         span=SourceSpan(self.filename, start.line, start.column)))
             except OclSyntaxError as exc:
-                result.diagnostics.append(error(
-                    "syntax", exc.message,
-                    SourceSpan(self.filename, exc.token.line, exc.token.column)))
+                result.diagnostics.append(exc.diagnostic(self.filename))
                 self.skip_to_next_context()
         return result
 
@@ -309,11 +311,9 @@ class _Parser:
 def parse_ocl(text: str, filename: str = "<ocl>") -> OclParseResult:
     """Parse a constraint file into OclConstraints plus any diagnostics."""
     try:
-        tokens = tokenize(text, filename)
+        tokens = tokenize(text)
     except OclSyntaxError as exc:
-        return OclParseResult(diagnostics=[error(
-            "syntax", exc.message,
-            SourceSpan(filename, exc.token.line, exc.token.column))])
+        return OclParseResult(diagnostics=[exc.diagnostic(filename)])
     return _Parser(tokens, filename).parse_constraints()
 
 
@@ -321,8 +321,7 @@ def parse_expression(text: str, filename: str = "<expr>"
                      ) -> tuple[Optional[OclExpr], list[Diagnostic]]:
     """Parse a single standalone expression (used for FSM guards)."""
     try:
-        tokens = tokenize(text, filename)
-        parser = _Parser(tokens, filename)
+        parser = _Parser(tokenize(text), filename)
         expr = parser.parse_top()
         trailing = parser.peek()
         if trailing.kind != "eof":
@@ -330,5 +329,4 @@ def parse_expression(text: str, filename: str = "<expr>"
                                  trailing)
         return expr, []
     except OclSyntaxError as exc:
-        return None, [error("syntax", exc.message,
-                            SourceSpan(filename, exc.token.line, exc.token.column))]
+        return None, [exc.diagnostic(filename)]

@@ -29,6 +29,7 @@ from modelkit.diagnostics import (
     error,
     has_errors,
     read_envelope,
+    read_int,
     read_lines,
 )
 from modelkit.metamodel import (
@@ -51,20 +52,19 @@ _FOREIGN_KEYWORDS = (
     "left", "right", "together", "@startmindmap", "@startgantt",
 )
 
-_CLASS_RE = re.compile(
-    r"^(?P<abstract>abstract\s+)?class\s+(?P<name>[A-Za-z_]\w*)\s*\{$")
+# Class, enum, generalization and association declarations, tried in that
+# order.
+_DECL_RE = re.compile(
+    r"(?P<abstract>abstract\s+)?class\s+(?P<cls>[A-Za-z_]\w*)\s*\{"
+    r"|enum\s+(?P<enum>[A-Za-z_]\w*)\s*\{"
+    r"|(?P<general>[A-Za-z_]\w*)\s*<\|--\s*(?P<specific>[A-Za-z_]\w*)"
+    r'|(?P<left>[A-Za-z_]\w*)\s*(?:"(?P<m0>[^"]*)"\s*)?(?P<conn>\*--|--\*|--)'
+    r'\s*(?:"(?P<m1>[^"]*)"\s*)?(?P<right>[A-Za-z_]\w*)'
+    r"\s*(?::\s*(?P<name>[A-Za-z_]\w*))?")
 _ATTR_RE = re.compile(
     r"^(?:[+\-#]\s*)?(?P<name>[A-Za-z_]\w*)\s*:\s*(?P<type>[A-Za-z_]\w*)"
     r"\s*(?P<id>\{id\})?$")
-_ENUM_RE = re.compile(r"^enum\s+(?P<name>[A-Za-z_]\w*)\s*\{$")
 _LITERAL_RE = re.compile(r"^[A-Za-z_]\w*$")
-_GEN_RE = re.compile(
-    r"^(?P<general>[A-Za-z_]\w*)\s*<\|--\s*(?P<specific>[A-Za-z_]\w*)$")
-_ASSOC_RE = re.compile(
-    r'^(?P<left>[A-Za-z_]\w*)\s*(?:"(?P<m0>[^"]*)"\s*)?'
-    r"(?P<conn>\*--|--\*|--)"
-    r'\s*(?:"(?P<m1>[^"]*)"\s*)?(?P<right>[A-Za-z_]\w*)'
-    r"\s*(?::\s*(?P<name>[A-Za-z_]\w*))?$")
 _MULT_RE = re.compile(r"^(?:(?P<star>\*)|(?P<single>\d+)|(?P<lo>\d+)\.\.(?P<hi>\d+|\*))$")
 
 
@@ -72,14 +72,14 @@ def _parse_multiplicity(spec: str) -> Optional[Multiplicity]:
     m = _MULT_RE.match(spec.strip())
     if m is None:
         return None
-    if m.group("star"):
+    star, single, lo, hi = m.groups()
+    if star:
         return Multiplicity(0, None)
-    if m.group("single") is not None:
-        n = int(m.group("single"))
-        return Multiplicity(n, n)
-    lo = int(m.group("lo"))
-    hi = m.group("hi")
-    return Multiplicity(lo, None if hi == "*" else int(hi))
+    lower = read_int(single or lo)
+    upper = None if hi == "*" else read_int(single or hi)
+    if lower is None or upper is None and hi != "*":
+        return None  # a bound of more than MAX_DIGITS digits
+    return Multiplicity(lower, upper)
 
 
 def render_multiplicity(m: Multiplicity) -> str:
@@ -117,9 +117,22 @@ class _ClassModelParser:
 
     def parse_decl(self, line: str, lineno: int) -> None:
         """Parse one declaration starting at `line`, with its body if any."""
-        m = _CLASS_RE.match(line)
-        if m:
-            cls = ClassDef(name=m.group("name"),
+        m = _DECL_RE.fullmatch(line)
+        if m is None:
+            first = line.split()[0]
+            if "<<" in line or first in _FOREIGN_KEYWORDS or first.startswith("@start"):
+                self.err("unsupported-construct",
+                         f"construct '{first}' is outside the supported subset", lineno)
+            elif first in ("class", "abstract", "enum"):
+                self.err("syntax", f"malformed {first} declaration", lineno)
+                # Skip the body block, if one follows.
+                if line.endswith("{"):
+                    for _ in self.block(None):
+                        pass
+            else:
+                self.err("syntax", f"unrecognized declaration: {line}", lineno)
+        elif m.group("cls") is not None:
+            cls = ClassDef(name=m.group("cls"),
                            is_abstract=m.group("abstract") is not None,
                            span=self.span(lineno))
             self.model.classes.append(cls)
@@ -133,10 +146,8 @@ class _ClassModelParser:
                 cls.properties.append(Property(
                     name=am.group("name"), type_name=am.group("type"),
                     is_id=am.group("id") is not None, span=self.span(body_lineno)))
-            return
-        m = _ENUM_RE.match(line)
-        if m:
-            enum = EnumDef(name=m.group("name"), span=self.span(lineno))
+        elif m.group("enum") is not None:
+            enum = EnumDef(name=m.group("enum"), span=self.span(lineno))
             self.model.enumerations.append(enum)
             for body_lineno, body in self.block(f"enum '{enum.name}'"):
                 if _LITERAL_RE.match(body) is None:
@@ -145,30 +156,12 @@ class _ClassModelParser:
                              body_lineno)
                     continue
                 enum.literals.append(body)
-            return
-        m = _GEN_RE.match(line)
-        if m:
+        elif m.group("general") is not None:
             self.model.generalizations.append(Generalization(
                 general=m.group("general"), specific=m.group("specific"),
                 span=self.span(lineno)))
-            return
-        m = _ASSOC_RE.match(line)
-        if m:
-            self.parse_assoc(m, lineno)
-            return
-
-        first = line.split()[0]
-        if "<<" in line or first in _FOREIGN_KEYWORDS or first.startswith("@start"):
-            self.err("unsupported-construct",
-                     f"construct '{first}' is outside the supported subset", lineno)
-        elif first in ("class", "abstract", "enum"):
-            self.err("syntax", f"malformed {first} declaration", lineno)
-            # Skip the body block, if one follows.
-            if line.endswith("{"):
-                for _ in self.block(None):
-                    pass
         else:
-            self.err("syntax", f"unrecognized declaration: {line}", lineno)
+            self.parse_assoc(m, lineno)
 
     def block(self, owner: Optional[str]) -> Iterator[tuple[int, str]]:
         """The lines of a body up to its closing `}`, taken from the lines
@@ -182,9 +175,9 @@ class _ClassModelParser:
             self.err("syntax", f"{owner} body is never closed", self.last)
 
     def parse_assoc(self, m: re.Match, lineno: int) -> None:
-        left, right = m.group("left"), m.group("right")
+        left, m0, conn, m1, right, name = m.group("left", "m0", "conn", "m1", "right", "name")
         mults = []
-        for spec in (m.group("m0"), m.group("m1")):
+        for spec in (m0, m1):
             if spec is None:
                 mults.append(Multiplicity(0, None))
             else:
@@ -193,8 +186,6 @@ class _ClassModelParser:
                     self.err("syntax", f"malformed multiplicity \"{spec}\"", lineno)
                     parsed = Multiplicity(0, None)
                 mults.append(parsed)
-        conn = m.group("conn")
-        name = m.group("name")
         if name is None:
             key = (left, right)
             self.unnamed_counters[key] = self.unnamed_counters.get(key, 0) + 1

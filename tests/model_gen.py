@@ -22,8 +22,8 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
     StrV,
-    all_properties,
 )
+from modelkit.index import ModelIndex
 from modelkit.ocl.nodes import Binary, CollectionOp, If, Literal, Nav, SelfRef, Unary, VarRef
 
 _MULTS = [
@@ -119,6 +119,7 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
         model.associations.append(Association(name=f"rel{i}", ends=tuple(ends)))
 
     objects = ObjectModel(name="objects")
+    index = ModelIndex(model)
     values_by_type = {
         "int": lambda: IntV(rng.randint(-3, 9)),
         "float": lambda: FloatV(rng.choice([0.5, 2.5, -1.25, 10.0])),
@@ -133,7 +134,7 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
             classifier = f"C{rng.randrange(n_classes)}"
         obj = ObjectDef(id=f"o{i}", classifier=classifier)
         if any(c.name == classifier for c in model.classes):
-            for prop in all_properties(model, classifier):
+            for prop in index.flat(classifier):
                 roll = rng.random()
                 if roll < 0.78:
                     obj.slots.append(AttributeLink(prop.name,

@@ -1,14 +1,17 @@
-"""Reference readers for object text and scenarios.
+"""Reference readers for object text, scenarios and machines, and the
+class-model declaration patterns.
 
 Naive code kept as the readers were before they matched each line once:
-one regex per statement kind, `json.loads` for every string, a linear
-scan for duplicate slots, and a string pattern for event names.  It
-shares only the line reader (`read_lines`, `read_envelope`), the
-diagnostic constructors and the model dataclasses with `modelkit`; the
-readers' fast paths are tested against it and must never be folded in.
+one regex per statement kind, tried in turn, `json.loads` for every
+string, a linear scan for duplicate slots, and a string pattern for event
+names.  It shares only the line reader (`read_lines`, `read_envelope`),
+the diagnostic constructors, the model records and, for machines, the
+guard parser and `validate_machine` with `modelkit`; the readers' fast
+paths are tested against it and must never be folded in.
 
-The one deliberate change from the old code is the documented rule that
-a float literal which overflows to infinity is malformed.
+The deliberate changes from the old code are two documented rules: a
+float literal which overflows to infinity is malformed, and so is an
+integer literal of more than 4 300 digits.
 """
 
 import json
@@ -24,6 +27,7 @@ from modelkit.diagnostics import (
     read_envelope,
     read_lines,
 )
+from modelkit.fsm import State, StateMachine, Transition, validate_machine
 from modelkit.metamodel import (
     AttributeLink,
     BoolV,
@@ -37,6 +41,7 @@ from modelkit.metamodel import (
     ObjectModel,
     StrV,
 )
+from modelkit.ocl.parser import parse_expression
 
 _OBJECT_RE = re.compile(
     r"^object\s+(?P<id>[A-Za-z_]\w*)\s*:\s*(?P<class>[A-Za-z_]\w*)$")
@@ -60,6 +65,8 @@ def parse_value(text):
     if text == "false":
         return BoolV(False)
     if _INT_RE.match(text):
+        if len(text.lstrip("-")) > 4300:
+            return None
         return IntV(int(text))
     if _FLOAT_RE.match(text):
         number = float(text)
@@ -178,3 +185,92 @@ def parse_scenario(text, filename="<scenario>"):
         if ok:
             steps.append((event, payload))
     return steps, diagnostics
+
+
+_MACHINE_RE = re.compile(r"^machine\s+(?P<name>[A-Za-z_]\w*)$")
+_STATE_RE = re.compile(
+    r"^state\s+(?P<name>[A-Za-z_]\w*)(?:\s+action\s+(?P<action>[A-Za-z_]\w*))?$")
+_INITIAL_RE = re.compile(r"^initial\s+(?P<name>[A-Za-z_]\w*)$")
+_EVENT_RE = re.compile(r"^event\s+(?P<name>[A-Za-z_]\w*)$")
+_TRANS_RE = re.compile(
+    r"^trans\s+(?P<src>[A-Za-z_]\w*)\s*->\s*(?P<dst>[A-Za-z_]\w*)"
+    r"\s+on\s+(?P<event>[A-Za-z_]\w*)(?:\s+when\s+(?P<guard>.+))?$")
+
+
+def parse_machine(text, filename="<machine>"):
+    diagnostics = []
+    machine = StateMachine(name="machine")
+
+    def err(message, lineno, code="syntax"):
+        diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
+
+    named = False
+    for lineno, line in read_lines(text, "#"):
+        m = _MACHINE_RE.match(line)
+        if m:
+            if named:
+                err("machine name declared twice", lineno)
+            machine.name = m.group("name")
+            named = True
+            continue
+        m = _STATE_RE.match(line)
+        if m:
+            machine.states.append(State(name=m.group("name"),
+                                        body_action=m.group("action")))
+            continue
+        m = _INITIAL_RE.match(line)
+        if m:
+            machine.initial_state = m.group("name")
+            continue
+        m = _EVENT_RE.match(line)
+        if m:
+            if m.group("name") not in machine.events:
+                machine.events.append(m.group("name"))
+            continue
+        m = _TRANS_RE.match(line)
+        if m:
+            guard_text = m.group("guard")
+            guard = None
+            if guard_text is not None:
+                guard, guard_diags = parse_expression(guard_text.strip(), filename)
+                if guard is None:
+                    err(f"malformed guard: {guard_diags[0].message}", lineno)
+                    continue
+            machine.transitions.append(Transition(
+                source=m.group("src"), target=m.group("dst"),
+                event=m.group("event"), guard=guard,
+                guard_text=guard_text.strip() if guard_text else None))
+            continue
+        err(f"unrecognized statement: {line}", lineno)
+
+    if not named:
+        err("missing machine declaration", 1)
+    if not has_errors(diagnostics):
+        diagnostics.extend(validate_machine(machine))
+    return ParseResult(machine if not has_errors(diagnostics) else None,
+                       diagnostics)
+
+
+# The class-model reader's declaration patterns, in the order it tried them.
+_PUML_CLASS_RE = re.compile(
+    r"^(?P<abstract>abstract\s+)?class\s+(?P<name>[A-Za-z_]\w*)\s*\{$")
+_PUML_ENUM_RE = re.compile(r"^enum\s+(?P<name>[A-Za-z_]\w*)\s*\{$")
+_PUML_GEN_RE = re.compile(
+    r"^(?P<general>[A-Za-z_]\w*)\s*<\|--\s*(?P<specific>[A-Za-z_]\w*)$")
+_PUML_ASSOC_RE = re.compile(
+    r'^(?P<left>[A-Za-z_]\w*)\s*(?:"(?P<m0>[^"]*)"\s*)?'
+    r"(?P<conn>\*--|--\*|--)"
+    r'\s*(?:"(?P<m1>[^"]*)"\s*)?(?P<right>[A-Za-z_]\w*)'
+    r"\s*(?::\s*(?P<name>[A-Za-z_]\w*))?$")
+
+
+def match_declaration(line):
+    """("class" | "enum" | "generalization" | "association", the groups of
+    the first pattern that matches `line`), or None when none does."""
+    for kind, pattern in (("class", _PUML_CLASS_RE), ("enum", _PUML_ENUM_RE),
+                          ("generalization", _PUML_GEN_RE),
+                          ("association", _PUML_ASSOC_RE)):
+        m = pattern.match(line)
+        if m:
+            return kind, m.groupdict()
+    return None

@@ -22,8 +22,8 @@ from modelkit.metamodel import (
     Generalization,
     Multiplicity,
     Property,
-    all_properties,
 )
+from modelkit.index import ModelIndex
 from modelkit.puml import parse_class_model
 from model_gen import random_class_model
 from sql_grammar import check_sql
@@ -128,8 +128,9 @@ class TestPlainClasses:
             model = random_class_model(rng)
             artifacts = generate_plain_classes(model).artifacts
             assert len(artifacts) == len(model.classes)
+            index = ModelIndex(model)
             for cls, artifact in zip(model.classes, artifacts):
-                expected = len(all_properties(model, cls.name))
+                expected = len(index.flat(cls.name))
                 assert len(pattern.findall(artifact.content)) == expected
 
 

@@ -1,18 +1,26 @@
 """Property tests on arbitrary input: parsers return diagnostics and never
-raise, the CLI always exits 0, 1 or 2, and object text round-trips any
-string.  Derandomized, so every run tries the same examples."""
+raise, the CLI always exits 0, 1 or 2, object text round-trips any string,
+and an integer literal is read the same way on every interpreter: up to
+4 300 digits it parses, past them every reader reports it.  Derandomized,
+so every run tries the same examples."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import REPO
 from modelkit.cli import main
 from modelkit.fsm import parse_machine, parse_scenario
-from modelkit.metamodel import AttributeLink, ClassModel, ObjectDef, ObjectModel, StrV
-from modelkit.objtext import parse_object_model, serialize_object_model
+from modelkit.metamodel import (
+    AttributeLink, ClassModel, IntV, ObjectDef, ObjectModel, StrV)
+from modelkit.objtext import parse_object_model, render_value, serialize_object_model
 from modelkit.ocl.parser import parse_expression, parse_ocl
-from modelkit.puml import parse_class_model
+from modelkit.puml import parse_class_model, serialize_class_model
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -81,3 +89,181 @@ def test_object_text_round_trips_arbitrary_strings(values):
     reparsed = parse_object_model(serialize_object_model(objects), ClassModel(name="m"))
     assert reparsed.ok, reparsed.diagnostics
     assert reparsed.model == objects
+
+
+# ---------------------------------------------------------------------------
+# Long digit runs
+
+LIMIT = 4300
+TOO_LONG = f"integer literal of more than {LIMIT} digits"
+
+
+def digit_run(length: int, digit: str = "7", sign: str = "") -> str:
+    return sign + digit * length
+
+
+# A run of 4 290-4 310 digits, ASCII or Arabic-Indic (`\d` takes both).
+LONG_RUNS = st.tuples(st.integers(LIMIT - 10, LIMIT + 10),
+                      st.sampled_from(["7", "1", "٣"]))
+
+
+def objects_with(value: str) -> str:
+    return f"@startobjects\nobject a : A\na.p = {value}\n@endobjects\n"
+
+
+def model_with(multiplicity: str) -> str:
+    return (f'@startuml\nclass A {{\n  p : int\n}}\nclass B {{\n}}\n'
+            f'A "{multiplicity}" -- "0..*" B : r\n@enduml\n')
+
+
+@FUZZ
+@given(LONG_RUNS, st.sampled_from(["", "-"]))
+def test_a_long_slot_or_payload_integer_parses_up_to_the_limit(run, sign):
+    length, digit = run
+    value = digit_run(length, digit, sign)
+    objects = parse_object_model(objects_with(value), ClassModel(name="m"))
+    steps, diagnostics = parse_scenario(f"go x={value} y=1\n")
+    if length <= LIMIT:
+        assert objects.model.objects[0].slots[0].value == IntV(int(value))
+        assert steps == [("go", {"x": IntV(int(value)), "y": IntV(1)})]
+    else:
+        assert [d.code for d in objects.diagnostics] == ["bad-value"]
+        assert [d.message for d in diagnostics] == ["malformed payload value for 'x'"]
+
+
+@FUZZ
+@given(LONG_RUNS)
+def test_a_long_multiplicity_parses_up_to_the_limit(run):
+    length, digit = run
+    bound = digit_run(length, digit)
+    result = parse_class_model(model_with(f"0..{bound}"))
+    if length <= LIMIT:
+        assert result.model.associations[0].ends[0].multiplicity.upper == int(bound)
+    else:
+        assert [d.message for d in result.diagnostics] == [
+            f'malformed multiplicity "0..{bound}"']
+
+
+@FUZZ
+@given(LONG_RUNS)
+def test_a_long_ocl_or_guard_literal_parses_up_to_the_limit(run):
+    length, digit = run
+    literal = digit_run(length, digit)
+    constraints = parse_ocl(f"context A inv c: self.x < {literal}")
+    guard, diagnostics = parse_expression(f"x < {literal}")
+    machine = parse_machine(f"machine m\nstate S\ninitial S\nevent e\n"
+                            f"trans S -> S on e when x < {literal}\n")
+    if length <= LIMIT:
+        assert constraints.ok and guard is not None and machine.ok
+        assert constraints.constraints[0].body.rhs.value == IntV(int(literal))
+    else:
+        assert [(d.message, d.span.column) for d in constraints.diagnostics] == [
+            (TOO_LONG, 27)]
+        assert [(d.message, d.span.column) for d in diagnostics] == [(TOO_LONG, 5)]
+        assert [d.message for d in machine.diagnostics] == [f"malformed guard: {TOO_LONG}"]
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_object_text_round_trips_the_longest_integer_and_refuses_a_longer_one(sign):
+    longest = digit_run(LIMIT, "9", sign)
+    text = objects_with(longest)
+    parsed = parse_object_model(text, ClassModel(name="m"))
+    assert serialize_object_model(parsed.model) == text
+    assert parse_object_model(serialize_object_model(parsed.model),
+                              ClassModel(name="m")).model == parsed.model
+    longer = parse_object_model(objects_with(digit_run(LIMIT + 1, "9", sign)),
+                                ClassModel(name="m"))
+    assert [(d.code, d.message[:24]) for d in longer.diagnostics] == [
+        ("bad-value", "malformed value for 'a.p")]
+
+
+def test_the_serializer_refuses_an_integer_it_could_not_read_back():
+    """On every interpreter, whatever PYTHONINTMAXSTRDIGITS says."""
+    assert render_value(IntV(10 ** LIMIT - 1)) == "9" * LIMIT
+    assert render_value(IntV(-10 ** LIMIT + 1)) == "-" + "9" * LIMIT
+    message = f"the notation has no literal for an integer of more than {LIMIT} digits"
+    for number in (10 ** LIMIT, -10 ** LIMIT, 10 ** 5000):
+        with pytest.raises(ValueError) as raised:
+            render_value(IntV(number))
+        assert str(raised.value) == message
+    objects = ObjectModel(objects=[ObjectDef("o1", "K", slots=[
+        AttributeLink("n", IntV(10 ** 5000))])])
+    with pytest.raises(ValueError) as raised:
+        serialize_object_model(objects)
+    assert str(raised.value) == f"cannot write slot 'o1.n': {message}"
+
+
+def test_a_class_model_round_trips_the_longest_multiplicity():
+    bound = digit_run(LIMIT, "9")
+    model = parse_class_model(model_with(f"{bound}..{bound}")).model
+    assert model.associations[0].ends[0].multiplicity.lower == int(bound)
+    assert parse_class_model(serialize_class_model(model)).model == model
+    longer = parse_class_model(model_with(digit_run(LIMIT + 1)))
+    assert [(d.code, d.message[:22]) for d in longer.diagnostics] == [
+        ("syntax", 'malformed multiplicity')]
+
+
+def test_the_scenario_and_ocl_readers_take_the_longest_literal():
+    longest = digit_run(LIMIT, "9")
+    steps, diagnostics = parse_scenario(f"go x=-{longest}\n")
+    assert steps == [("go", {"x": IntV(-int(longest))})] and diagnostics == []
+    constraints = parse_ocl(f"context A inv c: self.x > -{longest}")
+    assert constraints.constraints[0].body.rhs.operand.value == IntV(int(longest))
+    steps, diagnostics = parse_scenario(f"go x={longest}9\n")
+    assert steps == [] and [d.code for d in diagnostics] == ["bad-value"]
+    constraints = parse_ocl(f"context A inv c: self.x > {longest}9")
+    assert [d.code for d in constraints.diagnostics] == ["syntax"]
+
+
+def _cli(argv, env):
+    return subprocess.run([sys.executable, "-m", "modelkit.cli", *argv],
+                          capture_output=True, env=env)
+
+
+# (files to write, command, exit code): one literal per reader at the
+# limit and one past it.
+LONG_LITERAL_RUNS = [
+    ({"m.puml": model_with(digit_run(LIMIT))}, "validate --model m.puml", 0),
+    ({"m.puml": model_with(digit_run(LIMIT + 1))}, "validate --model m.puml", 2),
+    ({"m.puml": model_with("*"), "o.objs": objects_with(digit_run(LIMIT, sign="-")),
+      "c.ocl": f"context A inv c: {digit_run(LIMIT)} > 0\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 0),
+    ({"m.puml": model_with("*"), "o.objs": objects_with(digit_run(LIMIT + 1)),
+      "c.ocl": "context A inv c: true\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 2),
+    ({"m.puml": model_with("*"), "o.objs": objects_with("1"),
+      "c.ocl": f"context A inv c: {digit_run(LIMIT + 1)} > 0\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 2),
+    ({"m.puml": model_with("*"), "o.objs": objects_with("1"),
+      "c.ocl": f"context A inv c: {digit_run(400)} + 1.5 > 0\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 1),
+    ({"m.fsm": f"machine m\nstate S\ninitial S\nevent e\n"
+               f"trans S -> S on e when x < {digit_run(LIMIT)}\n",
+      "s.scn": f"e x={digit_run(LIMIT)}\n"}, "fsm-run --machine m.fsm --scenario s.scn", 0),
+    ({"m.fsm": f"machine m\nstate S\ninitial S\nevent e\n"
+               f"trans S -> S on e when x < {digit_run(LIMIT + 1)}\n",
+      "s.scn": "e x=1\n"}, "fsm-run --machine m.fsm --scenario s.scn", 2),
+    ({"m.fsm": "machine m\nstate S\ninitial S\nevent e\ntrans S -> S on e\n",
+      "s.scn": f"e x={digit_run(LIMIT + 1)}\n"},
+     "fsm-run --machine m.fsm --scenario s.scn", 2),
+]
+
+
+@pytest.mark.parametrize("files, command, code", LONG_LITERAL_RUNS,
+                         ids=[f"{command.split()[0]}-{i}-exit{code}"
+                              for i, (_, command, code) in enumerate(LONG_LITERAL_RUNS)])
+def test_the_cli_reads_long_literals_alike_on_every_interpreter(files, command, code,
+                                                                 tmp_path):
+    """Byte-identical output and exit code with Python's digit limit on and
+    off (PYTHONINTMAXSTRDIGITS=0), and never a traceback."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in command.split()]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    limited = _cli(argv, env)
+    unlimited = _cli(argv, {**env, "PYTHONINTMAXSTRDIGITS": "0"})
+    assert (limited.returncode, limited.stdout, limited.stderr) == (
+        unlimited.returncode, unlimited.stdout, unlimited.stderr)
+    assert limited.returncode == code, limited.stderr
+    assert b"Traceback" not in limited.stderr

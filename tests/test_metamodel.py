@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -11,8 +9,6 @@ from modelkit.metamodel import (
     Generalization,
     Multiplicity,
     Property,
-    all_properties,
-    is_subclass_of,
     validate_class_model,
 )
 from modelkit.index import ModelIndex
@@ -140,9 +136,11 @@ class TestValidate:
 
 
 class TestAllProperties:
+    """ModelIndex.flat: a class's properties, inherited ones first."""
+
     def test_identity_without_inheritance(self):
         model = dpp_model()
-        names = [p.name for p in all_properties(model, "ProductPassport")]
+        names = [p.name for p in ModelIndex(model).flat("ProductPassport")]
         assert names == ["code", "product_name", "brand"]
 
     def test_single_level(self):
@@ -150,54 +148,58 @@ class TestAllProperties:
             ClassDef("A", properties=[Property("a1", "int")]),
             ClassDef("B", properties=[Property("b1", "int")])])
         model.generalizations.append(Generalization("A", "B"))
-        assert [p.name for p in all_properties(model, "B")] == ["a1", "b1"]
+        assert [p.name for p in ModelIndex(model).flat("B")] == ["a1", "b1"]
 
     def test_chain_general_most_first(self):
         # Hand-enumerated on the three-class chain: A's, then B's, then C's.
         model = chain_model()
-        assert [p.name for p in all_properties(model, "C")] == \
+        assert [p.name for p in ModelIndex(model).flat("C")] == \
             ["a1", "a2", "b1", "c1"]
 
-    def test_unknown_class_raises(self):
-        with pytest.raises(ValueError):
-            all_properties(dpp_model(), "Nope")
+    def test_unknown_class_has_no_properties(self):
+        assert ModelIndex(dpp_model()).flat("Nope") == []
 
     def test_no_duplicates_on_random_valid_models(self):
         rng = random.Random(11)
         for _ in range(100):
             model = random_class_model(rng)
+            index = ModelIndex(model)
             for cls in model.classes:
-                names = [p.name for p in all_properties(model, cls.name)]
+                names = [p.name for p in index.flat(cls.name)]
                 assert len(names) == len(set(names))
 
 
 class TestIsSubclassOf:
+    """ModelIndex.conforms: sub is sup or one of its descendants."""
+
     def test_reflexive(self):
-        assert is_subclass_of(chain_model(), "A", "A")
+        assert ModelIndex(chain_model()).conforms("A", "A")
 
     def test_direct(self):
-        assert is_subclass_of(chain_model(), "B", "A")
+        assert ModelIndex(chain_model()).conforms("B", "A")
 
     def test_not_symmetric(self):
-        assert not is_subclass_of(chain_model(), "A", "B")
+        assert not ModelIndex(chain_model()).conforms("A", "B")
 
-    def test_unknown_class_raises(self):
-        with pytest.raises(ValueError):
-            is_subclass_of(chain_model(), "A", "Nope")
+    def test_an_unknown_class_conforms_to_nothing(self):
+        index = ModelIndex(chain_model())
+        assert not index.conforms("A", "Nope")
+        assert not index.conforms("Nope", "Nope")
 
     def test_partial_order_on_random_models(self):
         rng = random.Random(13)
         for _ in range(40):
             model = random_class_model(rng)
+            conforms = ModelIndex(model).conforms
             names = [c.name for c in model.classes]
             for a in names:
-                assert is_subclass_of(model, a, a)
+                assert conforms(a, a)
                 for b in names:
-                    if a != b and is_subclass_of(model, a, b):
-                        assert not is_subclass_of(model, b, a)
+                    if a != b and conforms(a, b):
+                        assert not conforms(b, a)
                     for c in names:
-                        if is_subclass_of(model, a, b) and is_subclass_of(model, b, c):
-                            assert is_subclass_of(model, a, c)
+                        if conforms(a, b) and conforms(b, c):
+                            assert conforms(a, c)
 
 
 class TestDeepHierarchies:

@@ -424,6 +424,9 @@ class TestRuntimeErrorMessages:
         ("self / 2", "arithmetic '/' on non-numbers"),
         ("1 / 0", "division by zero"),
         ("1.5 / 0.0", "division by zero"),
+        ("9" * 400 + " + 1.5", "integer too large to convert to float"),
+        ("1.5 * -" + "9" * 400, "integer too large to convert to float"),
+        ("9" * 400 + " / 2.5", "integer too large to convert to float"),
         ("1 < 'a'", "comparison '<' needs two numbers or two strings"),
         ("true >= false", "comparison '>=' needs two numbers or two strings"),
         ("(1)->size()", "'->size' on a non-collection"),

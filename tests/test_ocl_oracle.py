@@ -2,10 +2,14 @@
 
 import random
 
-from modelkit.ocl import check_all, evaluate_constraint
-from modelkit.ocl.nodes import OclConstraint
+import pytest
+
+from modelkit.metamodel import NULL, BoolV, ClassModel, FloatV, IntV, ObjectModel, StrV
+from modelkit.ocl import check_all, evaluate_constraint, evaluate_expression
+from modelkit.ocl.interp import Binding, OclRuntimeError
+from modelkit.ocl.nodes import Binary, Literal, OclConstraint
 from model_gen import random_expression, random_instanced_model
-from ocl_oracle import naive_check
+from ocl_oracle import OracleError, naive_check, naive_eval
 
 
 def run_pair(rng, seed_note=""):
@@ -75,3 +79,38 @@ def test_batch_checking_matches_per_constraint_oracle_runs():
             else:
                 assert [(r.object_id, r.verdict)
                         for r in result.per_instance] == expected
+
+
+# Operand pairs by kind: zero divisors, negative floor division (-7 / 2)
+# and equal operands among them.
+OPERANDS = [
+    *((IntV(a), IntV(b)) for a, b in [(7, 2), (-7, 2), (7, -2), (3, 3), (0, 5), (5, 0)]),
+    *((IntV(a), FloatV(b)) for a, b in [(7, 2.0), (-7, 2.0), (3, 3.0), (5, 0.0)]),
+    *((FloatV(a), IntV(b)) for a, b in [(7.5, 2), (-7.5, 2), (3.0, 3), (5.5, 0)]),
+    *((FloatV(a), FloatV(b)) for a, b in [(7.5, 2.5), (-7.0, 2.0), (2.5, 2.5), (1.0, 0.0)]),
+    *((StrV(a), StrV(b)) for a, b in [("a", "b"), ("b", "a"), ("a", "a"), ("", "a")]),
+    (IntV(1), StrV("1")), (StrV("a"), FloatV(1.0)), (BoolV(True), IntV(1)), (NULL, IntV(0)),
+]
+# The evaluator's text for each refusal the oracle names.
+RUNTIME_ERRORS = {
+    "arithmetic on non-numbers": "arithmetic '{op}' on non-numbers",
+    "division by zero": "division by zero",
+    "unorderable operands": "comparison '{op}' needs two numbers or two strings",
+}
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "<", "<=", ">", ">="])
+def test_each_operator_yields_the_oracles_record(op):
+    """Same record type and value, not only the same verdict: `1 + 2 = 3.0`
+    holds whether `+` yields IntV(3) or FloatV(3.0)."""
+    for lhs, rhs in OPERANDS:
+        expr = Binary(op, Literal(lhs), Literal(rhs))
+        try:
+            expected = naive_eval(expr, [], ObjectModel(), ClassModel())
+        except OracleError as exc:
+            with pytest.raises(OclRuntimeError) as raised:
+                evaluate_expression(expr, Binding(), ObjectModel(), ClassModel())
+            assert str(raised.value) == RUNTIME_ERRORS[str(exc)].format(op=op)
+            continue
+        actual = evaluate_expression(expr, Binding(), ObjectModel(), ClassModel())
+        assert repr(actual) == repr(expected), (lhs, op, rhs)

@@ -1,8 +1,9 @@
-"""Differential tests of the object and scenario readers against the
-naive reference readers in `reader_oracle`, on generated lines made to
-reach every branch of a statement: plain and escaped strings, control
-characters, Unicode digits and blanks, items with no blank between them,
-duplicate and undeclared ids, and comments.  Derandomized, so every run
+"""Differential tests of the object, scenario and machine readers, and of
+the class-model declaration pattern, against the naive reference code in
+`reader_oracle`, on generated lines made to reach every branch of a
+statement: plain and escaped strings, control characters, Unicode digits
+and blanks, items with no blank between them, duplicate and undeclared
+ids, keywords out of place, and comments.  Derandomized, so every run
 tries the same examples."""
 
 import json
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reader_oracle
-from modelkit.fsm import parse_scenario
+from modelkit.fsm import parse_machine, parse_scenario
+from modelkit.puml import _DECL_RE
 from modelkit.metamodel import ClassModel, StrV
 from modelkit.objtext import parse_object_model, render_value
 
@@ -132,11 +134,14 @@ OBJECT_CASES = [
     "a.p = 12", "a.p = -٣", "a.p = ５", "a.p = ²", "a.p = 1e999", "a.p = 2.5",
     'a.p = "a" "b"', "a.p = x", "a.p = 1\na.p = 2", "a.p = bad\na.p = 1",
     "z.p = 1", "object a : B", "link a -- z : r", "a.p = \"O'Brien\" ' comment",
+    "a.p = " + "7" * 4300, "a.p = -" + "7" * 4300, "a.p = " + "7" * 4301,
+    "a.p = -" + "7" * 4301, "a.p = ٣" * 4301,
 ]
 SCENARIO_CASES = [
     'go x="a"y=2', "go x=1y=2", "go x=1 y=2", 'go x="a b" y="c\\"d"',
     "go x=\t-7\xa0y=٣", "go x=1e999", "go x=1.5 y=true z=null w=E::X",
     "go x=", "go =1", "go x=1 # comment", "1go x=1", 'go x="a#b"', "go x=1 y",
+    "go x=" + "7" * 4300, "go x=-" + "7" * 4301 + " y=1", "go x=" + "7" * 4301 + "y",
 ]
 
 
@@ -159,3 +164,126 @@ def test_scenario_cases_match_the_oracle(line):
 @given(st.text())
 def test_render_value_writes_what_json_dumps_writes(s):
     assert render_value(StrV(s)) == json.dumps(s, ensure_ascii=False)
+
+
+# Machine text: the statements' keywords, identifiers, arrows, guards and
+# comments, in and out of their places.
+DECLARED_NAMES = ["S", "T", "go", "x_1", "_", "xé", "on", "when", "state"]
+NAME = st.sampled_from(DECLARED_NAMES + ["1a", "a-b"])
+GAP = st.sampled_from([" ", " ", "  ", "\t", " \t", "\xa0"])
+MAYBE_GAP = st.sampled_from(["", "", " ", "\t"])
+GOOD_GUARDS = ["x > 1", "x + 1 = 2 and y", "'#' = s", "true", " x = 1 ", "9" * 4300]
+GUARD = st.sampled_from(GOOD_GUARDS + ["(", "x >", "not", "x -> size()", "1 " * 3,
+                                       "9" * 4301])
+MACHINE_WORD = st.sampled_from(["machine", "state", "initial", "event", "trans",
+                                "action", "on", "when", "->", "-", ">", "#", "# note",
+                                "'#'", '"#"', "=", "S", "go"])
+
+
+@st.composite
+def machine_line(draw, kinds=("machine", "state", "initial", "event", "trans", "trans",
+                              "trans", "words"), names=NAME, guards=GUARD):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "state":
+        line = f"state{draw(GAP)}{draw(names)}"
+        if draw(st.booleans()):
+            line += f"{draw(GAP)}action{draw(GAP)}{draw(names)}"
+    elif kind == "trans":
+        line = (f"trans{draw(GAP)}{draw(names)}{draw(MAYBE_GAP)}->{draw(MAYBE_GAP)}"
+                f"{draw(names)}{draw(GAP)}on{draw(GAP)}{draw(names)}")
+        if draw(st.booleans()):
+            line += f"{draw(GAP)}when{draw(GAP)}{draw(guards)}"
+    elif kind == "words":
+        line = "".join(w + draw(MAYBE_GAP) for w in draw(st.lists(MACHINE_WORD,
+                                                                  max_size=6)))
+    else:
+        line = f"{kind}{draw(GAP)}{draw(names)}"
+    return draw(MAYBE_GAP) + line + draw(st.sampled_from(["", "", " ", " # c", "#"]))
+
+
+@ORACLE
+@given(st.lists(machine_line(), max_size=10).map("\n".join))
+def test_machine_reader_matches_the_oracle(text):
+    assert repr(parse_machine(text)) == repr(reader_oracle.parse_machine(text))
+
+
+@ORACLE
+@given(st.lists(machine_line(("initial", "event", "trans", "trans"),
+                             st.sampled_from(DECLARED_NAMES), st.sampled_from(GOOD_GUARDS)),
+                max_size=10))
+def test_a_valid_machine_reads_as_the_oracle_reads_it(lines):
+    """Well-formed statements after a declaration of every name they use,
+    so that validation passes and the machines themselves are compared."""
+    head = ["machine m", "initial S"] + [f"state {n} action do_{n}\nstate {n}_\nevent {n}"
+                                         for n in DECLARED_NAMES]
+    text = "\n".join(head + lines)
+    assert repr(parse_machine(text)) == repr(reader_oracle.parse_machine(text))
+
+
+# Class-model declarations: the notation's keywords, arrows, quoted
+# multiplicities, braces and names, in and out of their places.
+MULT = st.sampled_from(['"1"', '"*"', '"0..1"', '"1..*"', '"2..5"', '""', '"a b"', '"'])
+CONN = st.sampled_from(["--", "*--", "--*", "<|--", "-", "*-*", "<|-"])
+DECL_WORD = st.sampled_from(["class", "abstract", "enum", "interface", "{", "}", "--",
+                             "*--", "--*", "<|--", '"1"', '"0..*"', ":", "A", "B_2",
+                             "<<x>>", "note", "r"])
+
+
+@st.composite
+def declaration_line(draw):
+    kind = draw(st.sampled_from(["class", "enum", "generalization", "association",
+                                 "association", "words"]))
+    if kind == "class":
+        line = (draw(st.sampled_from(["", "abstract ", "abstract\t", "abstract"]))
+                + f"class{draw(GAP)}{draw(NAME)}{draw(MAYBE_GAP)}"
+                + draw(st.sampled_from(["{", "{", "", "{}", "{ x"])))
+    elif kind == "enum":
+        line = f"enum{draw(GAP)}{draw(NAME)}{draw(MAYBE_GAP)}" + draw(
+            st.sampled_from(["{", "{", "", "}"]))
+    elif kind == "generalization":
+        line = f"{draw(NAME)}{draw(MAYBE_GAP)}<|--{draw(MAYBE_GAP)}{draw(NAME)}"
+    elif kind == "association":
+        line = draw(NAME) + draw(MAYBE_GAP)
+        if draw(st.booleans()):
+            line += draw(MULT) + draw(MAYBE_GAP)
+        line += draw(CONN) + draw(MAYBE_GAP)
+        if draw(st.booleans()):
+            line += draw(MULT) + draw(MAYBE_GAP)
+        line += draw(NAME)
+        if draw(st.booleans()):
+            line += f"{draw(MAYBE_GAP)}:{draw(MAYBE_GAP)}{draw(NAME)}"
+    else:
+        line = "".join(w + draw(MAYBE_GAP) for w in draw(st.lists(DECL_WORD, max_size=7)))
+    return line.strip()
+
+
+# Each statement's groups in `_DECL_RE`, by the name the old pattern gave
+# it; the first is the one that captures whenever the statement matches.
+DECL_GROUPS = {
+    "class": {"cls": "name", "abstract": "abstract"},
+    "enum": {"enum": "name"},
+    "generalization": {"general": "general", "specific": "specific"},
+    "association": {g: g for g in ("left", "m0", "conn", "m1", "right", "name")},
+}
+
+
+def one_pattern_declaration(line):
+    """`_DECL_RE`'s reading of `line` in the form `match_declaration` gives;
+    a group outside the statement matched must not capture."""
+    m = _DECL_RE.fullmatch(line)
+    if m is None:
+        return None
+    groups = m.groupdict()
+    kind = next(kind for kind, names in DECL_GROUPS.items()
+                if groups[next(iter(names))] is not None)
+    for other, names in DECL_GROUPS.items():
+        if other != kind:
+            assert all(groups[name] is None for name in names), (line, other)
+    return kind, {old: groups[new] for new, old in DECL_GROUPS[kind].items()}
+
+
+@ORACLE
+@given(st.lists(declaration_line(), min_size=1, max_size=8))
+def test_the_declaration_pattern_picks_what_the_old_patterns_picked(lines):
+    for line in lines:
+        assert one_pattern_declaration(line) == reader_oracle.match_declaration(line), line
