@@ -8,7 +8,7 @@ links, then per-association multiplicity counts.
 
 from __future__ import annotations
 
-from modelkit.diagnostics import Diagnostic, error
+from modelkit.diagnostics import Diagnostic, error, int_text
 from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     BoolV,
@@ -148,7 +148,7 @@ def _check_multiplicities(index, population, diags) -> None:
                     diags.append(error(
                         "mult-lower",
                         f"object '{obj.id}' has {count} '{assoc.name}' link(s) toward "
-                        f"'{bound_end.target}', below lower bound {mult.lower}",
+                        f"'{bound_end.target}', below lower bound {int_text(mult.lower)}",
                         obj.span, subject=f"{obj.id}@{assoc.name}[{j}]"))
                 elif mult.upper is not None and count > mult.upper:
                     diags.append(error(

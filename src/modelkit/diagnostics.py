@@ -95,11 +95,48 @@ def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
 # int() and str(), fixed here so that what the notations read and write is
 # the same on every interpreter and under every PYTHONINTMAXSTRDIGITS.
 MAX_DIGITS = 4300
+# PYTHONINTMAXSTRDIGITS may set int()'s and str()'s limit as low as 640
+# digits, so up to that many convert under every setting, and longer runs
+# are converted that many digits at a time.
+SAFE_DIGITS = 640
+_SAFE_BASE = 10 ** SAFE_DIGITS
 
 
 def read_int(digits: str) -> Optional[int]:
-    """The integer a signed run of digits spells; None past MAX_DIGITS digits."""
-    return int(digits) if len(digits.lstrip("+-")) <= MAX_DIGITS else None
+    """The integer a signed run of digits spells, under every
+    PYTHONINTMAXSTRDIGITS; None past MAX_DIGITS digits."""
+    body = digits.lstrip("+-")
+    if len(body) <= SAFE_DIGITS:
+        return int(digits)
+    if len(body) > MAX_DIGITS:
+        return None
+    number = 0
+    for start in range(0, len(body), SAFE_DIGITS):
+        chunk = body[start:start + SAFE_DIGITS]
+        number = number * 10 ** len(chunk) + int(chunk)
+    return -number if digits.startswith("-") else number
+
+
+def int_text(number: int) -> str:
+    """str(number), under every PYTHONINTMAXSTRDIGITS."""
+    if -_SAFE_BASE < number < _SAFE_BASE:
+        return str(number)
+    rest, chunks = abs(number), []
+    while rest >= _SAFE_BASE:
+        rest, chunk = divmod(rest, _SAFE_BASE)
+        chunks.append(f"{chunk:0{SAFE_DIGITS}d}")
+    chunks.append(str(rest))
+    return "-" * (number < 0) + "".join(reversed(chunks))
+
+
+def int_literal(number: int) -> str:
+    """The literal read_int takes back as `number`; ValueError past
+    MAX_DIGITS digits."""
+    # |number| < 2**(3 * MAX_DIGITS) has at most MAX_DIGITS digits
+    if number.bit_length() > 3 * MAX_DIGITS and abs(number) >= 10 ** MAX_DIGITS:
+        raise ValueError(f"the notation has no literal for an integer of more than "
+                         f"{MAX_DIGITS} digits")
+    return int_text(number)
 
 
 # Codes emitted by parsers (as opposed to model-level validation); the CLI

@@ -153,10 +153,7 @@ _EMPTY_OBJECTS = ObjectModel(name="none")
 _EMPTY_MODEL = ClassModel(name="none")
 
 
-def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
-    if transition.guard is None:
-        return True
-    env = Binding(variables)
+def _guard_holds(transition: Transition, env: Binding) -> bool:
     try:
         value = evaluate_expression(transition.guard, env, _EMPTY_OBJECTS,
                                     _EMPTY_MODEL)
@@ -191,9 +188,14 @@ def _step(machine: StateMachine, table: dict, state: str, variables: dict[str, V
     variables = dict(variables)
     if payload:
         variables.update(payload)
+    env = None  # the guards' binding, built for the first one tried
     for t, actions in table.get((state, event), ()):
-        if _guard_holds(t, variables):
-            return variables, TraceEntry(event, state, t.target, actions)
+        if t.guard is not None:
+            if env is None:
+                env = Binding(variables)
+            if not _guard_holds(t, env):
+                continue
+        return variables, TraceEntry(event, state, t.target, actions)
     return variables, TraceEntry(event, state, state)
 
 
@@ -265,6 +267,7 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
         diagnostics.append(error("syntax", message, SourceSpan(filename, lineno)))
 
     named = False
+    guards: dict[str, tuple] = {}  # guards are immutable: equal texts share one parse
     for lineno, line in read_lines(text, "#"):
         m = _STATEMENT_RE.fullmatch(line)
         if m is None:
@@ -287,7 +290,9 @@ def parse_machine(text: str, filename: str = "<machine>") -> ParseResult:
             machine.transitions.append(Transition(src, dst, on))
         else:
             guard_text = guard_text.strip()
-            guard, guard_diags = parse_expression(guard_text, filename)
+            if guard_text not in guards:
+                guards[guard_text] = parse_expression(guard_text, filename)
+            guard, guard_diags = guards[guard_text]
             if guard is None:
                 err(f"malformed guard: {guard_diags[0].message}", lineno)
             else:
@@ -315,6 +320,7 @@ def parse_scenario(text: str, filename: str = "<scenario>"
     """Parse a scenario file into (event, payload) steps."""
     steps: list[tuple[str, dict[str, Value]]] = []
     diagnostics: list[Diagnostic] = []
+    ints: dict[str, IntV] = {}  # values are immutable: equal literals share one
     for lineno, line in read_lines(text, "#"):
         parts = line.split(None, 1)
         event = parts[0]
@@ -336,7 +342,9 @@ def parse_scenario(text: str, filename: str = "<scenario>"
             if plain is not None:
                 value = StrV(plain)
             elif digits is not None:
-                value = IntV(int(digits))
+                value = ints.get(digits)
+                if value is None:
+                    value = ints[digits] = IntV(int(digits))
             else:
                 value = parse_value(other)
                 if value is None:

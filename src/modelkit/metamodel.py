@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error
+from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error, int_text
 from modelkit.index import ModelIndex
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -93,6 +93,10 @@ class NullV(Value):
 
 
 NULL = NullV()
+# Values are treated as immutable, so whatever yields a boolean shares one of
+# these two: BOOLS[flag] is the value of a Python bool.
+FALSE, TRUE = BoolV(False), BoolV(True)
+BOOLS = (FALSE, TRUE)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +455,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
             elif m.upper is not None and m.lower > m.upper:
                 add(order, error("bad-mult",
                                  f"association '{assoc.name}' end multiplicity has "
-                                 f"lower {m.lower} > upper {m.upper}",
+                                 f"lower {int_text(m.lower)} > upper {int_text(m.upper)}",
                                  assoc.span, subject=assoc.name))
             if end.role is not None and not is_identifier(end.role):
                 add(order, error("bad-name",

@@ -25,11 +25,12 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import (
-    MAX_DIGITS,
+    SAFE_DIGITS,
     ParseResult,
     SourceSpan,
     error,
     has_errors,
+    int_literal,
     read_envelope,
     read_int,
     read_lines,
@@ -39,6 +40,7 @@ from modelkit.metamodel import (
     BoolV,
     ClassModel,
     EnumV,
+    FALSE,
     FloatV,
     IntV,
     Link,
@@ -47,17 +49,19 @@ from modelkit.metamodel import (
     ObjectDef,
     ObjectModel,
     StrV,
+    TRUE,
     Value,
 )
 
 # The characters of a JSON string that has nothing to escape (RFC 8259
 # section 7: no quote, backslash or control character).  The readers take
-# such a string, and an integer of up to MAX_DIGITS digits, straight from
-# their match, and any other value goes through parse_value, which refuses
-# a longer integer; render_value writes such a string as is.
+# such a string, and an integer int() converts under every limit, straight
+# from their match, and any other value goes through parse_value, which
+# reads a longer integer with read_int; render_value writes such a string
+# as is.
 PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
 _PLAIN_RE = re.compile(PLAIN_CHARS)
-INT_CHARS = rf"-?\d{{1,{MAX_DIGITS}}}"
+INT_CHARS = rf"-?\d{{1,{SAFE_DIGITS}}}"
 
 # Object, slot and link statements, tried in that order.
 _STATEMENT_RE = re.compile(
@@ -78,9 +82,9 @@ def parse_value(text: str) -> Optional[Value]:
     if text == "null":
         return NULL
     if text == "true":
-        return BoolV(True)
+        return TRUE
     if text == "false":
-        return BoolV(False)
+        return FALSE
     if _INT_RE.match(text):
         number = read_int(text)
         return None if number is None else IntV(number)
@@ -104,11 +108,7 @@ def render_value(value: Value) -> str:
     """The literal for `value`; ValueError for a float that is not finite
     and for an integer of more than MAX_DIGITS digits."""
     if isinstance(value, IntV):
-        n = value.value  # |n| < 2**(3 * MAX_DIGITS) has at most MAX_DIGITS digits
-        if n.bit_length() > 3 * MAX_DIGITS and abs(n) >= 10 ** MAX_DIGITS:
-            raise ValueError(f"the notation has no literal for an integer of more than "
-                             f"{MAX_DIGITS} digits")
-        return str(n)
+        return int_literal(value.value)
     if isinstance(value, FloatV):
         if not math.isfinite(value.value):
             raise ValueError(f"the notation has no literal for {value.value!r}")

@@ -35,9 +35,11 @@ from typing import Optional, Union
 
 from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
+    BOOLS,
     BoolV,
     ClassModel,
     EnumV,
+    FALSE,
     FloatV,
     IntV,
     NullV,
@@ -45,6 +47,7 @@ from modelkit.metamodel import (
     ObjectDef,
     ObjectModel,
     StrV,
+    TRUE,
     Value,
 )
 from modelkit.ocl.nodes import (
@@ -145,10 +148,12 @@ def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
     return partners
 
 
-def _require_bool(v: Evaluated, context: str) -> bool:
+def _require_bool(v: Evaluated, context: str, op: str = "") -> bool:
+    """v's truth; `context`, with `op` in place of its `{}`, names v in the
+    error, formatted only then."""
     if isinstance(v, BoolV):
         return v.value
-    raise OclRuntimeError(f"{context} is not a boolean")
+    raise OclRuntimeError(f"{context.format(op)} is not a boolean")
 
 
 def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
@@ -196,14 +201,16 @@ def _eval_if(expr, env, scope) -> Evaluated:
 def _eval_unary(expr, env, scope) -> Evaluated:
     operand = _eval(expr.operand, env, scope)
     if expr.op == "not":
-        return BoolV(not _require_bool(operand, "operand of 'not'"))
+        return BOOLS[not _require_bool(operand, "operand of 'not'")]
+    if expr.op != "-":
+        raise OclRuntimeError(f"unknown operator '{expr.op}'")
     if isinstance(operand, _NUMBER):
         return type(operand)(-operand.value)
     raise OclRuntimeError("unary '-' on a non-number")
 
 
 # op -> (the left operand's value that decides the result, that result)
-_SHORT_CIRCUIT = {"and": (False, False), "or": (True, True), "implies": (False, True)}
+_SHORT_CIRCUIT = {"and": (False, FALSE), "or": (True, TRUE), "implies": (False, TRUE)}
 # `/` maps to None: it checks for zero and floors two ints, below.
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": None}
 _ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -213,17 +220,17 @@ def _eval_binary(expr, env, scope) -> Evaluated:
     op = expr.op
     if op in _SHORT_CIRCUIT:
         decides, result = _SHORT_CIRCUIT[op]
-        if _require_bool(_eval(expr.lhs, env, scope), f"left operand of '{op}'") == decides:
-            return BoolV(result)
-        return BoolV(_require_bool(_eval(expr.rhs, env, scope), f"right operand of '{op}'"))
+        if _require_bool(_eval(expr.lhs, env, scope), "left operand of '{}'", op) == decides:
+            return result
+        return BOOLS[_require_bool(_eval(expr.rhs, env, scope), "right operand of '{}'", op)]
 
     lhs = _eval(expr.lhs, env, scope)
     rhs = _eval(expr.rhs, env, scope)
 
     if op == "=":
-        return BoolV(value_equal(lhs, rhs))
+        return BOOLS[value_equal(lhs, rhs)]
     if op == "<>":
-        return BoolV(not value_equal(lhs, rhs))
+        return BOOLS[not value_equal(lhs, rhs)]
 
     if op in _ARITHMETIC:
         if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)):
@@ -238,10 +245,13 @@ def _eval_binary(expr, env, scope) -> Evaluated:
             r = a // b if both_int else a / b
         return IntV(r) if both_int else FloatV(float(r))
 
+    compare = _ORDERING.get(op)
+    if compare is None:
+        raise OclRuntimeError(f"unknown operator '{op}'")
     if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)
             or isinstance(lhs, StrV) and isinstance(rhs, StrV)):
         raise OclRuntimeError(f"comparison '{op}' needs two numbers or two strings")
-    return BoolV(_ORDERING[op](lhs.value, rhs.value))
+    return BOOLS[compare(lhs.value, rhs.value)]
 
 
 def _eval_collection_op(expr, env, scope) -> Evaluated:
@@ -252,12 +262,14 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
     if op == "size":
         return IntV(len(source))
     if op == "isEmpty":
-        return BoolV(not source)
+        return BOOLS[not source]
     if op == "notEmpty":
-        return BoolV(bool(source))
+        return BOOLS[bool(source)]
     if op == "includes":
         needle = _eval(expr.body, env, scope)
-        return BoolV(any(value_equal(item, needle) for item in source))
+        return BOOLS[any(value_equal(item, needle) for item in source)]
+    if op not in ("forAll", "exists", "select", "collect"):
+        raise OclRuntimeError(f"unknown operator '{op}'")
 
     results: list[Evaluated] = []
     var, body, frame = expr.var, expr.body, {}
@@ -268,10 +280,10 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
             value = _eval(body, env, scope)
             if op == "forAll":
                 if not _require_bool(value, "forAll body"):
-                    return BoolV(False)
+                    return FALSE
             elif op == "exists":
                 if _require_bool(value, "exists body"):
-                    return BoolV(True)
+                    return TRUE
             elif op == "select":
                 if _require_bool(value, "select body"):
                     results.append(item)
@@ -282,7 +294,7 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
     finally:
         env.frames.pop()
     # No item decided: forAll holds and exists fails.
-    return results if op in ("select", "collect") else BoolV(op == "forAll")
+    return results if op in ("select", "collect") else BOOLS[op == "forAll"]
 
 
 # The handler of each node type; a type not listed is reported, not guessed.

@@ -13,7 +13,7 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import MAX_DIGITS, Diagnostic, Record, SourceSpan, error, read_int
-from modelkit.metamodel import BoolV, FloatV, IntV, NULL, StrV
+from modelkit.metamodel import FALSE, FloatV, IntV, NULL, StrV, TRUE
 from modelkit.ocl.nodes import (
     Binary,
     CollectionOp,
@@ -68,7 +68,7 @@ _BINARY_LEVELS = (
 )
 
 # The keywords that spell a value; values are immutable, so literals share them.
-_CONSTANTS = {"true": BoolV(True), "false": BoolV(False), "null": NULL}
+_CONSTANTS = {"true": TRUE, "false": FALSE, "null": NULL}
 
 
 class OclSyntaxError(Exception):

@@ -28,6 +28,7 @@ from modelkit.diagnostics import (
     SourceSpan,
     error,
     has_errors,
+    int_literal,
     read_envelope,
     read_int,
     read_lines,
@@ -83,10 +84,12 @@ def _parse_multiplicity(spec: str) -> Optional[Multiplicity]:
 
 
 def render_multiplicity(m: Multiplicity) -> str:
+    """The multiplicity's literal; ValueError for a bound of more than
+    MAX_DIGITS digits."""
     if m.upper is not None and m.lower == m.upper:
-        return str(m.lower)
-    upper = "*" if m.upper is None else str(m.upper)
-    return f"{m.lower}..{upper}"
+        return int_literal(m.lower)
+    upper = "*" if m.upper is None else int_literal(m.upper)
+    return f"{int_literal(m.lower)}..{upper}"
 
 
 class _ClassModelParser:
@@ -238,8 +241,14 @@ def serialize_class_model(model: ClassModel) -> str:
             conn = "--*"
         else:
             conn = "--"
-        out.append(f'{e0.target} "{render_multiplicity(e0.multiplicity)}" {conn} '
-                   f'"{render_multiplicity(e1.multiplicity)}" {e1.target} : {assoc.name}')
+        mults = []
+        for j, end in enumerate(assoc.ends):
+            try:
+                mults.append(render_multiplicity(end.multiplicity))
+            except ValueError as exc:
+                raise ValueError(f"cannot write end {j} ('{end.target}') of association "
+                                 f"'{assoc.name}': {exc}") from None
+        out.append(f'{e0.target} "{mults[0]}" {conn} "{mults[1]}" {e1.target} : {assoc.name}')
     for gen in model.generalizations:
         out.append(f"{gen.general} <|-- {gen.specific}")
     out.append("@enduml")

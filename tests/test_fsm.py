@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from modelkit.metamodel import NULL, BoolV, ClassModel, EnumV, IntV, ObjectModel, StrV
+from modelkit.metamodel import (
+    FALSE, NULL, TRUE, BoolV, ClassModel, EnumV, IntV, ObjectModel, StrV)
+from modelkit.ocl.nodes import Binary, Literal, Unary
 from modelkit.fsm import (
     State,
     StateMachine,
@@ -301,6 +303,87 @@ class TestFileFormats:
         session = run_scenario(machine, steps)
         stored = (fixtures_dir / "greeting.trace").read_bytes()
         assert format_trace(session).encode() == stored
+
+
+SHARING_MACHINE = """machine m
+state A
+state B action b
+initial A
+event go
+trans A -> B on go when x > 2 and y
+trans A -> A on go when x > 2 and y
+trans A -> B on go when x < 0
+trans B -> A on go
+"""
+SHARING_SCENARIO = "go x=1 y=true\ngo x=3 y=false\ngo x=1 z=1\ngo x=-1\ngo x=3 y=true\n"
+
+
+class TestSharedValues:
+    """Values are treated as immutable, so a reader shares equal ones within
+    one call, and nothing outlives the call."""
+
+    def test_equal_payload_literals_in_one_scenario_are_the_same_object(self):
+        steps, diags = parse_scenario(SHARING_SCENARIO)
+        assert not diags
+        payloads = [payload for _, payload in steps]
+        ones = [payloads[0]["x"], payloads[2]["x"], payloads[2]["z"]]
+        assert all(one is ones[0] for one in ones) and ones[0] == IntV(1)
+        assert payloads[1]["x"] is payloads[4]["x"]
+        assert payloads[0]["y"] is payloads[4]["y"] is TRUE and payloads[1]["y"] is FALSE
+        again, _ = parse_scenario(SHARING_SCENARIO)
+        assert again == steps and again[0][1]["x"] is not ones[0]
+
+    def test_equal_guard_texts_in_one_machine_share_one_parse(self):
+        machine = parse_machine(SHARING_MACHINE).model
+        first, second, other, _ = machine.transitions
+        assert first.guard is second.guard and first.guard is not other.guard
+        assert parse_machine(SHARING_MACHINE).model.transitions[0].guard is not first.guard
+
+    def test_a_run_changes_no_shared_value(self):
+        machine = parse_machine(SHARING_MACHINE).model
+        steps, _ = parse_scenario(SHARING_SCENARIO)
+        session = run_scenario(machine, steps)
+        assert [(e.source, e.target) for e in session.trace] == [
+            ("A", "A"), ("A", "A"), ("A", "A"), ("A", "B"), ("B", "A")]
+        assert steps == parse_scenario(SHARING_SCENARIO)[0]
+        assert (TRUE.value, FALSE.value) == (True, False)
+
+    def test_a_step_builds_one_binding_and_only_for_a_guard_it_tries(self, monkeypatch):
+        import modelkit.fsm
+        built, envs = [], []
+
+        def binding(variables):
+            built.append(variables)
+            return Binding(variables)
+
+        def evaluate(expr, env, objects, model):
+            envs.append(env)
+            return evaluate_expression(expr, env, objects, model)
+
+        monkeypatch.setattr(modelkit.fsm, "Binding", binding)
+        monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
+        machine = parse_machine(SHARING_MACHINE).model
+        # Each of the first two steps tries all three guards from A, the
+        # second taking A -> B at the last; B -> A has no guard.
+        session = run_scenario(machine, [("go", {"x": IntV(1), "y": FALSE}),
+                                         ("go", {"x": IntV(-1)}), ("go", {})])
+        assert [(e.source, e.target) for e in session.trace] == [
+            ("A", "A"), ("A", "B"), ("B", "A")]
+        assert len(envs) == 6 and envs[0] is envs[1] is envs[2] is not envs[3]
+        assert envs[3] is envs[4] is envs[5]
+        assert built == [{"x": IntV(1), "y": FALSE}, {"x": IntV(-1), "y": FALSE}]
+
+    @pytest.mark.parametrize("guard", [Binary("%", Literal(IntV(7)), Literal(IntV(2))),
+                                       Unary("%", Literal(IntV(7)))])
+    def test_an_operator_the_evaluator_does_not_know_is_a_guard_error(self, guard):
+        machine = StateMachine(
+            name="m", states=[State("S"), State("T")], events=["go"],
+            transitions=[Transition("S", "T", "go", guard=guard, guard_text="7 % 2")],
+            initial_state="S")
+        with pytest.raises(StepError) as info:
+            run_scenario(machine, [("go", {})])
+        assert (info.value.diagnostic.code, info.value.diagnostic.message) == (
+            "guard-error", "guard '7 % 2' failed: unknown operator '%'")
 
 
 # Guards that hold or fail on `x`, and ones that raise: `y` unbound until a

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REPO
 from modelkit.cli import main
+from modelkit.diagnostics import int_text, read_int
 from modelkit.fsm import parse_machine, parse_scenario
 from modelkit.metamodel import (
-    AttributeLink, ClassModel, IntV, ObjectDef, ObjectModel, StrV)
+    AttributeLink, ClassModel, IntV, Multiplicity, ObjectDef, ObjectModel, StrV)
 from modelkit.objtext import parse_object_model, render_value, serialize_object_model
 from modelkit.ocl.parser import parse_expression, parse_ocl
 from modelkit.puml import parse_class_model, serialize_class_model
@@ -203,6 +204,61 @@ def test_a_class_model_round_trips_the_longest_multiplicity():
         ("syntax", 'malformed multiplicity')]
 
 
+def test_the_class_model_serializer_refuses_a_bound_it_could_not_read_back():
+    """On every interpreter, whatever PYTHONINTMAXSTRDIGITS says."""
+    message = f"the notation has no literal for an integer of more than {LIMIT} digits"
+    for ends in ((Multiplicity(10 ** 5000, None), Multiplicity()),
+                 (Multiplicity(), Multiplicity(0, 10 ** LIMIT))):
+        model = parse_class_model(model_with("*")).model
+        for end, multiplicity in zip(model.associations[0].ends, ends):
+            end.multiplicity = multiplicity
+        with pytest.raises(ValueError) as raised:
+            serialize_class_model(model)
+        j = 0 if ends[0].lower else 1
+        assert str(raised.value) == (
+            f"cannot write end {j} ('{'AB'[j]}') of association 'r': {message}")
+
+
+@pytest.mark.parametrize("length", [639, 640, 641, 1280, 1281, LIMIT])
+def test_long_integers_convert_exactly_under_the_lowest_digit_limit(length):
+    """Runs longer than 640 digits are converted 640 at a time, inner
+    chunks of zeros included."""
+    texts = ["1" + "0" * (length - 1), digit_run(length, "9"), "-" + ("10" * length)[:length]]
+    numbers = [int(text) for text in texts]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        read = [read_int(text) for text in texts]
+        written = [int_text(number) for number in numbers]
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert read == numbers and written == texts
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_readers_and_writers_convert_the_longest_literal_under_any_digit_limit(limit):
+    """PYTHONINTMAXSTRDIGITS may set Python's own limit as low as 640
+    digits; it changes nothing that the notations read or write."""
+    longest = digit_run(LIMIT, "9")
+    number = int(longest)
+    model_text, objects_text = model_with(f"{longest}..{longest}"), objects_with(f"-{longest}")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        model = parse_class_model(model_text).model
+        objects = parse_object_model(objects_text, ClassModel(name="m")).model
+        steps, _ = parse_scenario(f"go x={longest} y=-{longest}\n")
+        constraints = parse_ocl(f"context A inv c: self.x > {longest}")
+        written = serialize_class_model(model), serialize_object_model(objects)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert model.associations[0].ends[0].multiplicity == Multiplicity(number, number)
+    assert objects.objects[0].slots[0].value == IntV(-number)
+    assert steps == [("go", {"x": IntV(number), "y": IntV(-number)})]
+    assert constraints.constraints[0].body.rhs.value == IntV(number)
+    assert parse_class_model(written[0]).model == model and written[1] == objects_text
+
+
 def test_the_scenario_and_ocl_readers_take_the_longest_literal():
     longest = digit_run(LIMIT, "9")
     steps, diagnostics = parse_scenario(f"go x=-{longest}\n")
@@ -246,6 +302,17 @@ LONG_LITERAL_RUNS = [
     ({"m.fsm": "machine m\nstate S\ninitial S\nevent e\ntrans S -> S on e\n",
       "s.scn": f"e x={digit_run(LIMIT + 1)}\n"},
      "fsm-run --machine m.fsm --scenario s.scn", 2),
+    # 2 000 digits: past Python's limit when PYTHONINTMAXSTRDIGITS is
+    # 640 or 1 000, and written back in diagnostics.
+    ({"m.puml": model_with(f"{digit_run(2000, '9')}..{digit_run(2000, '8')}")},
+     "validate --model m.puml", 1),
+    ({"m.puml": model_with(f"{digit_run(2000)}..*"), "o.objs": objects_with(digit_run(2000)),
+      "c.ocl": f"context A inv c: self.p = -{digit_run(2000)}\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 1),
+    ({"m.fsm": f"machine m\nstate S\nstate T action t\ninitial S\nevent e\n"
+               f"trans S -> T on e when x = {digit_run(2000)}\ntrans T -> S on e\n",
+      "s.scn": f"e x={digit_run(2000)}\ne x=-{digit_run(2000)}\ne\n"},
+     "fsm-run --machine m.fsm --scenario s.scn", 0),
 ]
 
 
@@ -254,16 +321,18 @@ LONG_LITERAL_RUNS = [
                               for i, (_, command, code) in enumerate(LONG_LITERAL_RUNS)])
 def test_the_cli_reads_long_literals_alike_on_every_interpreter(files, command, code,
                                                                  tmp_path):
-    """Byte-identical output and exit code with Python's digit limit on and
-    off (PYTHONINTMAXSTRDIGITS=0), and never a traceback."""
+    """Byte-identical output and exit code with Python's digit limit at its
+    default, off (PYTHONINTMAXSTRDIGITS=0), at its lowest (640) and in
+    between (1 000), and never a traceback."""
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in files else arg for arg in command.split()]
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     limited = _cli(argv, env)
-    unlimited = _cli(argv, {**env, "PYTHONINTMAXSTRDIGITS": "0"})
-    assert (limited.returncode, limited.stdout, limited.stderr) == (
-        unlimited.returncode, unlimited.stdout, unlimited.stderr)
     assert limited.returncode == code, limited.stderr
     assert b"Traceback" not in limited.stderr
+    for digits in ("0", "640", "1000"):
+        other = _cli(argv, {**env, "PYTHONINTMAXSTRDIGITS": digits})
+        assert (other.returncode, other.stdout, other.stderr) == (
+            limited.returncode, limited.stdout, limited.stderr), digits

@@ -6,10 +6,12 @@ from modelkit.metamodel import (
     BoolV,
     ClassModel,
     EnumV,
+    FALSE,
     FloatV,
     IntV,
     NULL,
     StrV,
+    TRUE,
 )
 from modelkit.objtext import parse_object_model, parse_value, serialize_object_model
 from model_gen import random_object_population
@@ -76,6 +78,7 @@ def test_value_literals():
     assert parse_value("1e3") == FloatV(1000.0)
     assert parse_value("true") == BoolV(True)
     assert parse_value("false") == BoolV(False)
+    assert parse_value("true") is TRUE and parse_value(" false ") is FALSE
     assert parse_value("null") == NULL
     assert parse_value('"hi there"') == StrV("hi there")
     assert parse_value('"esc \\" quote"') == StrV('esc " quote')

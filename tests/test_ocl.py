@@ -9,6 +9,7 @@ from modelkit.metamodel import (
     ClassModel,
     EnumDef,
     EnumV,
+    FALSE,
     FloatV,
     IntV,
     Link,
@@ -18,6 +19,7 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
     StrV,
+    TRUE,
 )
 from modelkit.ocl import (
     Binding,
@@ -28,7 +30,8 @@ from modelkit.ocl import (
     parse_expression,
     parse_ocl,
 )
-from modelkit.ocl.nodes import Binary, Literal, Nav, OclConstraint, OclExpr, SelfRef
+from modelkit.ocl.nodes import (
+    Binary, CollectionOp, Literal, Nav, OclConstraint, OclExpr, SelfRef, Unary)
 from ocl_oracle import OracleError, naive_eval
 
 EMPTY_OBJECTS = ObjectModel(name="none")
@@ -172,6 +175,14 @@ class TestEvaluation:
     def test_errors_on_the_left_still_propagate(self):
         with pytest.raises(OclRuntimeError):
             ev("1 / 0 = 0 and false")
+
+    @pytest.mark.parametrize("text, shared", [
+        ("1 < 2", TRUE), ("2 < 3", TRUE), ("3 < 2", FALSE), ("1 = 1.0", TRUE),
+        ("1 <> 1", FALSE), ("true and false", FALSE), ("false or true", TRUE),
+        ("false implies 1 / 0 = 0", TRUE), ("not true", FALSE), ("true", TRUE),
+        ("false", FALSE)])
+    def test_every_boolean_is_one_of_two_shared_values(self, text, shared):
+        assert ev(text) is shared
 
 
 class TestNavigation:
@@ -440,6 +451,20 @@ class TestRuntimeErrorMessages:
         with pytest.raises(OclRuntimeError) as caught:
             evaluate_expression(expr, Binding(env), objects, model)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("node", [
+        Binary("%", Literal(IntV(7)), Literal(IntV(2))),
+        Binary("%", Literal(StrV("a")), Literal(StrV("b"))),
+        Unary("%", Literal(IntV(7))),
+        CollectionOp(Nav(SelfRef(), "stages"), "%", "s", Literal(IntV(7))),
+    ])
+    def test_an_operator_the_evaluator_does_not_know_is_an_error_verdict(self, node):
+        """Nodes built through the API: the parser never builds these."""
+        model, objects = dpp_world(n_stages=0)
+        result = evaluate_constraint(OclConstraint("ProductPassport", "op", node),
+                                     objects, model)
+        assert [(i.verdict, i.message) for i in result.per_instance] == [
+            ("error", "unknown operator '%'")]
 
     def test_unknown_expression_node(self):
         with pytest.raises(OclRuntimeError) as caught:
