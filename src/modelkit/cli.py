@@ -7,6 +7,10 @@
     modelkit infer    --objects pop.objs --out inferred.buml.puml
     modelkit enforce  --model m.buml.puml --objects pop.objs --out pruned.objs
 
+Each option is `--name VALUE` or `--name=VALUE`, and a name may be cut
+to any prefix no other option of the command shares; `-h` or `--help`,
+alone or after a command, lists the commands or that command's options.
+
 Exit status: 0 all checks pass, 1 model-level failures (invalid model,
 conformance or constraint violations, aborted runs, residuals), 2 usage,
 parse, or I/O failures.  Reports go to stdout, one line per finding;
@@ -15,7 +19,7 @@ error counts are summarized on stderr.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -43,9 +47,10 @@ def _read(path: str) -> str | None:
         return None
 
 
-def _write(path: Path, content: str) -> bool:
+def _write(path: Path, content: str, mkdir: bool = True) -> bool:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if mkdir:
+            path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
         return True
@@ -77,38 +82,38 @@ def _load(path: str, parse, *args):
     return result.model, EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(model: str) -> int:
     from modelkit.puml import parse_class_model
 
-    return _load(args.model, parse_class_model)[1]
+    return _load(model, parse_class_model)[1]
 
 
-def cmd_check(args) -> int:
+def cmd_check(model: str, objects: str, ocl: str) -> int:
     from modelkit.conformance import check_conformance
     from modelkit.diagnostics import has_errors
     from modelkit.objtext import parse_object_model
     from modelkit.ocl import check_all, parse_ocl
     from modelkit.puml import parse_class_model
 
-    model, code = _load(args.model, parse_class_model)
-    if model is None:
+    classes, code = _load(model, parse_class_model)
+    if classes is None:
         return code
-    objects, code = _load(args.objects, parse_object_model, model)
-    if objects is None:
+    population, code = _load(objects, parse_object_model, classes)
+    if population is None:
         return code
-    ocl_text = _read(args.ocl)
+    ocl_text = _read(ocl)
     if ocl_text is None:
         return EXIT_USAGE
-    ocl = parse_ocl(ocl_text, filename=args.ocl)
-    if ocl.diagnostics:
-        _report(ocl.diagnostics)
+    constraints = parse_ocl(ocl_text, filename=ocl)
+    if constraints.diagnostics:
+        _report(constraints.diagnostics)
         return EXIT_USAGE
 
-    conformance = check_conformance(objects, model)
+    conformance = check_conformance(population, classes)
     _report(conformance)
     failed = has_errors(conformance)
 
-    for result in check_all(ocl.constraints, objects, model):
+    for result in check_all(constraints.constraints, population, classes):
         if result.message is not None:
             print(f"ERROR {result.constraint} {result.message}")
             failed = True
@@ -124,45 +129,47 @@ def cmd_check(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(model: str, target: str, out: str) -> int:
     from modelkit.codegen import GeneratorError, builtin_registry
     from modelkit.diagnostics import has_errors
     from modelkit.puml import parse_class_model
 
-    model, code = _load(args.model, parse_class_model)
-    if model is None:
+    classes, code = _load(model, parse_class_model)
+    if classes is None:
         return code
     registry = builtin_registry()
     try:
-        result = registry.generate(args.target, model)
+        result = registry.generate(target, classes)
     except GeneratorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_root = Path(args.out) / args.target
+    out_root = Path(out) / target
+    made: set[Path] = set()  # each directory is made once, not once per artifact
     for artifact in result.artifacts:
         path = out_root / artifact.relative_path
-        if not _write(path, artifact.content):
+        if not _write(path, artifact.content, path.parent not in made):
             return EXIT_USAGE
+        made.add(path.parent)
         print(path)
     _report(result.diagnostics)
     return EXIT_FAIL if has_errors(result.diagnostics) else EXIT_OK
 
 
-def cmd_fsm_run(args) -> int:
+def cmd_fsm_run(machine: str, scenario: str) -> int:
     from modelkit.fsm import (StepError, format_trace, parse_machine, parse_scenario,
                               run_scenario)
 
-    machine_text = _read(args.machine)
+    machine_text = _read(machine)
     if machine_text is None:
         return EXIT_USAGE
-    parsed = parse_machine(machine_text, filename=args.machine)
+    parsed = parse_machine(machine_text, filename=machine)
     if parsed.model is None:
         _report(parsed.diagnostics)
         return EXIT_USAGE
-    scenario_text = _read(args.scenario)
+    scenario_text = _read(scenario)
     if scenario_text is None:
         return EXIT_USAGE
-    steps, diags = parse_scenario(scenario_text, filename=args.scenario)
+    steps, diags = parse_scenario(scenario_text, filename=scenario)
     if diags:
         _report(diags)
         return EXIT_USAGE
@@ -177,81 +184,173 @@ def cmd_fsm_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(objects: str, out: str) -> int:
     from modelkit.flex import infer_class_model
     from modelkit.objtext import parse_object_model
     from modelkit.puml import serialize_class_model
 
-    objects, code = _load(args.objects, parse_object_model, None)  # needs no class model
-    if objects is None:
+    population, code = _load(objects, parse_object_model, None)  # needs no class model
+    if population is None:
         return code
     diagnostics: list = []
-    model = infer_class_model(objects, diagnostics)
+    classes = infer_class_model(population, diagnostics)
     _report(diagnostics)
     try:
-        text = serialize_class_model(model)
+        text = serialize_class_model(classes)
     except ValueError as exc:  # the inferred model is invalid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if not _write(Path(args.out), text):
+    if not _write(Path(out), text):
         return EXIT_USAGE
-    print(args.out)
+    print(out)
     return EXIT_OK
 
 
-def cmd_enforce(args) -> int:
+def cmd_enforce(model: str, objects: str, out: str) -> int:
     from modelkit.diagnostics import has_errors
     from modelkit.flex import enforce_conformance
     from modelkit.objtext import parse_object_model, serialize_object_model
     from modelkit.puml import parse_class_model
 
-    model, code = _load(args.model, parse_class_model)
-    if model is None:
+    classes, code = _load(model, parse_class_model)
+    if classes is None:
         return code
-    objects, code = _load(args.objects, parse_object_model, model)
-    if objects is None:
+    population, code = _load(objects, parse_object_model, classes)
+    if population is None:
         return code
-    pruned, diagnostics = enforce_conformance(objects, model)
+    pruned, diagnostics = enforce_conformance(population, classes)
     _report(diagnostics)
-    if not _write(Path(args.out), serialize_object_model(pruned)):
+    if not _write(Path(out), serialize_object_model(pruned)):
         return EXIT_USAGE
-    print(args.out)
+    print(out)
     return EXIT_FAIL if has_errors(diagnostics) else EXIT_OK
 
 
-# Each subcommand: its name, help text, the options it requires, its handler.
-_COMMANDS = (
-    ("validate", "well-formedness of a class model", ("model",), cmd_validate),
-    ("check", "conformance plus OCL invariants over objects", ("model", "objects", "ocl"),
-     cmd_check),
-    ("generate", "run a code generator", ("model", "target", "out"), cmd_generate),
-    ("fsm-run", "run a scenario against a machine", ("machine", "scenario"), cmd_fsm_run),
-    ("infer", "infer a class model from objects", ("objects", "out"), cmd_infer),
-    ("enforce", "prune non-conforming elements", ("model", "objects", "out"), cmd_enforce),
-)
+_MODEL = "class model, PlantUML subset (.buml.puml)"
+_OBJECTS = "object population (.objs)"
+
+# Each subcommand: its help text, its handler, and the options it requires
+# with their help texts; the handler takes the options as keywords.
+_COMMANDS = {
+    "validate": ("well-formedness of a class model", cmd_validate, {"model": _MODEL}),
+    "check": ("conformance plus OCL invariants over objects", cmd_check,
+              {"model": _MODEL, "objects": _OBJECTS, "ocl": "OCL invariants (.ocl)"}),
+    "generate": ("run a code generator", cmd_generate,
+                 {"model": _MODEL, "target": "generator id: classes or sql",
+                  "out": "directory; artifacts are written under OUT/TARGET/"}),
+    "fsm-run": ("run a scenario against a machine", cmd_fsm_run,
+                {"machine": "state machine (.fsm)",
+                 "scenario": "one event and its payload per line"}),
+    "infer": ("infer a class model from objects", cmd_infer,
+              {"objects": _OBJECTS, "out": "class model file to write"}),
+    "enforce": ("prune non-conforming elements", cmd_enforce,
+                {"model": _MODEL, "objects": _OBJECTS,
+                 "out": "file to write the pruned population to"}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modelkit",
-        description="Validate, check, and transform class/object models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, options, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for option in options:
-            p.add_argument(f"--{option}", required=True)
-        p.set_defaults(func=func)
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: modelkit {{{','.join(_COMMANDS)}}} --option VALUE ..."
+    options = " ".join(f"--{name} {name.upper()}" for name in _COMMANDS[command][2])
+    return f"usage: modelkit {command} {options}"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        title, heading = "Validate, check, and transform class/object models.", "commands"
+        rows = {name: entry[0] for name, entry in _COMMANDS.items()}
+    else:
+        title, _, options = _COMMANDS[command]
+        heading = "options"
+        rows = {f"--{name} {name.upper()}": text for name, text in options.items()}
+    width = max(map(len, rows))
+    lines = [_usage(command), "", title, "", f"{heading}:"]
+    lines += [f"  {left:<{width}}  {text}" for left, text in rows.items()]
+    return "\n".join(lines)
+
+
+def _usage_error(command: str | None, message: str) -> int:
+    prog = "modelkit" if command is None else f"modelkit {command}"
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _names(token: str, options) -> list[str]:
+    """The option names `token` may stand for: `-h` stands for `help`, and
+    `--NAME` or `--NAME=VALUE` for NAME, or for each name NAME begins."""
+    if token == "-h":
+        return ["help"]
+    flag = token[2:].partition("=")[0] if token.startswith("--") else ""
+    names = [name for name in (*options, "help") if flag and name.startswith(flag)]
+    return [flag] if flag in names else names
+
+
+def _is_value(token: str) -> bool:
+    """Whether the token after `--option` is its value rather than another
+    option: it does not start with `-`, or is `-`, a negative number or a
+    text with a blank."""
+    return (not token.startswith("-") or token == "-" or " " in token
+            or token[1:].replace(".", "", 1).isdigit())
+
+
+def _command(argv: list[str]):
+    """The handler `argv` names and the options to call it with, or the exit
+    status once help or a usage error is printed.  Help wins over an
+    unknown argument, and a missing option is reported before an unknown
+    one."""
+    if argv and _names(argv[0], ()) == ["help"]:
+        print(_help(None))
+        return EXIT_OK
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"invalid choice: {argv[0]!r}" if argv else "a command is required"
+        return _usage_error(None, f"{given} (choose from {', '.join(_COMMANDS)})")
+    command, tokens = argv[0], iter(argv[1:])
+    _, func, options = _COMMANDS[command]
+    values: dict[str, str] = {}
+    unknown: list[str] = []
+    for token in tokens:
+        names = _names(token, options)
+        if len(names) > 1:
+            listed = ", ".join(f"--{name}" for name in names)
+            return _usage_error(command, f"ambiguous option: {token} could match {listed}")
+        if not names:
+            unknown.append(token)
+        elif names[0] == "help":
+            print(_help(command))
+            return EXIT_OK
+        elif "=" in token:
+            values[names[0]] = token.partition("=")[2]
+        else:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                return _usage_error(command, f"argument --{names[0]}: expected one argument")
+            values[names[0]] = value
+    missing = [f"--{name}" for name in options if name not in values]
+    if missing:
+        return _usage_error(command, "the following arguments are required: "
+                            + ", ".join(missing))
+    if unknown:
+        return _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return func, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    command = _command(sys.argv[1:] if argv is None else argv)
+    if isinstance(command, int):
+        return command
+    func, values = command
+    # No command makes a reference cycle, so reference counting frees all
+    # it drops and a collector pass would only rescan live, acyclic models
+    # and populations; a CLI process ends when its command returns.  An
+    # in-process caller gets its collector back as it was.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize anything else.
-        return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+        return func(**values)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

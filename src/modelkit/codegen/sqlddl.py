@@ -56,17 +56,6 @@ class _Table(Record):
         self.foreign_keys = [] if foreign_keys is None else foreign_keys
         self.depends_on = set() if depends_on is None else depends_on
 
-    def add_column(self, name: str, rendered: str,
-                   diags: list[Diagnostic], context: str) -> bool:
-        if any(existing == name for existing, _ in self.columns):
-            diags.append(error("name-collision",
-                               f"column '{name}' appears twice in table "
-                               f"'{self.name}' ({context})",
-                               subject=f"{self.name}.{name}"))
-            return False
-        self.columns.append((name, rendered))
-        return True
-
 
 def _column_type(index: ModelIndex, type_name: str, column: str) -> str | None:
     kind = index.kind(type_name)
@@ -144,6 +133,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             keys[cls.name] = []
 
     tables: dict[str, _Table] = {}
+    column_names: dict[str, set[str]] = {}  # of each table, to find a duplicate
 
     def new_table(name: str, order: int, subject: str) -> _Table | None:
         if name in tables:
@@ -152,9 +142,21 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
                                f"snake_case mangling",
                                subject=subject))
             return None
-        table = _Table(name=name, order=order)
-        tables[name] = table
+        table = tables[name] = _Table(name=name, order=order)
+        column_names[name] = set()
         return table
+
+    def add_column(table: _Table, name: str, rendered: str, context: str) -> bool:
+        names = column_names[table.name]
+        if name in names:
+            diags.append(error("name-collision",
+                               f"column '{name}' appears twice in table "
+                               f"'{table.name}' ({context})",
+                               subject=f"{table.name}.{name}"))
+            return False
+        names.add(name)
+        table.columns.append((name, rendered))
+        return True
 
     class_table: dict[str, str] = {}
     for order, cls in enumerate(concrete):
@@ -163,7 +165,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             continue
         class_table[cls.name] = table.name
         if cls.name in synthetic:
-            table.add_column("id", "INTEGER", diags, "synthetic key")
+            add_column(table, "id", "INTEGER", "synthetic key")
         for prop in index.flat(cls.name):
             rendered = _column_type(index, prop.type_name, prop.name)
             if rendered is None:
@@ -173,11 +175,11 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
                                    f"as an association instead",
                                    subject=f"{cls.name}.{prop.name}"))
                 continue
-            table.add_column(prop.name, rendered, diags, "declared property")
+            add_column(table, prop.name, rendered, "declared property")
         table.primary_key = [name for name, _ in keys[cls.name]]
         if not table.columns:
             # A table needs at least one column to be valid SQL.
-            table.add_column("id", "INTEGER", diags, "synthetic key")
+            add_column(table, "id", "INTEGER", "synthetic key")
             table.primary_key = ["id"]
             keys[cls.name] = [("id", "INTEGER")]
             diags.append(warning("synthetic-key",
@@ -192,7 +194,7 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
         for key_name, key_type in keys[referenced_class]:
             rendered = key_type + (" NOT NULL" if required else "")
             col = f"{base}_{key_name}"
-            if table.add_column(col, rendered, diags, context):
+            if add_column(table, col, rendered, context):
                 cols.append(col)
         if cols:
             ref_table = class_table[referenced_class]

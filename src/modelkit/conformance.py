@@ -75,25 +75,24 @@ def _check_object(obj, index, diags) -> None:
     props = index.properties(cls.name)
     seen_slots: set[str] = set()
     for slot in obj.slots:
-        subject = f"{obj.id}.{slot.property_name}"
-        if slot.property_name in seen_slots:
-            diags.append(error("dup-slot",
-                               f"object '{obj.id}' assigns property "
-                               f"'{slot.property_name}' more than once",
-                               slot.span, subject=subject))
-            continue
-        seen_slots.add(slot.property_name)
-        prop = props.get(slot.property_name)
-        if prop is None:
-            diags.append(error("unknown-property",
-                               f"object '{obj.id}' assigns unknown property "
-                               f"'{slot.property_name}' of class '{cls.name}'",
-                               slot.span, subject=subject))
-        elif not value_conforms(slot.value, prop.type_name, index):
-            diags.append(error("slot-type",
-                               f"value of slot '{obj.id}.{slot.property_name}' does not "
-                               f"fit declared type '{prop.type_name}'",
-                               slot.span, subject=subject))
+        name = slot.property_name
+        if name in seen_slots:
+            code, message = "dup-slot", (f"object '{obj.id}' assigns property "
+                                         f"'{name}' more than once")
+        else:
+            seen_slots.add(name)
+            prop = props.get(name)
+            if prop is None:
+                code, message = "unknown-property", (
+                    f"object '{obj.id}' assigns unknown property "
+                    f"'{name}' of class '{cls.name}'")
+            elif not value_conforms(slot.value, prop.type_name, index):
+                code, message = "slot-type", (
+                    f"value of slot '{obj.id}.{name}' does not "
+                    f"fit declared type '{prop.type_name}'")
+            else:
+                continue
+        diags.append(error(code, message, slot.span, subject=f"{obj.id}.{name}"))
 
     for prop in props.values():
         # Class-typed properties admit omission (their only value is null).

@@ -171,21 +171,20 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
         kept_slots: list[AttributeLink] = []
         seen: set[str] = set()
         for slot in obj.slots:
-            subject = f"'{obj.id}.{slot.property_name}'"
-            prop = props.get(slot.property_name)
-            if slot.property_name in seen:
-                removed("slot", subject, "duplicate assignment")
-                continue
-            seen.add(slot.property_name)
-            if prop is None:
-                removed("slot", subject,
-                        f"unknown property of '{obj.classifier}'")
-                continue
-            if not value_conforms(slot.value, prop.type_name, index):
-                removed("slot", subject,
-                        f"value does not fit declared type '{prop.type_name}'")
-                continue
-            kept_slots.append(slot)
+            name = slot.property_name
+            if name in seen:
+                reason = "duplicate assignment"
+            else:
+                seen.add(name)
+                prop = props.get(name)
+                if prop is None:
+                    reason = f"unknown property of '{obj.classifier}'"
+                elif not value_conforms(slot.value, prop.type_name, index):
+                    reason = f"value does not fit declared type '{prop.type_name}'"
+                else:
+                    kept_slots.append(slot)
+                    continue
+            removed("slot", f"'{obj.id}.{name}'", reason)
         pruned_objects.append(ObjectDef(id=obj.id, classifier=obj.classifier,
                                         slots=kept_slots, span=obj.span))
 

@@ -24,7 +24,9 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import (
+    INT_CHARS,
     JSON_STRING,
+    PLAIN_CHARS,
     Diagnostic,
     ParseResult,
     Record,
@@ -34,7 +36,6 @@ from modelkit.diagnostics import (
     read_lines,
 )
 from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
-from modelkit.objtext import INT_CHARS, PLAIN_CHARS, parse_value
 from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
@@ -346,6 +347,9 @@ def parse_scenario(text: str, filename: str = "<scenario>"
                 if value is None:
                     value = ints[digits] = IntV(int(digits))
             else:
+                # deferred: plain strings and integers need no object reader
+                from modelkit.objtext import parse_value
+
                 value = parse_value(other)
                 if value is None:
                     diagnostics.append(error(

@@ -12,7 +12,6 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import Diagnostic, Record, SourceSpan, error, int_text
-from modelkit.index import ModelIndex
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -324,6 +323,8 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
     order runs classes, then enumerations, then associations, then
     generalizations.
     """
+    from modelkit.index import ModelIndex  # deferred: fsm-run builds no class model
+
     found: list[tuple[int, str, Diagnostic]] = []
     index = ModelIndex(model)
     n_classes = len(model.classes)

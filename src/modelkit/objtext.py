@@ -25,7 +25,8 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import (
-    SAFE_DIGITS,
+    INT_CHARS,
+    PLAIN_CHARS,
     ParseResult,
     SourceSpan,
     error,
@@ -53,15 +54,10 @@ from modelkit.metamodel import (
     Value,
 )
 
-# The characters of a JSON string that has nothing to escape (RFC 8259
-# section 7: no quote, backslash or control character).  The readers take
-# such a string, and an integer int() converts under every limit, straight
-# from their match, and any other value goes through parse_value, which
-# reads a longer integer with read_int; render_value writes such a string
-# as is.
-PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
+# The readers take a plain string or a short integer straight from their
+# match, and any other value goes through parse_value, which reads a longer
+# integer with read_int; render_value writes a plain string as is.
 _PLAIN_RE = re.compile(PLAIN_CHARS)
-INT_CHARS = rf"-?\d{{1,{SAFE_DIGITS}}}"
 
 # Object, slot and link statements, tried in that order.
 _STATEMENT_RE = re.compile(

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from modelkit.index import ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     BOOLS,
     BoolV,
@@ -64,6 +63,9 @@ from modelkit.ocl.nodes import (
     Unary,
     VarRef,
 )
+
+if TYPE_CHECKING:  # imported where an index is built: a guard builds none
+    from modelkit.index import ModelIndex, PopulationIndex
 
 # What an expression can evaluate to: a plain value, an object reference,
 # or an ordered collection of either.
@@ -101,10 +103,14 @@ class Scope:
 
     @cached_property
     def types(self) -> ModelIndex:
+        from modelkit.index import ModelIndex
+
         return ModelIndex(self.model)
 
     @cached_property
     def links(self) -> PopulationIndex:
+        from modelkit.index import PopulationIndex
+
         return PopulationIndex(self.objects)
 
 

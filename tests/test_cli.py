@@ -1,6 +1,11 @@
+import gc
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from conftest import FIXTURES
 from modelkit.cli import main
 from modelkit.objtext import parse_object_model, serialize_object_model
 from modelkit.puml import parse_class_model
@@ -121,6 +126,23 @@ class TestGenerate:
         assert out == ""
         assert not (tmp_path / "o" / "classes").exists() or \
             list((tmp_path / "o" / "classes").iterdir()) == []
+
+    def test_each_output_directory_is_made_once(self, capsys, fixtures_dir,
+                                                tmp_path, monkeypatch):
+        made = []
+        mkdir = Path.mkdir
+
+        def counted(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        code, out, _ = run(capsys, "generate",
+                           "--model", str(fixtures_dir / "dpp.buml.puml"),
+                           "--target", "classes", "--out", str(tmp_path))
+        assert code == 0
+        assert len(out.splitlines()) > 1
+        assert made == [tmp_path / "classes"]
 
     def test_unknown_target_exits_two_listing_ids(self, capsys, fixtures_dir,
                                                   tmp_path):
@@ -283,6 +305,96 @@ def test_infer_check_enforce_pipeline_on_random_populations(capsys, tmp_path):
                      "--objects", str(objs_path),
                      "--out", str(pruned_path)]) == 0
         assert pruned_path.read_text() == objs_path.read_text()
+    capsys.readouterr()
+
+
+DPP = str(FIXTURES / "dpp.buml.puml")
+
+
+# Each argv's exit code and the stream it writes, as recorded from the
+# argparse-based reader this one replaced.  A usage error writes a usage
+# line and an `error:` line to stderr; help goes to stdout.
+@pytest.mark.parametrize("argv, code, stream", [
+    ([], 2, "err"),
+    (["frobnicate"], 2, "err"),
+    (["validate"], 2, "err"),
+    (["validate", "--model"], 2, "err"),
+    (["validate", "--model", "a", "extra"], 2, "err"),
+    (["validate", "--nope", "x"], 2, "err"),
+    (["validate", f"--model={DPP}"], 0, None),
+    (["validate", "--mod", DPP], 0, None),
+    (["validate", "--model", "a", "--model", DPP], 0, None),
+    (["validate", "--model", "-x"], 2, "err"),
+    (["check", "--o", "x"], 2, "err"),
+    (["-h"], 0, "out"),
+    (["--help"], 0, "out"),
+    (["check", "-h"], 0, "out"),
+    (["validate", "--model", DPP, "-h"], 0, "out"),
+], ids=lambda v: " ".join(v).replace(DPP, "<fixture>") if isinstance(v, list) else None)
+def test_argv_table(capsys, argv, code, stream):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert [name for name, text in (("out", out), ("err", err)) if text] == \
+        ([stream] if stream else [])
+    text = out or err
+    if text:
+        assert text.startswith("usage: modelkit")
+    if code == 2:
+        assert "error: " in err.splitlines()[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, "validate", "--model", DPP)[0] == 0
+        assert gc.isenabled() is enabled
+        assert run(capsys, "validate")[0] == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+GUARDED = "machine m\nstate A\nstate B\ninitial A\nevent go\ntrans A -> B on go when x / 0 > 1\n"
+CHECK = "check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl "
+
+
+@pytest.mark.parametrize("command, code", [
+    ("validate --model {fx}/dpp.buml.puml", 0),
+    (CHECK + "{fx}/dpp.ocl", 0),
+    ("generate --model {fx}/dpp.buml.puml --target sql --out {tmp}", 0),
+    ("generate --model {fx}/dpp.buml.puml --target classes --out {tmp}", 0),
+    ("fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario", 0),
+    ("infer --objects {fx}/dpp.objs --out {tmp}/inferred.buml.puml", 0),
+    ("enforce --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --out {tmp}/p.objs", 0),
+    (CHECK + "{tmp}/navigation.ocl", 1),
+    (CHECK + "{tmp}/division.ocl", 1),
+    (CHECK + "{tmp}/malformed.ocl", 2),
+    ("fsm-run --machine {tmp}/guarded.fsm --scenario {tmp}/go.scenario", 1),
+    ("validate --nope x", 2),
+], ids=["validate", "check", "generate-sql", "generate-classes", "fsm-run", "infer",
+        "enforce", "unknown-navigation", "division-by-zero", "parse-error",
+        "guard-error", "usage-error"])
+def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, command, code):
+    """Why `main` may run with the collector off: whatever a command drops,
+    reference counting frees, on success and on every kind of failure."""
+    for name, text in (
+            ("navigation.ocl", "context ProductPassport inv n: self.nope->size() > 0\n"),
+            ("division.ocl", "context ProductPassport inv d: 1 / 0 > 0\n"),
+            ("malformed.ocl", "context ProductPassport inv m: self.\n"),
+            ("guarded.fsm", GUARDED), ("go.scenario", "go x=1\n")):
+        (tmp_path / name).write_text(text)
+    argv = command.format(fx=FIXTURES, tmp=tmp_path).split()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()  # so that no automatic pass can hide a cycle
+    try:
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
     capsys.readouterr()
 
 

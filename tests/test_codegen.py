@@ -201,6 +201,19 @@ class TestSqlDdl:
         content = result.artifacts[0].content
         assert "PRIMARY KEY (parent_k, child_k)" in content
 
+    def test_a_foreign_key_column_named_like_a_property_collides(self):
+        model = ClassModel(name="m", classes=[
+            ClassDef("P", properties=[Property("code", "str", is_id=True)]),
+            ClassDef("S", properties=[Property("p_code", "str")])])
+        model.associations.append(Association("owns", (
+            AssociationEnd("P", multiplicity=Multiplicity(1, 1)),
+            AssociationEnd("S"))))
+        result = generate_sql_ddl(model)
+        assert [(d.format(), d.subject) for d in result.diagnostics] == [(
+            "error name-collision - column 'p_code' appears twice in table 's' "
+            "(association 'owns')", "s.p_code")]
+        assert "CREATE TABLE s (\n  p_code TEXT\n);" in result.artifacts[0].content
+
     def test_generated_sql_always_parses(self):
         rng = random.Random(71)
         for _ in range(60):
