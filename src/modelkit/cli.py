@@ -319,11 +319,9 @@ def _command(argv: list[str]):
         elif names[0] == "help":
             print(_help(command))
             return EXIT_OK
-        elif "=" in token:
-            values[names[0]] = token.partition("=")[2]
-        else:
-            value = next(tokens, None)
-            if value is None or not _is_value(value):
+        else:  # an empty value names no file, target or directory
+            value = token.partition("=")[2] if "=" in token else next(tokens, "")
+            if not value or not ("=" in token or _is_value(value)):
                 return _usage_error(command, f"argument --{names[0]}: expected one argument")
             values[names[0]] = value
     missing = [f"--{name}" for name in options if name not in values]

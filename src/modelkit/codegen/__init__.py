@@ -26,8 +26,6 @@ class GeneratorError(Exception):
 class GeneratedArtifact(Record):
     """One generated file: a normalized relative path and its text."""
 
-    __slots__ = ("relative_path", "content")
-
     def __init__(self, relative_path: str, content: str):
         path = relative_path
         normalized = posixpath.normpath(path)
@@ -40,8 +38,6 @@ class GeneratedArtifact(Record):
 class GenerationResult(Record):
     """The files a generator produced and the diagnostics it reported."""
 
-    __slots__ = ("artifacts", "diagnostics")
-
     def __init__(self, artifacts: Optional[list[GeneratedArtifact]] = None,
                  diagnostics: Optional[list[Diagnostic]] = None):
         self.artifacts = [] if artifacts is None else artifacts
@@ -50,8 +46,6 @@ class GenerationResult(Record):
 
 class GeneratorDescriptor(Record):
     """A generator registered under `id`, and the function that runs it."""
-
-    __slots__ = ("id", "display_name", "produce")
 
     def __init__(self, id: str, display_name: str,
                  produce: Callable[[ClassModel], GenerationResult]):

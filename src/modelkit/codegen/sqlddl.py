@@ -43,8 +43,6 @@ class _Table(Record):
     """A table being built: columns as (name, rendered type), keys, and the
     tables it references."""
 
-    __slots__ = ("name", "order", "columns", "primary_key", "foreign_keys", "depends_on")
-
     def __init__(self, name: str, order: int,
                  columns: list[tuple[str, str]] | None = None,
                  primary_key: list[str] | None = None,

@@ -36,13 +36,13 @@ def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
     Class-typed properties hold no literal values, only null; object
     references travel through links instead.
     """
-    if isinstance(value, NullV):
+    if type(value) is NullV:
         return True
     kind = index.kind(declared_type)
     if kind == "primitive":
-        return isinstance(value, PRIMITIVE_VALUES[declared_type])
+        return type(value) in PRIMITIVE_VALUES[declared_type]
     if kind == "enum":
-        return (isinstance(value, EnumV) and value.enum == declared_type
+        return (type(value) is EnumV and value.enum == declared_type
                 and value.literal in index.enums[declared_type].literals)
     return False  # class-typed (non-null) or unresolvable
 
@@ -104,18 +104,17 @@ def _check_object(obj, index, diags) -> None:
 
 
 def _check_link(position, link, known, index, diags) -> None:
-    subject = f"link[{position}]"
     assoc = index.associations.get(link.association_name)
     if assoc is None:
         diags.append(error("unknown-association",
                            f"link references unknown association "
                            f"'{link.association_name}'",
-                           link.span, subject=subject))
+                           link.span, subject=f"link[{position}]"))
         return
     if len(link.ends) != 2:
         diags.append(error("link-ends",
                            f"link of '{assoc.name}' must have exactly two ends",
-                           link.span, subject=subject))
+                           link.span, subject=f"link[{position}]"))
         return
     for pos, link_end in enumerate(link.ends):
         obj = known.get(link_end.object_id)
@@ -123,7 +122,7 @@ def _check_link(position, link, known, index, diags) -> None:
             diags.append(error("unknown-object",
                                f"link of '{assoc.name}' references unknown object "
                                f"'{link_end.object_id}'",
-                               link.span, subject=subject))
+                               link.span, subject=f"link[{position}]"))
             continue
         end = assoc.ends[pos]
         if end.target not in index.classes or obj.classifier not in index.classes:
@@ -132,7 +131,7 @@ def _check_link(position, link, known, index, diags) -> None:
             diags.append(error("link-end-type",
                                f"object '{obj.id}' ({obj.classifier}) cannot occupy the "
                                f"'{end.target}' end of association '{assoc.name}'",
-                               link.span, subject=subject))
+                               link.span, subject=f"link[{position}]"))
 
 
 def _check_multiplicities(index, population, diags) -> None:

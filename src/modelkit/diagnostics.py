@@ -18,18 +18,25 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-class Record:
-    """Base of the plain records: each subclass lists its fields, in
-    constructor order, as `__slots__`.  Records compare field by field, as
-    tuples do, only with the same class and skipping the `_uncompared`
-    field; they are unhashable, their repr is `Name(field=value, ...)`, and
-    class patterns take their fields positionally."""
+class _RecordType(type):
+    """Makes a record class's own `__init__` parameters its fields."""
 
-    __slots__ = ()
+    def __new__(mcls, name, bases, namespace):
+        if "__slots__" in namespace:
+            raise TypeError(f"record {name} lists __slots__; its __init__ lists its fields")
+        init = getattr(namespace.get("__init__"), "__code__", None)
+        namespace["__slots__"] = namespace["__match_args__"] = (
+            init.co_varnames[1:init.co_argcount] if init else ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the plain records, whose fields are their constructors'
+    parameters.  Records compare field by field, as tuples do, only within
+    one class and skipping the `_uncompared` field; they are unhashable,
+    their repr is `Name(field=value, ...)`, class patterns bind fields in order."""
+
     _uncompared = "span"  # where a record came from
-
-    def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -50,8 +57,6 @@ class Record:
 class SourceSpan(Record):
     """1-based position of a construct inside an input file."""
 
-    __slots__ = ("file", "line", "column")
-
     def __init__(self, file: str, line: int, column: int = 1):
         self.file, self.line, self.column = file, line, column
 
@@ -60,7 +65,6 @@ class Diagnostic(Record):
     """One reported problem: severity, stable code, message, position and,
     for tooling, the id or name of the offending element."""
 
-    __slots__ = ("severity", "code", "message", "span", "subject")
     _uncompared = None  # unlike other records', a diagnostic's span counts
 
     def __init__(self, severity: Severity, code: str, message: str,
@@ -70,10 +74,8 @@ class Diagnostic(Record):
 
     def format(self) -> str:
         """Render as one report line: `severity code file:line:col message`."""
-        if self.span is not None:
-            loc = f"{self.span.file}:{self.span.line}:{self.span.column}"
-        else:
-            loc = "-"
+        span = self.span
+        loc = "-" if span is None else f"{span.file}:{span.line}:{span.column}"
         return f"{self.severity.value} {self.code} {loc} {self.message}"
 
 
@@ -154,8 +156,6 @@ SYNTAX_CODES = frozenset({
 
 class ParseResult(Record):
     """Outcome of one parse: a model only when nothing went wrong."""
-
-    __slots__ = ("model", "diagnostics")
 
     def __init__(self, model: Any, diagnostics: Optional[list[Diagnostic]] = None):
         self.model = model

@@ -44,16 +44,12 @@ from modelkit.ocl.parser import parse_expression
 class State(Record):
     """A state and the action its entry fires, if any."""
 
-    __slots__ = ("name", "body_action")
-
     def __init__(self, name: str, body_action: Optional[str] = None):
         self.name, self.body_action = name, body_action
 
 
 class Transition(Record):
     """An edge from `source` to `target` on `event`, taken if its guard holds."""
-
-    __slots__ = ("source", "target", "event", "guard", "guard_text")
 
     def __init__(self, source: str, target: str, event: str,
                  guard: Optional[OclExpr] = None, guard_text: Optional[str] = None):
@@ -63,8 +59,6 @@ class Transition(Record):
 
 class StateMachine(Record):
     """States, events and transitions in declaration order, and the initial state."""
-
-    __slots__ = ("name", "states", "events", "transitions", "initial_state")
 
     def __init__(self, name: str, states: Optional[list[State]] = None,
                  events: Optional[list[str]] = None,
@@ -78,8 +72,6 @@ class StateMachine(Record):
 class TraceEntry(Record):
     """One step taken: event, states left and entered, actions fired."""
 
-    __slots__ = ("event", "source", "target", "actions_fired")
-
     def __init__(self, event: str, source: str, target: str,
                  actions_fired: tuple[str, ...] = ()):
         self.event, self.source, self.target = event, source, target
@@ -88,8 +80,6 @@ class TraceEntry(Record):
 
 class Session(Record):
     """A machine's current state, its variables and the trace so far."""
-
-    __slots__ = ("current_state", "variables", "trace")
 
     def __init__(self, current_state: str, variables: Optional[dict[str, Value]] = None,
                  trace: Optional[list[TraceEntry]] = None):

@@ -26,8 +26,6 @@ def is_identifier(name: str) -> bool:
 class Value(Record):
     """Base of the value union stored in object slots."""
 
-    __slots__ = ()
-
 
 def _same_value(self, other):
     # The one-field values compare directly: OCL's `=` calls this.
@@ -39,7 +37,6 @@ def _same_value(self, other):
 class IntV(Value):
     """An integer slot value."""
 
-    __slots__ = ("value",)
     __eq__ = _same_value
 
     def __init__(self, value: int):
@@ -49,7 +46,6 @@ class IntV(Value):
 class FloatV(Value):
     """A floating-point slot value."""
 
-    __slots__ = ("value",)
     __eq__ = _same_value
 
     def __init__(self, value: float):
@@ -59,7 +55,6 @@ class FloatV(Value):
 class StrV(Value):
     """A string slot value."""
 
-    __slots__ = ("value",)
     __eq__ = _same_value
 
     def __init__(self, value: str):
@@ -69,7 +64,6 @@ class StrV(Value):
 class BoolV(Value):
     """A boolean slot value."""
 
-    __slots__ = ("value",)
     __eq__ = _same_value
 
     def __init__(self, value: bool):
@@ -79,16 +73,12 @@ class BoolV(Value):
 class EnumV(Value):
     """A qualified enumeration literal, `Enum::LITERAL`."""
 
-    __slots__ = ("enum", "literal")
-
     def __init__(self, enum: str, literal: str):
         self.enum, self.literal = enum, literal
 
 
 class NullV(Value):
     """The null slot value; use the NULL singleton."""
-
-    __slots__ = ()
 
 
 NULL = NullV()
@@ -104,8 +94,6 @@ BOOLS = (FALSE, TRUE)
 class Multiplicity(Record):
     """[lower, upper] bound on links at an association end; upper None = unbounded."""
 
-    __slots__ = ("lower", "upper")
-
     def __init__(self, lower: int = 0, upper: Optional[int] = None):
         self.lower, self.upper = lower, upper
 
@@ -113,8 +101,6 @@ class Multiplicity(Record):
 class Property(Record):
     """A typed attribute of a class, optionally its identifier; `type_name` is
     one of index.PRIMITIVE_TYPES, a class name, or an enum name."""
-
-    __slots__ = ("name", "type_name", "is_id", "span")
 
     def __init__(self, name: str, type_name: str, is_id: bool = False,
                  span: Optional[SourceSpan] = None):
@@ -124,8 +110,6 @@ class Property(Record):
 
 class ClassDef(Record):
     """A class with its own (not inherited) properties."""
-
-    __slots__ = ("name", "is_abstract", "properties", "span")
 
     def __init__(self, name: str, is_abstract: bool = False,
                  properties: Optional[list[Property]] = None,
@@ -137,8 +121,6 @@ class ClassDef(Record):
 class EnumDef(Record):
     """An enumeration and its literals, in declaration order."""
 
-    __slots__ = ("name", "literals", "span")
-
     def __init__(self, name: str, literals: Optional[list[str]] = None,
                  span: Optional[SourceSpan] = None):
         self.name, self.span = name, span
@@ -147,8 +129,6 @@ class EnumDef(Record):
 
 class AssociationEnd(Record):
     """One end of a binary association: target class name, role and multiplicity."""
-
-    __slots__ = ("target", "role", "multiplicity", "is_composite")
 
     def __init__(self, target: str, role: Optional[str] = None,
                  multiplicity: Optional[Multiplicity] = None, is_composite: bool = False):
@@ -163,8 +143,6 @@ class AssociationEnd(Record):
 class Association(Record):
     """A named binary association between two ends."""
 
-    __slots__ = ("name", "ends", "span")
-
     def __init__(self, name: str, ends: tuple[AssociationEnd, AssociationEnd],
                  span: Optional[SourceSpan] = None):
         self.name, self.ends, self.span = name, ends, span
@@ -173,16 +151,12 @@ class Association(Record):
 class Generalization(Record):
     """`specific` inherits from `general`."""
 
-    __slots__ = ("general", "specific", "span")
-
     def __init__(self, general: str, specific: str, span: Optional[SourceSpan] = None):
         self.general, self.specific, self.span = general, specific, span
 
 
 class ClassModel(Record):
     """A class model: classes, enumerations, associations and generalizations."""
-
-    __slots__ = ("name", "classes", "enumerations", "associations", "generalizations")
 
     def __init__(self, name: str = "model", classes: Optional[list[ClassDef]] = None,
                  enumerations: Optional[list[EnumDef]] = None,
@@ -201,16 +175,12 @@ class ClassModel(Record):
 class AttributeLink(Record):
     """A slot of an object: a property name and its value."""
 
-    __slots__ = ("property_name", "value", "span")
-
     def __init__(self, property_name: str, value: Value, span: Optional[SourceSpan] = None):
         self.property_name, self.value, self.span = property_name, value, span
 
 
 class ObjectDef(Record):
     """An object: its id, classifier and slots in assignment order."""
-
-    __slots__ = ("id", "classifier", "slots", "span")
 
     def __init__(self, id: str, classifier: str,
                  slots: Optional[list[AttributeLink]] = None,
@@ -228,16 +198,12 @@ class ObjectDef(Record):
 class LinkEnd(Record):
     """The object at one end of a link."""
 
-    __slots__ = ("object_id",)
-
     def __init__(self, object_id: str):
         self.object_id = object_id
 
 
 class Link(Record):
     """An instance of an association, its ends in association-end order."""
-
-    __slots__ = ("association_name", "ends", "span")
 
     def __init__(self, association_name: str, ends: tuple[LinkEnd, LinkEnd],
                  span: Optional[SourceSpan] = None):
@@ -246,8 +212,6 @@ class Link(Record):
 
 class ObjectModel(Record):
     """A population: objects in declaration order, then links."""
-
-    __slots__ = ("name", "objects", "links")
 
     def __init__(self, name: str = "objects", objects: Optional[list[ObjectDef]] = None,
                  links: Optional[list[Link]] = None):

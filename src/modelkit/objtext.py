@@ -103,21 +103,22 @@ def parse_value(text: str) -> Optional[Value]:
 def render_value(value: Value) -> str:
     """The literal for `value`; ValueError for a float that is not finite
     and for an integer of more than MAX_DIGITS digits."""
-    if isinstance(value, IntV):
+    kind = type(value)
+    if kind is IntV:
         return int_literal(value.value)
-    if isinstance(value, FloatV):
+    if kind is FloatV:
         if not math.isfinite(value.value):
             raise ValueError(f"the notation has no literal for {value.value!r}")
         return repr(value.value)
-    if isinstance(value, StrV):
+    if kind is StrV:
         text = value.value
         if _PLAIN_RE.fullmatch(text):
             return '"' + text + '"'
         import json
         return json.dumps(text, ensure_ascii=False)
-    if isinstance(value, BoolV):
+    if kind is BoolV:
         return "true" if value.value else "false"
-    if isinstance(value, EnumV):
+    if kind is EnumV:
         return f"{value.enum}::{value.literal}"
     return "null"
 

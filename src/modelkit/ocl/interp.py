@@ -70,6 +70,9 @@ if TYPE_CHECKING:  # imported where an index is built: a guard builds none
 # What an expression can evaluate to: a plain value, an object reference,
 # or an ordered collection of either.
 Evaluated = Union[Value, ObjectDef, list]
+# Values are told apart by exact class, as nodes are by `_HANDLERS`:
+# `isinstance` against a record class calls the record metaclass's
+# `__instancecheck__` unless the value is of exactly that class.
 _NUMBER = (IntV, FloatV)
 
 
@@ -117,15 +120,16 @@ class Scope:
 def value_equal(a: Evaluated, b: Evaluated) -> bool:
     """Total equality: numeric across int/float, objects by id, collections
     pairwise; any other kind mismatch is simply unequal."""
-    if isinstance(a, _NUMBER) and isinstance(b, _NUMBER):
+    kind = type(a)
+    if kind in _NUMBER and type(b) in _NUMBER:
         return a.value == b.value
-    if isinstance(a, ObjectDef) and isinstance(b, ObjectDef):
+    if kind is not type(b):
+        return False
+    if kind is ObjectDef:
         return a.id == b.id
-    if isinstance(a, list) and isinstance(b, list):
+    if kind is list:
         return len(a) == len(b) and all(value_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, Value) and isinstance(b, Value):
-        return type(a) is type(b) and a == b
-    return False
+    return a == b  # two values of one class
 
 
 def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
@@ -137,7 +141,7 @@ def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
         slot = obj.slot(name)
         if slot is None:
             return NULL
-        if isinstance(slot.value, EnumV):
+        if type(slot.value) is EnumV:
             return StrV(slot.value.literal)  # enum literals read as strings
         return slot.value
     assoc, j = found
@@ -210,7 +214,7 @@ def _eval_unary(expr, env, scope) -> Evaluated:
         return BOOLS[not _require_bool(operand, "operand of 'not'")]
     if expr.op != "-":
         raise OclRuntimeError(f"unknown operator '{expr.op}'")
-    if isinstance(operand, _NUMBER):
+    if type(operand) in _NUMBER:
         return type(operand)(-operand.value)
     raise OclRuntimeError("unary '-' on a non-number")
 
@@ -239,10 +243,10 @@ def _eval_binary(expr, env, scope) -> Evaluated:
         return BOOLS[not value_equal(lhs, rhs)]
 
     if op in _ARITHMETIC:
-        if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)):
+        if not (type(lhs) in _NUMBER and type(rhs) in _NUMBER):
             raise OclRuntimeError(f"arithmetic '{op}' on non-numbers")
         a, b = lhs.value, rhs.value
-        both_int = isinstance(lhs, IntV) and isinstance(rhs, IntV)
+        both_int = type(lhs) is IntV and type(rhs) is IntV
         if op != "/":
             r = _ARITHMETIC[op](a, b)
         elif b == 0:
@@ -254,8 +258,8 @@ def _eval_binary(expr, env, scope) -> Evaluated:
     compare = _ORDERING.get(op)
     if compare is None:
         raise OclRuntimeError(f"unknown operator '{op}'")
-    if not (isinstance(lhs, _NUMBER) and isinstance(rhs, _NUMBER)
-            or isinstance(lhs, StrV) and isinstance(rhs, StrV)):
+    if not (type(lhs) in _NUMBER and type(rhs) in _NUMBER
+            or type(lhs) is StrV and type(rhs) is StrV):
         raise OclRuntimeError(f"comparison '{op}' needs two numbers or two strings")
     return BOOLS[compare(lhs.value, rhs.value)]
 

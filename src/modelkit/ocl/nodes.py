@@ -21,13 +21,9 @@ NULLARY_OPS = ("size", "isEmpty", "notEmpty")
 class OclExpr(Record):
     """Base of the expression nodes."""
 
-    __slots__ = ()
-
 
 class Literal(OclExpr):
     """A constant value."""
-
-    __slots__ = ("value",)
 
     def __init__(self, value: Value):
         self.value = value
@@ -36,13 +32,9 @@ class Literal(OclExpr):
 class SelfRef(OclExpr):
     """`self`, the instance being checked."""
 
-    __slots__ = ()
-
 
 class VarRef(OclExpr):
     """A reference to an iterator variable or a session variable."""
-
-    __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
@@ -51,16 +43,12 @@ class VarRef(OclExpr):
 class Nav(OclExpr):
     """`source.name`: an attribute read or an association navigation."""
 
-    __slots__ = ("source", "name")
-
     def __init__(self, source: OclExpr, name: str):
         self.source, self.name = source, name
 
 
 class Unary(OclExpr):
     """`not` or negation (op 'not' or '-') applied to one operand."""
-
-    __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand: OclExpr):
         self.op, self.operand = op, operand
@@ -69,16 +57,12 @@ class Unary(OclExpr):
 class Binary(OclExpr):
     """An operator (* / + - < <= > >= = <> and or implies) on two operands."""
 
-    __slots__ = ("op", "lhs", "rhs")
-
     def __init__(self, op: str, lhs: OclExpr, rhs: OclExpr):
         self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
 class If(OclExpr):
     """`if condition then ... else ... endif`."""
-
-    __slots__ = ("condition", "then_branch", "else_branch")
 
     def __init__(self, condition: OclExpr, then_branch: OclExpr, else_branch: OclExpr):
         self.condition, self.then_branch, self.else_branch = (
@@ -89,8 +73,6 @@ class CollectionOp(OclExpr):
     """`source->op(...)`: a collection operation; `var` and `body` are the
     iterator variable and body, or `body` is the includes argument."""
 
-    __slots__ = ("source", "op", "var", "body")
-
     def __init__(self, source: OclExpr, op: str, var: Optional[str] = None,
                  body: Optional[OclExpr] = None):
         self.source, self.op = source, op
@@ -100,8 +82,6 @@ class CollectionOp(OclExpr):
 class OclConstraint(Record):
     """A named invariant over every instance of its context class."""
 
-    __slots__ = ("context_class", "name", "body", "span")
-
     def __init__(self, context_class: str, name: str, body: OclExpr,
                  span: Optional[SourceSpan] = None):
         self.context_class, self.name = context_class, name
@@ -110,8 +90,6 @@ class OclConstraint(Record):
 
 class InstanceResult(Record):
     """The verdict ('true', 'false' or 'error') of one constraint on one instance."""
-
-    __slots__ = ("object_id", "verdict", "message")
 
     def __init__(self, object_id: str, verdict: str, message: Optional[str] = None):
         self.object_id, self.verdict, self.message = object_id, verdict, message
@@ -123,8 +101,6 @@ class EvalResult(Record):
     `message` is set for constraint-level failures (e.g. a context class
     that does not exist), in which case per_instance is empty.
     """
-
-    __slots__ = ("constraint", "per_instance", "message")
 
     def __init__(self, constraint: str, per_instance: Optional[list[InstanceResult]] = None,
                  message: Optional[str] = None):

@@ -49,8 +49,6 @@ _TOKEN_RE = re.compile(r"""
 class Token(Record):
     """A lexical token (int, float, string, ident, op or eof) and its 1-based position."""
 
-    __slots__ = ("kind", "text", "line", "column")
-
     def __init__(self, kind: str, text: str, line: int, column: int):
         self.kind, self.text = kind, text
         self.line, self.column = line, column
@@ -108,8 +106,6 @@ def tokenize(text: str) -> list[Token]:
 
 class OclParseResult(Record):
     """The constraints parsed from a file and the diagnostics reported."""
-
-    __slots__ = ("constraints", "diagnostics")
 
     def __init__(self, constraints: Optional[list[OclConstraint]] = None,
                  diagnostics: Optional[list[Diagnostic]] = None):

@@ -312,7 +312,8 @@ DPP = str(FIXTURES / "dpp.buml.puml")
 
 
 # Each argv's exit code and the stream it writes, as recorded from the
-# argparse-based reader this one replaced.  A usage error writes a usage
+# argparse-based reader this one replaced, except that an empty value,
+# which argparse took, is a usage error.  A usage error writes a usage
 # line and an `error:` line to stderr; help goes to stdout.
 @pytest.mark.parametrize("argv, code, stream", [
     ([], 2, "err"),
@@ -330,6 +331,10 @@ DPP = str(FIXTURES / "dpp.buml.puml")
     (["--help"], 0, "out"),
     (["check", "-h"], 0, "out"),
     (["validate", "--model", DPP, "-h"], 0, "out"),
+    (["validate", "--model="], 2, "err"),
+    (["validate", "--model", ""], 2, "err"),
+    (["enforce", "--model", DPP, "--objects", DPP, "--out="], 2, "err"),
+    (["generate", "--model", DPP, "--target", "sql", "--out", ""], 2, "err"),
 ], ids=lambda v: " ".join(v).replace(DPP, "<fixture>") if isinstance(v, list) else None)
 def test_argv_table(capsys, argv, code, stream):
     got, out, err = run(capsys, *argv)
@@ -341,6 +346,21 @@ def test_argv_table(capsys, argv, code, stream):
         assert text.startswith("usage: modelkit")
     if code == 2:
         assert "error: " in err.splitlines()[1]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["validate", "--model="], "model"),
+    (["generate", "--model", DPP, "--target", "", "--out", "o"], "target"),
+    (["enforce", "--mod", DPP, "--objects", DPP, "--out="], "out"),
+])
+def test_an_empty_value_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    usage = {"validate": "--model MODEL",
+             "generate": "--model MODEL --target TARGET --out OUT",
+             "enforce": "--model MODEL --objects OBJECTS --out OUT"}[argv[0]]
+    assert run(capsys, *argv) == (2, "", f"usage: modelkit {argv[0]} {usage}\nmodelkit "
+                                  f"{argv[0]}: error: argument --{option}: expected one argument\n")
+    assert not any(tmp_path.iterdir())  # nothing was written
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -227,7 +227,7 @@ def test_equality_is_field_by_field_without_span(record, text):
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=IDS)
 def test_another_class_with_the_same_fields_is_unequal(record, text):
-    twin_class = type("Twin", (Record,), {"__slots__": type(record).__slots__})
+    twin_class = type("Twin", (Record,), {"__init__": type(record).__init__})
     twin = twin_class.__new__(twin_class)
     for name in twin_class.__slots__:
         setattr(twin, name, getattr(record, name))
@@ -273,6 +273,25 @@ def test_records_are_slotted(record, text):
     assert not hasattr(record, "__dict__")
     for cls in type(record).__mro__[:-1]:
         assert "__slots__" in vars(cls), cls.__name__
+
+
+def test_a_record_body_may_not_list_its_slots():
+    with pytest.raises(TypeError, match="lists __slots__"):
+        class Listed(Record):
+            __slots__ = ("a",)
+
+            def __init__(self, a):
+                self.a = a
+
+
+def test_a_record_takes_its_fields_from_its_constructor():
+    class Pair(Record):
+        def __init__(self, a, b=None):
+            local = b
+            self.a, self.b = a, local
+
+    assert Pair.__slots__ == Pair.__match_args__ == ("a", "b")
+    assert not hasattr(Pair(1), "__dict__")
 
 
 def test_left_out_lists_start_fresh():
