@@ -156,7 +156,7 @@ def cmd_generate(model: str, target: str, out: str) -> int:
 
 
 def cmd_fsm_run(machine: str, scenario: str) -> int:
-    from modelkit.fsm import (StepError, format_trace, parse_machine, parse_scenario,
+    from modelkit.fsm import (StepError, format_trace, parse_machine, read_scenario,
                               run_scenario)
 
     machine_text = _read(machine)
@@ -169,19 +169,23 @@ def cmd_fsm_run(machine: str, scenario: str) -> int:
     scenario_text = _read(scenario)
     if scenario_text is None:
         return EXIT_USAGE
-    steps, diags = parse_scenario(scenario_text, filename=scenario)
+    diags: list = []
+    steps = read_scenario(scenario_text, scenario, diags)
+    failure = None
+    try:
+        session = run_scenario(parsed.model, steps)
+    except StepError as exc:  # keeping `exc` would keep its traceback's cycle
+        session, failure = exc.session, exc.diagnostic
+    for _ in steps:  # a malformed line anywhere wins over the run
+        pass
     if diags:
         _report(diags)
         return EXIT_USAGE
-    try:
-        session = run_scenario(parsed.model, steps)
-    except StepError as exc:
-        if exc.session is not None:
-            sys.stdout.write(format_trace(exc.session))
-        print(f"error: {exc.diagnostic.message}", file=sys.stderr)
-        return EXIT_FAIL
     sys.stdout.write(format_trace(session))
-    return EXIT_OK
+    if failure is None:
+        return EXIT_OK
+    print(f"error: {failure.message}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def cmd_infer(objects: str, out: str) -> int:

@@ -21,7 +21,7 @@ use the object-model literal syntax.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from modelkit.diagnostics import (
     INT_CHARS,
@@ -159,35 +159,43 @@ def _guard_holds(transition: Transition, env: Binding) -> bool:
     return value.value
 
 
+def _entry(transition: Transition, target: Optional[State]) -> TraceEntry:
+    """The entry each firing of `transition` records; `target` is the first
+    state declared with its target's name, whose action it fires."""
+    actions = (target.body_action,) if target and target.body_action else ()
+    return TraceEntry(transition.event, transition.source, transition.target, actions)
+
+
 def _transitions(machine: StateMachine) -> dict[tuple[str, str], list]:
     """(source, event) -> its transitions in declaration order, each with the
-    actions its target fires; the first declaration of a state name wins."""
-    actions = {s.name: (s.body_action,) if s.body_action else ()
-               for s in reversed(machine.states)}
-    table: dict[tuple[str, str], list[tuple[Transition, tuple[str, ...]]]] = {}
+    one trace entry all its firings share."""
+    first = {s.name: s for s in reversed(machine.states)}
+    table: dict[tuple[str, str], list[tuple[Transition, TraceEntry]]] = {}
     for t in machine.transitions:
-        table.setdefault((t.source, t.event), []).append((t, actions.get(t.target, ())))
+        table.setdefault((t.source, t.event), []).append((t, _entry(t, first.get(t.target))))
     return table
 
 
-def _step(machine: StateMachine, table: dict, state: str, variables: dict[str, Value],
-          event: str, payload: Optional[dict[str, Value]]) -> tuple[dict, TraceEntry]:
-    """The variables after one step and its trace entry; `variables` itself
-    is left alone.  Raises StepError without a session."""
-    if event not in machine.events:
+def _step(events: set[str] | list[str], arcs: Iterable[tuple[Transition, TraceEntry]],
+          variables: dict[str, Value], event: str, payload: Optional[dict[str, Value]]
+          ) -> tuple[dict, Optional[TraceEntry]]:
+    """The variables after one step and the entry of the first of `arcs`
+    whose guard holds, None for a no-op; `variables` itself is left alone.
+    Raises StepError without a session."""
+    if event not in events:
         raise StepError(error("undeclared-event", f"event '{event}' is not declared"))
     variables = dict(variables)
     if payload:
         variables.update(payload)
     env = None  # the guards' binding, built for the first one tried
-    for t, actions in table.get((state, event), ()):
+    for t, entry in arcs:
         if t.guard is not None:
             if env is None:
                 env = Binding(variables)
             if not _guard_holds(t, env):
                 continue
-        return variables, TraceEntry(event, state, t.target, actions)
-    return variables, TraceEntry(event, state, state)
+        return variables, entry
+    return variables, None
 
 
 def step(machine: StateMachine, session: Session, event: str,
@@ -196,11 +204,15 @@ def step(machine: StateMachine, session: Session, event: str,
     of the current state on `event` whose guard holds.  No match is a
     recorded no-op.  Undeclared events and guard errors raise StepError and
     leave the session untouched, payload merge included."""
+    state = session.current_state
+    arcs = [(t, _entry(t, next((s for s in machine.states if s.name == t.target), None)))
+            for t in machine.transitions if t.source == state and t.event == event]
     try:
-        variables, entry = _step(machine, _transitions(machine), session.current_state,
-                                 session.variables, event, payload)
+        variables, entry = _step(machine.events, arcs, session.variables, event, payload)
     except StepError as exc:
         raise StepError(exc.diagnostic, session) from None
+    if entry is None:
+        entry = TraceEntry(event, state, state)
     return Session(current_state=entry.target, variables=variables,
                    trace=session.trace + [entry])
 
@@ -210,28 +222,38 @@ def new_session(machine: StateMachine) -> Session:
 
 
 def run_scenario(machine: StateMachine,
-                 events: list[tuple[str, dict[str, Value]]]) -> Session:
+                 events: Iterable[tuple[str, dict[str, Value]]]) -> Session:
     """Fold step over a scenario from a fresh session, in time linear in its
-    steps.  A failing step raises StepError with the session from before it."""
-    table = _transitions(machine)
+    steps; the scenario is read once, so it may be a stream.  Every firing
+    of a transition, and every no-op in one state on one event, shares one
+    trace entry.  A failing step raises StepError with the session from
+    before it."""
+    table, declared, noops = _transitions(machine), set(machine.events), {}
     state, variables, trace = machine.initial_state, {}, []
     for event, payload in events:
         try:
-            variables, entry = _step(machine, table, state, variables, event, payload)
+            variables, entry = _step(declared, table.get((state, event), ()), variables,
+                                     event, payload)
         except StepError as exc:
             raise StepError(exc.diagnostic, Session(state, variables, trace)) from None
+        if entry is None:
+            entry = noops.get((state, event))
+            if entry is None:
+                entry = noops[state, event] = TraceEntry(event, state, state)
         trace.append(entry)
         state = entry.target
     return Session(state, variables, trace)
 
 
 def format_trace(session: Session) -> str:
-    """One line per trace entry: `<event> <from> -> <to> [actions]`."""
-    lines = []
+    """One line per trace entry: `<event> <from> -> <to> [actions]`.  An
+    entry the trace holds more than once is formatted once."""
+    lines: dict[int, str] = {}
     for entry in session.trace:
-        actions = ",".join(entry.actions_fired)
-        lines.append(f"{entry.event} {entry.source} -> {entry.target} [{actions}]")
-    return "".join(line + "\n" for line in lines)
+        if id(entry) not in lines:
+            lines[id(entry)] = (f"{entry.event} {entry.source} -> {entry.target} "
+                                f"[{','.join(entry.actions_fired)}]\n")
+    return "".join([lines[id(entry)] for entry in session.trace])
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +328,11 @@ _PAYLOAD_ITEM_RE = re.compile(
     rf"|(?P<value>{JSON_STRING}|\S+))")
 
 
-def parse_scenario(text: str, filename: str = "<scenario>"
-                   ) -> tuple[list[tuple[str, dict[str, Value]]], list[Diagnostic]]:
-    """Parse a scenario file into (event, payload) steps."""
-    steps: list[tuple[str, dict[str, Value]]] = []
-    diagnostics: list[Diagnostic] = []
+def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
+                  ) -> Iterator[tuple[str, dict[str, Value]]]:
+    """Each (event, payload) step of a scenario file as its line is read; a
+    malformed line yields no step, and its diagnostic is appended to
+    `diagnostics`."""
     ints: dict[str, IntV] = {}  # values are immutable: equal literals share one
     for lineno, line in read_lines(text, "#"):
         parts = line.split(None, 1)
@@ -349,5 +371,11 @@ def parse_scenario(text: str, filename: str = "<scenario>"
             payload[key] = value
             pos = m.end()
         else:
-            steps.append((event, payload))
-    return steps, diagnostics
+            yield event, payload
+
+
+def parse_scenario(text: str, filename: str = "<scenario>"
+                   ) -> tuple[list[tuple[str, dict[str, Value]]], list[Diagnostic]]:
+    """Parse a scenario file into (event, payload) steps."""
+    diagnostics: list[Diagnostic] = []
+    return list(read_scenario(text, filename, diagnostics)), diagnostics

@@ -81,6 +81,9 @@ def brute_conformance(objects, model):
         if assoc is None:
             rows.append(("unknown-association", subject))
             continue
+        if len(link.ends) != 2:
+            rows.append(("link-ends", subject))
+            continue
         for pos in (0, 1):
             oid = link.ends[pos].object_id
             if oid not in object_ids:
@@ -107,7 +110,7 @@ def brute_conformance(objects, model):
                     continue
                 count = 0
                 for link in objects.links:
-                    if (link.association_name == assoc.name
+                    if (link.association_name == assoc.name and len(link.ends) == 2
                             and link.ends[i].object_id == obj.id):
                         count += 1
                 subject = f"{obj.id}@{assoc.name}[{j}]"

@@ -1,15 +1,26 @@
 import gc
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
 from modelkit.cli import main
+from modelkit.fsm import parse_scenario
 from modelkit.objtext import parse_object_model, serialize_object_model
 from modelkit.puml import parse_class_model
 
+GREETING = (FIXTURES / "greeting.fsm").read_text()
+GUARDED = ("machine m\nstate A\nstate B\ninitial A\nevent go\nevent stay\n"
+           "trans A -> B on go when x / 0 > 1\n")
+LOOPING = ("machine m\nstate A\nstate B action b\nstate C action c\ninitial A\n"
+           "event go\nevent stay\nevent back\ntrans A -> B on go when x > 2\n"
+           "trans A -> C on go\ntrans B -> C on go when x < 5 and x > 0\n"
+           "trans B -> A on back\ntrans C -> A on back when x > 6\n")
+BYTES_PER_STEP = 120
 CYCLIC = "@startuml\nclass A {\n}\nclass B {\n}\nA <|-- B\nB <|-- A\n@enduml\n"
 
 
@@ -224,6 +235,58 @@ class TestFsmRun:
         assert "malformed guard: expression nested too deeply" in out
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("machine, scenario, errors", [
+        (GREETING, "greet\nvanish\n# later\n9bye\nbye x=\n", 2),
+        (GUARDED, "stay\ngo x=1\ngo x=\nstay\n", 1),
+    ], ids=["undeclared-event", "guard-error"])
+    def test_a_malformed_line_after_a_failing_step_wins(self, capsys, tmp_path,
+                                                        machine, scenario, errors):
+        """The scenario is read as the machine runs it, and read to its end
+        after a step fails: any malformed line is reported alone, exit 2."""
+        (tmp_path / "m.fsm").write_text(machine)
+        (tmp_path / "s.scenario").write_text(scenario)
+        expected = "".join(d.format() + "\n" for d in parse_scenario(
+            scenario, str(tmp_path / "s.scenario"))[1])
+        code, out, err = run(capsys, "fsm-run", "--machine", str(tmp_path / "m.fsm"),
+                             "--scenario", str(tmp_path / "s.scenario"))
+        assert (code, out, err) == (2, expected, f"{errors} error(s)\n")
+        assert expected.count("\n") == errors
+
+
+def scenario_of(steps: int) -> str:
+    rng = random.Random(steps)
+    return "".join(f"{rng.choice(('go', 'stay', 'back'))} x={rng.randrange(10)}\n"
+                   for _ in range(steps))
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_fsm_run_holds_its_output_not_its_scenario(tmp_path, monkeypatch):
+    """The peak memory of an in-process fsm-run grows with the steps by the
+    trace, its text and the scenario's lines: 82 bytes a step as measured,
+    where holding every parsed step and a trace entry per step took 540."""
+    (tmp_path / "m.fsm").write_text(LOOPING)
+    peaks = []
+    for steps in (4000, 16000):
+        scenario = tmp_path / f"{steps}.scenario"
+        scenario.write_text(scenario_of(steps))
+        argv = ["fsm-run", "--machine", str(tmp_path / "m.fsm"), "--scenario", str(scenario)]
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        assert main(argv) == 0  # imports and compiled patterns are not counted
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 12000 < BYTES_PER_STEP, peaks
+
 
 class TestInferEnforce:
     def test_infer_then_check_round_trips(self, capsys, fixtures_dir, tmp_path):
@@ -376,7 +439,6 @@ def test_main_restores_the_collector_state(capsys, enabled):
         (gc.enable if was else gc.disable)()
 
 
-GUARDED = "machine m\nstate A\nstate B\ninitial A\nevent go\ntrans A -> B on go when x / 0 > 1\n"
 CHECK = "check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl "
 
 
@@ -392,10 +454,11 @@ CHECK = "check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl "
     (CHECK + "{tmp}/division.ocl", 1),
     (CHECK + "{tmp}/malformed.ocl", 2),
     ("fsm-run --machine {tmp}/guarded.fsm --scenario {tmp}/go.scenario", 1),
+    ("fsm-run --machine {tmp}/guarded.fsm --scenario {tmp}/late.scenario", 2),
     ("validate --nope x", 2),
 ], ids=["validate", "check", "generate-sql", "generate-classes", "fsm-run", "infer",
         "enforce", "unknown-navigation", "division-by-zero", "parse-error",
-        "guard-error", "usage-error"])
+        "guard-error", "guard-error-then-malformed", "usage-error"])
 def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, command, code):
     """Why `main` may run with the collector off: whatever a command drops,
     reference counting frees, on success and on every kind of failure."""
@@ -403,7 +466,8 @@ def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, command, code):
             ("navigation.ocl", "context ProductPassport inv n: self.nope->size() > 0\n"),
             ("division.ocl", "context ProductPassport inv d: 1 / 0 > 0\n"),
             ("malformed.ocl", "context ProductPassport inv m: self.\n"),
-            ("guarded.fsm", GUARDED), ("go.scenario", "go x=1\n")):
+            ("guarded.fsm", GUARDED), ("go.scenario", "go x=1\n"),
+            ("late.scenario", "go x=1\ngo x=\n")):
         (tmp_path / name).write_text(text)
     argv = command.format(fx=FIXTURES, tmp=tmp_path).split()
     was = gc.isenabled()

@@ -198,3 +198,25 @@ def test_agrees_with_brute_force_on_random_populations():
         assert validate_class_model(model) == []
         mine = sorted((d.code, d.subject) for d in check_conformance(objects, model))
         assert mine == brute_conformance(objects, model)
+
+
+def test_agrees_with_brute_force_on_links_without_two_ends():
+    """Links built through the API may have one end or three; both are a
+    `link-ends` error, and count toward no multiplicity."""
+    rng = random.Random(47)
+    tried = 0
+    for _ in range(150):
+        model, objects = random_instanced_model(rng, max_objects=10)
+        if not objects.objects or not model.associations:
+            continue
+        ids = [o.id for o in objects.objects] + ["ghost"]
+        for ends in (1, 3, 2, 1, 3):
+            assoc = rng.choice(model.associations).name
+            position = rng.randrange(len(objects.links) + 1)
+            objects.links.insert(position, Link(assoc, tuple(
+                LinkEnd(rng.choice(ids)) for _ in range(ends))))
+        mine = sorted((d.code, d.subject) for d in check_conformance(objects, model))
+        assert mine == brute_conformance(objects, model)
+        assert sum(code == "link-ends" for code, _ in mine) == 4
+        tried += 1
+    assert tried >= 100

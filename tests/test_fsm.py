@@ -6,6 +6,7 @@ from modelkit.metamodel import (
     FALSE, NULL, TRUE, BoolV, ClassModel, EnumV, IntV, ObjectModel, StrV)
 from modelkit.ocl.nodes import Binary, Literal, Unary
 from modelkit.fsm import (
+    Session,
     State,
     StateMachine,
     StepError,
@@ -347,6 +348,35 @@ class TestSharedValues:
             ("A", "A"), ("A", "A"), ("A", "A"), ("A", "B"), ("B", "A")]
         assert steps == parse_scenario(SHARING_SCENARIO)[0]
         assert (TRUE.value, FALSE.value) == (True, False)
+
+    def test_a_run_shares_one_trace_entry_per_transition_and_per_noop(self):
+        machine = parse_machine(SHARING_MACHINE).model
+        steps, _ = parse_scenario(SHARING_SCENARIO * 2)
+        trace = run_scenario(machine, steps).trace
+        assert trace[3] is trace[8] and trace[4] is trace[9]  # A -> B, B -> A
+        assert all(entry is trace[0] for entry in trace[1:3] + trace[5:8])  # no-ops in A
+        assert trace[0] == TraceEntry("go", "A", "A") and trace[3] is not trace[4]
+        again = run_scenario(machine, steps).trace
+        assert again == trace and again[3] is not trace[3] and again[0] is not trace[0]
+        assert format_trace(run_scenario(machine, steps)) == "".join(
+            format_trace(Session("A", trace=[entry])) for entry in trace)
+
+    def test_step_reads_only_the_transitions_it_may_fire(self, monkeypatch):
+        """`step` builds no table of the whole machine on each call."""
+        import modelkit.fsm
+
+        machine = parse_machine(SHARING_MACHINE).model
+        steps, _ = parse_scenario(SHARING_SCENARIO)
+        expected = run_scenario(machine, steps)
+
+        def whole_table(machine):
+            raise AssertionError("step built the table of every transition")
+
+        monkeypatch.setattr(modelkit.fsm, "_transitions", whole_table)
+        session = new_session(machine)
+        for event, payload in steps:
+            session = step(machine, session, event, payload)
+        assert session == expected
 
     def test_a_step_builds_one_binding_and_only_for_a_guard_it_tries(self, monkeypatch):
         import modelkit.fsm
