@@ -14,8 +14,8 @@ _EXPORTS = {
         "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
         "ClassModel", "EnumDef", "EnumV", "FloatV", "Generalization", "IntV",
         "Link", "LinkEnd", "Multiplicity", "NULL", "NullV", "ObjectDef",
-        "ObjectModel", "Property", "StrV", "Value", "validate_class_model"),
-    "modelkit.index": ("ModelIndex",),
+        "ObjectModel", "Property", "StrV", "Value"),
+    "modelkit.index": ("ModelIndex", "validate_class_model"),
     "modelkit.diagnostics": (
         "Diagnostic", "ParseResult", "Severity", "SourceSpan", "has_errors"),
     "modelkit.conformance": ("check_conformance",),

@@ -40,7 +40,7 @@ def _report(diagnostics: list) -> None:
 
 def _read(path: str) -> str | None:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         print(f"error: cannot read {path}: {reason}", file=sys.stderr)

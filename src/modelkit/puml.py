@@ -42,8 +42,8 @@ from modelkit.metamodel import (
     Generalization,
     Multiplicity,
     Property,
-    validate_class_model,
 )
+from modelkit.index import validate_class_model
 
 
 # PlantUML constructs we recognize but deliberately do not model.

@@ -66,6 +66,27 @@ class TestValidate:
         assert "unsupported-construct" in out
 
 
+@pytest.mark.parametrize("command", [
+    "validate --model {fx}/dpp.buml.puml",
+    "check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl {fx}/dpp.ocl",
+    "fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario",
+    "fsm-run --machine {fx}/nondet.fsm --scenario {fx}/greeting.scenario",
+    "enforce --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --out {out}/p.objs",
+], ids=["validate", "check", "fsm-run", "fsm-run-invalid", "enforce"])
+def test_a_byte_order_mark_changes_no_output(capsys, tmp_path, command):
+    """Some editors begin a UTF-8 file with a byte-order mark; the readers
+    never see it."""
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for source in FIXTURES.iterdir():
+        (marked / source.name).write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    results = []
+    for fx in (FIXTURES, marked):
+        code, out, _ = run(capsys, *command.format(fx=fx, out=tmp_path).split())
+        results.append((code, out.replace(str(fx), "<fixtures>")))
+    assert results[0] == results[1]
+
+
 class TestCheck:
     def test_dpp_fixture_passes(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "check",

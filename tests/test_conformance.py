@@ -1,6 +1,7 @@
 import random
 
 from modelkit.conformance import check_conformance
+from modelkit.index import validate_class_model
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -19,7 +20,6 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
     StrV,
-    validate_class_model,
 )
 from brute_conf import brute_conformance
 from model_gen import random_instanced_model

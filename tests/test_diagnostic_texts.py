@@ -9,6 +9,7 @@ from modelkit.cli import main
 from modelkit.codegen.sqlddl import generate_sql_ddl
 from modelkit.conformance import check_conformance
 from modelkit.flex import enforce_conformance, infer_class_model
+from modelkit.index import validate_class_model
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -24,7 +25,6 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
     StrV,
-    validate_class_model,
 )
 
 DPP = str(FIXTURES / "dpp.buml.puml")
@@ -74,7 +74,8 @@ def test_validation_reports_names_ends_bounds_and_generalizations():
          Association("t", (AssociationEnd("B", multiplicity=Multiplicity(-1, None)),
                            AssociationEnd("B", multiplicity=Multiplicity(0, 0))))],
         [Generalization("Nope", "B")])
-    assert [d.format() for d in validate_class_model(model)] == [
+    found = validate_class_model(model)
+    assert [d.format() for d in found] == [
         "error bad-name - model name '1m' is not an identifier",
         "error bad-name - class name '2C' is not an identifier",
         "error bad-name - property name '3p' is not an identifier",
@@ -84,6 +85,8 @@ def test_validation_reports_names_ends_bounds_and_generalizations():
         "error bad-mult - association 't' end has malformed multiplicity bounds",
         "error bad-mult - association 't' end has malformed multiplicity bounds",
         "error unknown-class - generalization references unknown class 'Nope'"]
+    # An end-level diagnostic names its end; the two bad ends of 't' differ.
+    assert [d.subject for d in found[4:8]] == ["r[0]", "s", "t[0]", "t[1]"]
 
 
 def test_two_classes_mangled_to_one_table_name_collide():

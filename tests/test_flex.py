@@ -2,7 +2,7 @@ import random
 
 from modelkit.conformance import check_conformance, value_conforms
 from modelkit.flex import enforce_conformance, infer_class_model
-from modelkit.index import ModelIndex
+from modelkit.index import ModelIndex, validate_class_model
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -21,7 +21,6 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
     StrV,
-    validate_class_model,
 )
 from model_gen import random_object_population
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -9,9 +11,8 @@ from modelkit.metamodel import (
     Generalization,
     Multiplicity,
     Property,
-    validate_class_model,
 )
-from modelkit.index import ModelIndex
+from modelkit.index import ModelIndex, validate_class_model
 from modelkit.puml import parse_class_model
 from model_gen import random_class_model
 
@@ -122,6 +123,19 @@ class TestValidate:
         model.generalizations.append(Generalization("A", "A"))
         assert [d.code for d in validate_class_model(model)] == ["gen-self"]
 
+    @pytest.mark.parametrize("where", ["model", "class", "property", "role", "literal"])
+    def test_a_name_ending_in_a_newline_is_a_bad_name(self, where):
+        def name(kind):
+            return "n\n" if kind == where else "n"
+
+        model = ClassModel(
+            name("model"),
+            [ClassDef(name("class"), properties=[Property(name("property"), "int")])],
+            [EnumDef("E", [name("literal")])],
+            [Association("r", (AssociationEnd(name("class"), name("role")),
+                               AssociationEnd(name("class"))))])
+        assert [d.code for d in validate_class_model(model)] == ["bad-name"]
+
     def test_validation_is_pure(self):
         model = chain_model()
         model.generalizations.append(Generalization("C", "A"))  # close a cycle
@@ -214,6 +228,33 @@ class TestDeepHierarchies:
         assert result.diagnostics == []
         assert ModelIndex(result.model).ancestors(f"C{depth - 1}") == \
             [f"C{i}" for i in range(depth - 1)]
+
+    def test_3000_deep_chain_declared_in_reverse_parses_to_a_valid_model(self):
+        depth = 3000
+        text = ("@startuml\n"
+                + "".join(f"class C{i} {{\n}}\n" for i in reversed(range(depth)))
+                + "".join(f"C{i} <|-- C{i + 1}\n" for i in reversed(range(depth - 1)))
+                + "@enduml\n")
+        result = parse_class_model(text)
+        assert result.diagnostics == []
+        index = ModelIndex(result.model)
+        assert index.ancestors(f"C{depth - 1}") == [f"C{i}" for i in range(depth - 1)]
+        assert index.ancestors(f"C{depth // 2}") == [f"C{i}" for i in range(depth // 2)]
+
+    def test_1500_class_two_parent_lattice_parses_to_a_valid_model(self):
+        # C{i} specializes both C{i - 1} and C{i - 2}; each declares one property.
+        size = 1500
+        text = ("@startuml\n"
+                + "".join(f"class C{i} {{\n  p{i} : int\n}}\n" for i in range(size))
+                + "".join(f"C{i - 1} <|-- C{i}\n" + (f"C{i - 2} <|-- C{i}\n" if i > 1 else "")
+                          for i in range(1, size))
+                + "@enduml\n")
+        result = parse_class_model(text)
+        assert result.diagnostics == []
+        index = ModelIndex(result.model)
+        assert index.ancestors(f"C{size - 1}") == [f"C{i}" for i in range(size - 1)]
+        assert [p.name for p in index.flat(f"C{size - 1}")] == [f"p{i}" for i in range(size)]
+        assert index.conforms(f"C{size - 1}", "C0") and not index.conforms("C0", "C1")
 
     def test_cycles_still_report_gen_cycle_with_the_same_text(self):
         text = ("@startuml\n"

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from modelkit.diagnostics import Severity
-from modelkit.metamodel import Multiplicity, validate_class_model
+from modelkit.index import validate_class_model
+from modelkit.metamodel import Multiplicity
 from modelkit.puml import parse_class_model, render_multiplicity, serialize_class_model
 from model_gen import random_class_model
 
