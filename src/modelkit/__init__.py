@@ -34,8 +34,6 @@ _EXPORTS = {
     "modelkit.flex": ("enforce_conformance", "infer_class_model"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("codegen", "conformance", "diagnostics", "flex", "fsm", "index",
-               "metamodel", "objtext", "ocl", "puml")
 
 __all__ = sorted(_HOME)
 
@@ -45,6 +43,6 @@ def __getattr__(name: str):
         value = getattr(importlib.import_module(_HOME[name]), name)
         globals()[name] = value
         return value
-    if name in _SUBMODULES:
+    if f"{__name__}.{name}" in _EXPORTS:  # a submodule that exports a name
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,8 @@ def infer_class_model(objects: ObjectModel,
     several classifiers, which gets a fresh property-less general class
     that exactly those classifiers specialize, so the end stays typeable.
     The result accepts the population it was inferred from, except for
-    slots some objects omit, mixed-kind values and links without two ends.
+    slots some objects omit, mixed-kind values, links without two ends and
+    links with an end that names no object.
     """
     sink = diagnostics if diagnostics is not None else []
     model = ClassModel(name="inferred")
@@ -84,13 +85,9 @@ def infer_class_model(objects: ObjectModel,
     population = PopulationIndex(objects)
     observed: dict[str, tuple[list[str], list[str]]] = {}
     for link in objects.links:
-        if len(link.ends) != 2:
-            continue
         holders = [population.objects.get(e.object_id) for e in link.ends]
-        if None in holders:
-            raise ValueError(
-                f"link of '{link.association_name}' references an object that "
-                f"does not exist in the population")
+        if len(holders) != 2 or None in holders:
+            continue  # such a link infers nothing
         sides = observed.setdefault(link.association_name, ([], []))
         for side, holder in zip(sides, holders):
             if holder.classifier not in side:

@@ -36,7 +36,7 @@ from modelkit.diagnostics import (
     read_lines,
 )
 from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
-from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
+from modelkit.ocl.interp import OclRuntimeError, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
 
@@ -144,9 +144,9 @@ _EMPTY_OBJECTS = ObjectModel(name="none")
 _EMPTY_MODEL = ClassModel(name="none")
 
 
-def _guard_holds(transition: Transition, env: Binding) -> bool:
+def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     try:
-        value = evaluate_expression(transition.guard, env, _EMPTY_OBJECTS,
+        value = evaluate_expression(transition.guard, variables, _EMPTY_OBJECTS,
                                     _EMPTY_MODEL)
     except OclRuntimeError as exc:
         raise StepError(error(
@@ -187,13 +187,9 @@ def _step(events: set[str] | list[str], arcs: Iterable[tuple[Transition, TraceEn
     variables = dict(variables)
     if payload:
         variables.update(payload)
-    env = None  # the guards' binding, built for the first one tried
     for t, entry in arcs:
-        if t.guard is not None:
-            if env is None:
-                env = Binding(variables)
-            if not _guard_holds(t, env):
-                continue
+        if t.guard is not None and not _guard_holds(t, variables):
+            continue
         return variables, entry
     return variables, None
 

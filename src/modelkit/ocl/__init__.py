@@ -16,7 +16,6 @@ from modelkit.ocl.nodes import (
 )
 from modelkit.ocl.parser import OclParseResult, parse_expression, parse_ocl
 from modelkit.ocl.interp import (
-    Binding,
     OclRuntimeError,
     all_passed,
     check_all,
@@ -25,7 +24,7 @@ from modelkit.ocl.interp import (
 )
 
 __all__ = [
-    "Binary", "Binding", "CollectionOp", "EvalResult", "If", "InstanceResult",
+    "Binary", "CollectionOp", "EvalResult", "If", "InstanceResult",
     "Literal", "Nav", "OclConstraint", "OclExpr", "OclParseResult",
     "OclRuntimeError", "SelfRef", "Unary", "VarRef", "all_passed",
     "check_all", "evaluate_constraint", "evaluate_expression",

@@ -22,6 +22,9 @@ Semantics, in brief:
   collection is true and exists is false; both stop at the first deciding
   element.  select keeps source order; collect refuses collection-valued
   bodies (no nesting).
+- Variables, `self` included, are read from one plain dict that the
+  evaluator never writes: an iterator binds its variable in a copy made
+  once per loop, so the innermost binding of a name wins.
 
 Runtime errors never escape a constraint evaluation: they become the
 per-instance verdict 'error'.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from math import isfinite
 from typing import TYPE_CHECKING, Optional, Union
 
 from modelkit.metamodel import (
@@ -78,22 +82,6 @@ _NUMBER = (IntV, FloatV)
 
 class OclRuntimeError(Exception):
     pass
-
-
-class Binding:
-    """Stack of variable scopes; `self` sits in the outermost frame, which is
-    `initial` itself, not a copy: the evaluator only reads it.  An iterator
-    appends one frame for its whole loop and rebinds its variable there for
-    each item."""
-
-    def __init__(self, initial: Optional[dict[str, Evaluated]] = None):
-        self.frames: list[dict[str, Evaluated]] = [{} if initial is None else initial]
-
-    def lookup(self, name: str) -> Evaluated:
-        for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
-        raise OclRuntimeError(f"unbound variable '{name}'")
 
 
 class Scope:
@@ -158,6 +146,13 @@ def _navigate(obj: ObjectDef, name: str, scope: Scope) -> Evaluated:
     return partners
 
 
+def _lookup(env: dict[str, Evaluated], name: str) -> Evaluated:
+    try:
+        return env[name]
+    except KeyError:
+        raise OclRuntimeError(f"unbound variable '{name}'") from None
+
+
 def _require_bool(v: Evaluated, context: str, op: str = "") -> bool:
     """v's truth; `context`, with `op` in place of its `{}`, names v in the
     error, formatted only then."""
@@ -166,15 +161,16 @@ def _require_bool(v: Evaluated, context: str, op: str = "") -> bool:
     raise OclRuntimeError(f"{context.format(op)} is not a boolean")
 
 
-def evaluate_expression(expr: OclExpr, env: Binding, objects: ObjectModel,
+def evaluate_expression(expr: OclExpr, env: dict[str, Evaluated], objects: ObjectModel,
                         model: ClassModel) -> Evaluated:
-    """Evaluate one expression; raises OclRuntimeError on type errors,
+    """Evaluate one expression with `env` binding its free variables (and
+    `self`), which it only reads; raises OclRuntimeError on type errors,
     division by zero, float overflow, null navigation, unknown names and
     nesting too deep for the interpreter's stack."""
     return _eval_top(expr, env, Scope(objects, model))
 
 
-def _eval_top(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
+def _eval_top(expr: OclExpr, env: dict[str, Evaluated], scope: Scope) -> Evaluated:
     try:
         return _eval(expr, env, scope)
     except RecursionError:
@@ -183,7 +179,7 @@ def _eval_top(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
         raise OclRuntimeError("integer too large to convert to float") from None
 
 
-def _eval(expr: OclExpr, env: Binding, scope: Scope) -> Evaluated:
+def _eval(expr: OclExpr, env: dict[str, Evaluated], scope: Scope) -> Evaluated:
     return _HANDLERS.get(type(expr), _eval_unknown)(expr, env, scope)
 
 
@@ -253,7 +249,11 @@ def _eval_binary(expr, env, scope) -> Evaluated:
             raise OclRuntimeError("division by zero")
         else:
             r = a // b if both_int else a / b
-        return IntV(r) if both_int else FloatV(float(r))
+        if both_int:
+            return IntV(r)
+        if not isfinite(r):
+            raise OclRuntimeError(f"float overflow in '{op}'")
+        return FloatV(float(r))
 
     compare = _ORDERING.get(op)
     if compare is None:
@@ -281,28 +281,25 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
     if op not in ("forAll", "exists", "select", "collect"):
         raise OclRuntimeError(f"unknown operator '{op}'")
 
+    # Rebinding in a copy made once per loop never writes the caller's dict.
     results: list[Evaluated] = []
-    var, body, frame = expr.var, expr.body, {}
-    env.frames.append(frame)
-    try:
-        for item in source:
-            frame[var] = item
-            value = _eval(body, env, scope)
-            if op == "forAll":
-                if not _require_bool(value, "forAll body"):
-                    return FALSE
-            elif op == "exists":
-                if _require_bool(value, "exists body"):
-                    return TRUE
-            elif op == "select":
-                if _require_bool(value, "select body"):
-                    results.append(item)
-            else:  # collect
-                if isinstance(value, list):
-                    raise OclRuntimeError("collect body produced a nested collection")
-                results.append(value)
-    finally:
-        env.frames.pop()
+    var, body, inner = expr.var, expr.body, dict(env)
+    for item in source:
+        inner[var] = item
+        value = _eval(body, inner, scope)
+        if op == "forAll":
+            if not _require_bool(value, "forAll body"):
+                return FALSE
+        elif op == "exists":
+            if _require_bool(value, "exists body"):
+                return TRUE
+        elif op == "select":
+            if _require_bool(value, "select body"):
+                results.append(item)
+        else:  # collect
+            if isinstance(value, list):
+                raise OclRuntimeError("collect body produced a nested collection")
+            results.append(value)
     # No item decided: forAll holds and exists fails.
     return results if op in ("select", "collect") else BOOLS[op == "forAll"]
 
@@ -310,8 +307,8 @@ def _eval_collection_op(expr, env, scope) -> Evaluated:
 # The handler of each node type; a type not listed is reported, not guessed.
 _HANDLERS = {
     Literal: lambda expr, env, scope: expr.value,
-    SelfRef: lambda expr, env, scope: env.lookup("self"),
-    VarRef: lambda expr, env, scope: env.lookup(expr.name),
+    SelfRef: lambda expr, env, scope: _lookup(env, "self"),
+    VarRef: lambda expr, env, scope: _lookup(env, expr.name),
     Nav: _eval_nav,
     Unary: _eval_unary,
     Binary: _eval_binary,
@@ -334,13 +331,13 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
             message=f"unknown context class '{context}'")
     result = EvalResult(constraint=constraint.name)
     conforms: dict[str, bool] = {}  # decided once per classifier
-    env = Binding()
+    env: dict[str, Evaluated] = {}
     for obj in objects.objects:
         if obj.classifier not in conforms:
             conforms[obj.classifier] = scope.types.conforms(obj.classifier, context)
         if not conforms[obj.classifier]:
             continue
-        env.frames[0]["self"] = obj
+        env["self"] = obj
         try:
             value = _eval_top(constraint.body, env, scope)
         except OclRuntimeError as exc:

@@ -132,15 +132,13 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_keyword(self, word: str) -> bool:
+    def expect(self, text: str) -> None:
+        """Consume the operator or keyword spelled `text`: a token's text
+        alone tells them apart, as strings keep their quotes."""
         tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise OclSyntaxError(f"expected '{op}', found {tok.text!r}", tok)
-        return self.next()
+        if tok.text != text:
+            raise OclSyntaxError(f"expected '{text}', found {tok.text!r}", tok)
+        self.next()
 
     def expect_ident(self, what: str) -> Token:
         tok = self.peek()
@@ -160,7 +158,7 @@ class _Parser:
 
     def parse_expression(self) -> OclExpr:
         lhs = self.parse_binary(0)
-        if self.at_keyword("implies"):
+        if self.peek().text == "implies":
             self.next()
             return Binary("implies", lhs, self.parse_expression())
         return lhs
@@ -177,24 +175,20 @@ class _Parser:
         return expr
 
     def parse_unary(self) -> OclExpr:
-        if self.at_keyword("not"):
+        if (op := self.peek().text) in ("not", "-"):
             self.next()
-            return Unary("not", self.parse_unary())
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Unary("-", self.parse_unary())
+            return Unary(op, self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self) -> OclExpr:
         expr = self.parse_primary()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == ".":
+            text = self.peek().text
+            if text == ".":
                 self.next()
                 name = self.expect_ident("an attribute or association name")
                 expr = Nav(expr, name.text)
-            elif tok.kind == "op" and tok.text == "->":
+            elif text == "->":
                 self.next()
                 expr = self.parse_collection_op(expr)
             else:
@@ -205,19 +199,19 @@ class _Parser:
         op = op_tok.text
         if op not in COLLECTION_OPS:
             raise OclSyntaxError(f"unknown collection operation '{op}'", op_tok)
-        self.expect_op("(")
+        self.expect("(")
         if op in NULLARY_OPS:
-            self.expect_op(")")
+            self.expect(")")
             return CollectionOp(source, op)
         if op == "includes":
             arg = self.parse_expression()
-            self.expect_op(")")
+            self.expect(")")
             return CollectionOp(source, op, body=arg)
         # forAll / exists / select / collect: op(var | body)
         var = self.expect_ident("an iterator variable")
-        self.expect_op("|")
+        self.expect("|")
         body = self.parse_expression()
-        self.expect_op(")")
+        self.expect(")")
         return CollectionOp(source, op, var=var.text, body=body)
 
     def parse_primary(self) -> OclExpr:
@@ -234,10 +228,10 @@ class _Parser:
         if tok.kind == "string":
             self.next()
             return Literal(StrV(tok.text[1:-1]))
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             self.next()
             expr = self.parse_expression()
-            self.expect_op(")")
+            self.expect(")")
             return expr
         if tok.kind == "ident":
             if tok.text in _CONSTANTS:
@@ -257,23 +251,17 @@ class _Parser:
     def parse_if(self) -> OclExpr:
         self.next()  # if
         condition = self.parse_expression()
-        self.expect_keyword("then")
+        self.expect("then")
         then_branch = self.parse_expression()
-        self.expect_keyword("else")
+        self.expect("else")
         else_branch = self.parse_expression()
-        self.expect_keyword("endif")
+        self.expect("endif")
         return If(condition, then_branch, else_branch)
-
-    def expect_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise OclSyntaxError(f"expected '{word}', found {tok.text!r}", tok)
-        self.next()
 
     # Constraint blocks.
 
     def skip_to_next_context(self) -> None:
-        while not self.at_keyword("context") and self.peek().kind != "eof":
+        while (tok := self.peek()).text != "context" and tok.kind != "eof":
             self.next()
 
     def parse_constraints(self) -> OclParseResult:
@@ -282,11 +270,11 @@ class _Parser:
         while self.peek().kind != "eof":
             try:
                 start = self.peek()
-                self.expect_keyword("context")
+                self.expect("context")
                 ctx = self.expect_ident("a context class name")
-                self.expect_keyword("inv")
+                self.expect("inv")
                 name = self.expect_ident("a constraint name")
-                self.expect_op(":")
+                self.expect(":")
                 body = self.parse_top()
                 if name.text in names:
                     result.diagnostics.append(error(

@@ -173,7 +173,11 @@ def naive_eval(expr, env, objects, model):
                     if b == 0:
                         raise OracleError("division by zero")
                     r = a // b if ints else a / b
-                return IntV(r) if ints else FloatV(float(r))
+                if ints:
+                    return IntV(r)
+                if r != r or r in (float("inf"), float("-inf")):
+                    raise OracleError("float overflow")
+                return FloatV(float(r))
             if isinstance(left, numbers) and isinstance(right, numbers):
                 a, b = left.value, right.value
             elif isinstance(left, StrV) and isinstance(right, StrV):

@@ -1,4 +1,5 @@
 import gc
+import os
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 from modelkit.cli import main
 from modelkit.fsm import parse_scenario
 from modelkit.objtext import parse_object_model, serialize_object_model
@@ -112,6 +113,17 @@ class TestCheck:
                            "--objects", str(objs), "--ocl", str(ocl))
         assert code == 1
         assert "FAIL hasCode p1" in out.splitlines()
+
+    def test_float_overflow_is_an_error_verdict(self, capsys, tmp_path):
+        model = tmp_path / "m.puml"
+        model.write_text("@startuml\nclass M {\n  x : float\n}\n@enduml\n")
+        objs = tmp_path / "m.objs"
+        objs.write_text("@startobjects\nobject m1 : M\nm1.x = 1.5e308\n@endobjects\n")
+        ocl = tmp_path / "m.ocl"
+        ocl.write_text("context M inv big: self.x * 10.0 > 0\n")
+        code, out, _ = run(capsys, "check", "--model", str(model),
+                           "--objects", str(objs), "--ocl", str(ocl))
+        assert (code, out) == (1, "ERROR big m1 float overflow in '*'\n")
 
     def test_conformance_errors_are_reported(self, capsys, fixtures_dir,
                                              tmp_path):
@@ -515,6 +527,6 @@ def test_console_entry_point_works_in_a_subprocess(fixtures_dir):
     result = subprocess.run(
         [sys.executable, "-m", "modelkit.cli", "validate",
          "--model", str(fixtures_dir / "dpp.buml.puml")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert result.returncode == 0
     assert result.stdout == ""

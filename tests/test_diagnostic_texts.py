@@ -109,12 +109,23 @@ def test_infer_names_a_fresh_end_class_past_a_taken_name():
     assert [a.ends[0].target for a in model.associations] == ["r_End0_"]
 
 
-def test_infer_refuses_a_link_to_a_missing_object():
-    population = ObjectModel(objects=[ObjectDef("x", "A")],
-                             links=[Link("r", (LinkEnd("x"), LinkEnd("ghost")))])
-    with pytest.raises(ValueError, match="^link of 'r' references an object that does "
-                                         "not exist in the population$"):
-        infer_class_model(population)
+def test_infer_skips_a_link_to_a_missing_object():
+    """Such a link infers nothing, as a link without two ends infers
+    nothing; checking the population reports it, not the inferred bounds."""
+    dangling = Link("r", (LinkEnd("x"), LinkEnd("ghost")))
+    alone = ObjectModel(objects=[ObjectDef("x", "A"), ObjectDef("y", "B")], links=[dangling])
+    found = []
+    model = infer_class_model(alone, found)
+    assert (found, [c.name for c in model.classes], model.associations) == ([], ["A", "B"], [])
+    assert [d.format() for d in check_conformance(alone, model)] == [
+        "error unknown-association - link references unknown association 'r'"]
+    beside = ObjectModel(objects=alone.objects,
+                         links=[dangling, Link("r", (LinkEnd("x"), LinkEnd("y")))])
+    model = infer_class_model(beside, found)
+    assert found == [] and [(a.name, [e.target for e in a.ends]) for a in model.associations] \
+        == [("r", ["A", "B"])]
+    assert [d.format() for d in check_conformance(beside, model)] == [
+        "error unknown-object - link of 'r' references unknown object 'ghost'"]
 
 
 def test_check_reports_a_constraint_on_an_unknown_class(capsys, tmp_path):

@@ -20,7 +20,7 @@ from modelkit.fsm import (
     step,
     validate_machine,
 )
-from modelkit.ocl.interp import Binding, OclRuntimeError, evaluate_expression
+from modelkit.ocl.interp import OclRuntimeError, evaluate_expression
 from modelkit.ocl.parser import parse_expression
 
 
@@ -144,7 +144,7 @@ class TestStep:
         seen = []
 
         def evaluate(expr, env, objects, model):
-            seen.append(env.frames[0])
+            seen.append(env)
             return evaluate_expression(expr, env, objects, model)
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
@@ -153,13 +153,11 @@ class TestStep:
             before = dict(variables)
             run = run_scenario(machine, [("tick", variables)])
             assert variables == before and run.variables == before
-            assert seen.pop() == before
+            assert seen.pop() is run.variables
         session = new_session(machine)
         with pytest.raises(StepError):
             step(machine, session, "tick", {"x": StrV("not a number")})
         assert seen.pop() == {"x": StrV("not a number")} and session.variables == {}
-        env = Binding(before)
-        assert env.frames[0] is before and Binding().frames[0] == {}
 
 
 class TestRunScenario:
@@ -378,19 +376,14 @@ class TestSharedValues:
             session = step(machine, session, event, payload)
         assert session == expected
 
-    def test_a_step_builds_one_binding_and_only_for_a_guard_it_tries(self, monkeypatch):
+    def test_the_guards_a_step_tries_share_its_variables_dict(self, monkeypatch):
         import modelkit.fsm
-        built, envs = [], []
-
-        def binding(variables):
-            built.append(variables)
-            return Binding(variables)
+        envs = []
 
         def evaluate(expr, env, objects, model):
             envs.append(env)
             return evaluate_expression(expr, env, objects, model)
 
-        monkeypatch.setattr(modelkit.fsm, "Binding", binding)
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = parse_machine(SHARING_MACHINE).model
         # Each of the first two steps tries all three guards from A, the
@@ -401,7 +394,7 @@ class TestSharedValues:
             ("A", "A"), ("A", "B"), ("B", "A")]
         assert len(envs) == 6 and envs[0] is envs[1] is envs[2] is not envs[3]
         assert envs[3] is envs[4] is envs[5]
-        assert built == [{"x": IntV(1), "y": FALSE}, {"x": IntV(-1), "y": FALSE}]
+        assert [envs[0], envs[3]] == [{"x": IntV(1), "y": FALSE}, {"x": IntV(-1), "y": FALSE}]
 
     @pytest.mark.parametrize("guard", [Binary("%", Literal(IntV(7)), Literal(IntV(2))),
                                        Unary("%", Literal(IntV(7)))])
@@ -466,7 +459,7 @@ def reference_run(machine, steps):
                 continue
             if t.guard is not None:
                 try:
-                    value = evaluate_expression(t.guard, Binding(merged),
+                    value = evaluate_expression(t.guard, merged,
                                                 ObjectModel(), ClassModel())
                 except OclRuntimeError:
                     return state, variables, trace, "guard-error"

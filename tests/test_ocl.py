@@ -22,7 +22,6 @@ from modelkit.metamodel import (
     TRUE,
 )
 from modelkit.ocl import (
-    Binding,
     OclRuntimeError,
     check_all,
     evaluate_constraint,
@@ -41,7 +40,7 @@ EMPTY_MODEL = ClassModel(name="none")
 def ev(text, env=None, objects=EMPTY_OBJECTS, model=EMPTY_MODEL):
     expr, diags = parse_expression(text)
     assert not diags, diags
-    return evaluate_expression(expr, Binding(env or {}), objects, model)
+    return evaluate_expression(expr, env or {}, objects, model)
 
 
 def dpp_world(n_stages=2, empty_dates=()):
@@ -296,7 +295,7 @@ class TestCollections:
         expr, _ = parse_expression(
             "self.stages->select(s | s.start_date <> '')"
             "->collect(s | s.start_date)")
-        env = Binding({"self": objects.objects[0]})
+        env = {"self": objects.objects[0]}
         values = evaluate_expression(expr, env, objects, model)
         assert values == [StrV("2024-01-01"), StrV("2024-03-01")]
 
@@ -304,7 +303,7 @@ class TestCollections:
         model, objects = dpp_world(n_stages=1)
         expr, _ = parse_expression("self.stages->collect(s | s.ProductPassport"
                                    ".stages)")
-        env = Binding({"self": objects.objects[0]})
+        env = {"self": objects.objects[0]}
         with pytest.raises(OclRuntimeError):
             evaluate_expression(expr, env, objects, model)
 
@@ -312,7 +311,7 @@ class TestCollections:
         model, objects = dpp_world(n_stages=2)
         expr, _ = parse_expression(
             "self.stages->collect(s | s.start_date)->includes('2024-01-01')")
-        env = Binding({"self": objects.objects[0]})
+        env = {"self": objects.objects[0]}
         assert evaluate_expression(expr, env, objects, model) == BoolV(True)
 
     def test_size_on_scalar_is_an_error(self):
@@ -392,11 +391,13 @@ class TestNestingTooDeep:
 
 def error_world():
     """dpp_world plus a passport `p2` without slots whose one link names a
-    missing stage, bound as `orphan` next to `self` (p1)."""
+    missing stage, bound as `orphan` next to `self` (p1), and a float `x`
+    near the largest finite one."""
     model, objects = dpp_world(n_stages=1)
     objects.objects.append(ObjectDef("p2", "ProductPassport"))
     objects.links.append(Link("stages", (LinkEnd("p2"), LinkEnd("ghost"))))
-    return model, objects, {"self": objects.objects[0], "orphan": objects.objects[2]}
+    return model, objects, {"self": objects.objects[0], "orphan": objects.objects[2],
+                            "x": FloatV(1.5e308)}
 
 
 class Mystery(OclExpr):
@@ -438,6 +439,10 @@ class TestRuntimeErrorMessages:
         ("9" * 400 + " + 1.5", "integer too large to convert to float"),
         ("1.5 * -" + "9" * 400, "integer too large to convert to float"),
         ("9" * 400 + " / 2.5", "integer too large to convert to float"),
+        ("x * 10.0", "float overflow in '*'"),
+        ("x + x", "float overflow in '+'"),
+        ("x / 0.1", "float overflow in '/'"),
+        ("0.0 - x - x", "float overflow in '-'"),
         ("1 < 'a'", "comparison '<' needs two numbers or two strings"),
         ("true >= false", "comparison '>=' needs two numbers or two strings"),
         ("(1)->size()", "'->size' on a non-collection"),
@@ -449,7 +454,7 @@ class TestRuntimeErrorMessages:
         expr, diags = parse_expression(text)
         assert not diags, diags
         with pytest.raises(OclRuntimeError) as caught:
-            evaluate_expression(expr, Binding(env), objects, model)
+            evaluate_expression(expr, env, objects, model)
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("node", [
@@ -469,7 +474,7 @@ class TestRuntimeErrorMessages:
     def test_unknown_expression_node(self):
         with pytest.raises(OclRuntimeError) as caught:
             evaluate_expression(Binary("and", Literal(BoolV(True)), Mystery()),
-                                Binding(), EMPTY_OBJECTS, EMPTY_MODEL)
+                                {}, EMPTY_OBJECTS, EMPTY_MODEL)
         assert str(caught.value) == "unknown expression node Mystery"
 
     def test_constraint_level_messages(self):
@@ -499,11 +504,12 @@ class TestVariablesAgainstTheOracle:
         "self.stages->collect(s | s.ProductPassport.stages->collect(s | "
         "s.start_date)->size())",
         "self.stages->exists(s | s.start_date = '')",
-        # An error inside nested loops must still leave the frames as they were.
+        # An error inside nested loops must still leave the caller's dict as it was.
         "self.stages->exists(s | self.stages->forAll(s | s.nope = 1))",
     ]
-    # Free variables read through several frames, innermost first; `x`
-    # appears in two frames and as an iterator variable.
+    # Free variables given in several frames, outermost first, and flattened
+    # into one dict where the innermost wins; `x` appears in two frames and
+    # as an iterator variable.
     FRAMES = [{"x": IntV(1), "limit": IntV(10)}, {"y": IntV(7)}, {"x": IntV(5)}]
     FREE = [
         "x + y < limit",
@@ -519,9 +525,8 @@ class TestVariablesAgainstTheOracle:
     def _pair(self, text, frames):
         model, objects = dpp_world(n_stages=2)
         frames = [{"self": objects.objects[0], **frames[0]}] + frames[1:]
-        env = Binding(frames[0])
-        env.frames.extend(dict(f) for f in frames[1:])
-        before = [dict(f) for f in env.frames]
+        env = {name: value for f in frames for name, value in f.items()}
+        before = dict(env)
         expr, diags = parse_expression(text)
         assert not diags, diags
         try:
@@ -534,7 +539,7 @@ class TestVariablesAgainstTheOracle:
         except OclRuntimeError:
             actual = OracleError
         assert actual == expected, text
-        assert env.frames == before, "the evaluation left its frames behind"
+        assert env == before, "the evaluation changed the caller's dict"
 
     @pytest.mark.parametrize("text", SHADOWING)
     def test_shadowing_iterators(self, text):

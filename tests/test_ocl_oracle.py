@@ -6,7 +6,7 @@ import pytest
 
 from modelkit.metamodel import NULL, BoolV, ClassModel, FloatV, IntV, ObjectModel, StrV
 from modelkit.ocl import check_all, evaluate_constraint, evaluate_expression
-from modelkit.ocl.interp import Binding, OclRuntimeError
+from modelkit.ocl.interp import OclRuntimeError
 from modelkit.ocl.nodes import Binary, Literal, OclConstraint
 from model_gen import random_expression, random_instanced_model
 from ocl_oracle import OracleError, naive_check, naive_eval
@@ -81,13 +81,16 @@ def test_batch_checking_matches_per_constraint_oracle_runs():
                         for r in result.per_instance] == expected
 
 
-# Operand pairs by kind: zero divisors, negative floor division (-7 / 2)
-# and equal operands among them.
+# Operand pairs by kind: zero divisors, negative floor division (-7 / 2),
+# equal operands and floats whose sum, difference, product or quotient
+# overflows among them.
 OPERANDS = [
     *((IntV(a), IntV(b)) for a, b in [(7, 2), (-7, 2), (7, -2), (3, 3), (0, 5), (5, 0)]),
     *((IntV(a), FloatV(b)) for a, b in [(7, 2.0), (-7, 2.0), (3, 3.0), (5, 0.0)]),
     *((FloatV(a), IntV(b)) for a, b in [(7.5, 2), (-7.5, 2), (3.0, 3), (5.5, 0)]),
-    *((FloatV(a), FloatV(b)) for a, b in [(7.5, 2.5), (-7.0, 2.0), (2.5, 2.5), (1.0, 0.0)]),
+    *((FloatV(a), FloatV(b)) for a, b in [(7.5, 2.5), (-7.0, 2.0), (2.5, 2.5), (1.0, 0.0),
+                                          (1.5e308, 1.5e308), (-1.5e308, 1.5e308),
+                                          (1.5e308, 0.1)]),
     *((StrV(a), StrV(b)) for a, b in [("a", "b"), ("b", "a"), ("a", "a"), ("", "a")]),
     (IntV(1), StrV("1")), (StrV("a"), FloatV(1.0)), (BoolV(True), IntV(1)), (NULL, IntV(0)),
 ]
@@ -95,6 +98,7 @@ OPERANDS = [
 RUNTIME_ERRORS = {
     "arithmetic on non-numbers": "arithmetic '{op}' on non-numbers",
     "division by zero": "division by zero",
+    "float overflow": "float overflow in '{op}'",
     "unorderable operands": "comparison '{op}' needs two numbers or two strings",
 }
 
@@ -109,8 +113,8 @@ def test_each_operator_yields_the_oracles_record(op):
             expected = naive_eval(expr, [], ObjectModel(), ClassModel())
         except OracleError as exc:
             with pytest.raises(OclRuntimeError) as raised:
-                evaluate_expression(expr, Binding(), ObjectModel(), ClassModel())
+                evaluate_expression(expr, {}, ObjectModel(), ClassModel())
             assert str(raised.value) == RUNTIME_ERRORS[str(exc)].format(op=op)
             continue
-        actual = evaluate_expression(expr, Binding(), ObjectModel(), ClassModel())
+        actual = evaluate_expression(expr, {}, ObjectModel(), ClassModel())
         assert repr(actual) == repr(expected), (lhs, op, rhs)
