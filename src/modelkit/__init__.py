@@ -25,8 +25,8 @@ _EXPORTS = {
         "EvalResult", "OclConstraint", "check_all", "evaluate_constraint",
         "evaluate_expression", "parse_ocl"),
     "modelkit.codegen": (
-        "GeneratedArtifact", "GeneratorDescriptor", "GeneratorError",
-        "GeneratorRegistry", "builtin_registry"),
+        "GeneratedArtifact", "GeneratorError", "GeneratorRegistry",
+        "builtin_registry"),
     "modelkit.fsm": (
         "Session", "State", "StateMachine", "StepError", "TraceEntry",
         "Transition", "format_trace", "new_session", "parse_machine",

@@ -44,38 +44,27 @@ class GenerationResult(Record):
         self.diagnostics = [] if diagnostics is None else diagnostics
 
 
-class GeneratorDescriptor(Record):
-    """A generator registered under `id`, and the function that runs it."""
-
-    def __init__(self, id: str, display_name: str,
-                 produce: Callable[[ClassModel], GenerationResult]):
-        self.id, self.display_name, self.produce = id, display_name, produce
-
-
 class GeneratorRegistry:
     def __init__(self):
-        self._generators: dict[str, GeneratorDescriptor] = {}
+        self._generators: dict[str, Callable[[ClassModel], GenerationResult]] = {}
 
-    def register(self, descriptor: GeneratorDescriptor) -> None:
-        if descriptor.id in self._generators:
+    def register(self, generator_id: str,
+                 produce: Callable[[ClassModel], GenerationResult]) -> None:
+        if generator_id in self._generators:
             raise GeneratorError("dup-generator",
-                                 f"generator '{descriptor.id}' already registered")
-        self._generators[descriptor.id] = descriptor
-
-    def get(self, generator_id: str) -> GeneratorDescriptor:
-        try:
-            return self._generators[generator_id]
-        except KeyError:
-            raise GeneratorError(
-                "no-such-generator",
-                f"no generator '{generator_id}'; available: "
-                + ", ".join(self.ids())) from None
+                                 f"generator '{generator_id}' already registered")
+        self._generators[generator_id] = produce
 
     def ids(self) -> list[str]:
         return list(self._generators)
 
     def generate(self, generator_id: str, model: ClassModel) -> GenerationResult:
-        return self.get(generator_id).produce(model)
+        produce = self._generators.get(generator_id)
+        if produce is None:
+            raise GeneratorError(
+                "no-such-generator",
+                f"no generator '{generator_id}'; available: " + ", ".join(self.ids()))
+        return produce(model)
 
 
 _CAMEL_BOUNDARY_1 = re.compile(r"([A-Z]+)([A-Z][a-z0-9])")
@@ -96,10 +85,10 @@ def end_name(end: AssociationEnd) -> str:
 
 def builtin_registry() -> GeneratorRegistry:
     """Registry with the two reference generators, "classes" then "sql"."""
-    from modelkit.codegen.plainclasses import plain_classes_descriptor
-    from modelkit.codegen.sqlddl import sql_descriptor
+    from modelkit.codegen.plainclasses import generate_plain_classes
+    from modelkit.codegen.sqlddl import generate_sql_ddl
 
     registry = GeneratorRegistry()
-    registry.register(plain_classes_descriptor())
-    registry.register(sql_descriptor())
+    registry.register("classes", generate_plain_classes)
+    registry.register("sql", generate_sql_ddl)
     return registry

@@ -12,7 +12,6 @@ from __future__ import annotations
 from modelkit.codegen import (
     GeneratedArtifact,
     GenerationResult,
-    GeneratorDescriptor,
     end_name,
     snake_case,
 )
@@ -56,11 +55,3 @@ def generate_plain_classes(model: ClassModel) -> GenerationResult:
             relative_path=f"{snake_case(cls.name)}.gen",
             content="\n".join(lines) + "\n"))
     return result
-
-
-def plain_classes_descriptor() -> GeneratorDescriptor:
-    return GeneratorDescriptor(
-        id="classes",
-        display_name="Plain classes",
-        produce=generate_plain_classes,
-    )

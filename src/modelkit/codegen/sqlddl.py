@@ -28,7 +28,6 @@ import heapq
 from modelkit.codegen import (
     GeneratedArtifact,
     GenerationResult,
-    GeneratorDescriptor,
     end_name,
     snake_case,
 )
@@ -275,11 +274,3 @@ def _dependency_order(tables: dict[str, _Table]) -> list[_Table]:
                 if not pending[dependent]:
                     heapq.heappush(ready, keys[dependent])
     return emitted
-
-
-def sql_descriptor() -> GeneratorDescriptor:
-    return GeneratorDescriptor(
-        id="sql",
-        display_name="SQL DDL",
-        produce=generate_sql_ddl,
-    )

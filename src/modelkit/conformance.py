@@ -9,23 +9,8 @@ links, then per-association multiplicity counts.
 from __future__ import annotations
 
 from modelkit.diagnostics import Diagnostic, error, int_text
-from modelkit.index import ModelIndex, PopulationIndex
-from modelkit.metamodel import (
-    BoolV,
-    ClassModel,
-    EnumV,
-    FloatV,
-    IntV,
-    NullV,
-    ObjectModel,
-    StrV,
-    Value,
-)
-
-# The value classes each primitive type admits, narrowest type first: the
-# only such table, which inference also types observed values by.
-PRIMITIVE_VALUES = {"int": (IntV,), "float": (IntV, FloatV), "bool": (BoolV,),
-                    "str": (StrV, EnumV)}
+from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
+from modelkit.metamodel import ClassModel, EnumV, NullV, ObjectModel, Value
 
 
 def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:

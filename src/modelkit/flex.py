@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from modelkit.conformance import PRIMITIVE_VALUES, check_conformance, value_conforms
+from modelkit.conformance import check_conformance, value_conforms
 from modelkit.diagnostics import Diagnostic, warning
-from modelkit.index import ModelIndex, PopulationIndex
+from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -34,7 +34,7 @@ def infer_class_model(objects: ObjectModel,
 
     One concrete class per distinct classifier, one property per observed
     slot name, typed as the narrowest primitive type that admits every
-    observed value by conformance's `PRIMITIVE_VALUES`, or str with a
+    observed value by `index.PRIMITIVE_VALUES`, or str with a
     warning when the values are all null or no primitive admits them all.
     One association per distinct link name with multiplicities [min, max]
     of the observed per-object link counts, widened to unbounded when max

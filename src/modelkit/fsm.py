@@ -188,9 +188,8 @@ def _step(events: set[str] | list[str], arcs: Iterable[tuple[Transition, TraceEn
     if payload:
         variables.update(payload)
     for t, entry in arcs:
-        if t.guard is not None and not _guard_holds(t, variables):
-            continue
-        return variables, entry
+        if t.guard is None or _guard_holds(t, variables):
+            return variables, entry
     return variables, None
 
 

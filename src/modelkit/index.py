@@ -9,9 +9,12 @@ like the linear searches it replaces.
 from __future__ import annotations
 
 from modelkit.diagnostics import Diagnostic, error, int_text
-from modelkit.metamodel import ClassModel
+from modelkit.metamodel import BoolV, ClassModel, EnumV, FloatV, IntV, StrV
 
-PRIMITIVE_TYPES = ("int", "float", "str", "bool")
+# The value classes each primitive type admits, narrowest type first: the
+# only table of primitive types, which inference also types observed values by.
+PRIMITIVE_VALUES = {"int": (IntV,), "float": (IntV, FloatV), "bool": (BoolV,),
+                    "str": (StrV, EnumV)}
 
 
 class ModelIndex:
@@ -121,7 +124,7 @@ class ModelIndex:
     def kind(self, type_name: str):
         """'primitive', 'class', 'enum' or None; primitive names win over
         same-named classes or enums."""
-        if type_name in PRIMITIVE_TYPES:
+        if type_name in PRIMITIVE_VALUES:
             return "primitive"
         if type_name in self.classes:
             return "class"
@@ -220,7 +223,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
 
         # Shadowing of inherited properties, skipped for classes on a cycle
         # (their ancestry is not well defined until the cycle is fixed).
-        if cls.name not in cyclic and not (set(index.ancestors(cls.name)) & cyclic):
+        if cls.name not in cyclic and cyclic.isdisjoint(index.ancestors(cls.name)):
             inherited_from: dict[str, str] = {}
             for anc in index.ancestors(cls.name):
                 anc_cls = index.classes.get(anc)

@@ -92,7 +92,7 @@ class Multiplicity(Record):
 
 class Property(Record):
     """A typed attribute of a class, optionally its identifier; `type_name` is
-    one of index.PRIMITIVE_TYPES, a class name, or an enum name."""
+    one of index.PRIMITIVE_VALUES, a class name, or an enum name."""
 
     def __init__(self, name: str, type_name: str, is_id: bool = False,
                  span: Optional[SourceSpan] = None):

@@ -10,6 +10,7 @@ single-quoted and carry no escape sequences.
 from __future__ import annotations
 
 import re
+from math import isfinite
 from typing import Optional
 
 from modelkit.diagnostics import MAX_DIGITS, Diagnostic, Record, SourceSpan, error, read_int
@@ -72,11 +73,10 @@ _CONSTANTS = {"true": TRUE, "false": FALSE, "null": NULL}
 class OclSyntaxError(Exception):
     def __init__(self, message: str, token: Token):
         super().__init__(message)
-        self.message = message
         self.token = token
 
     def diagnostic(self, filename: str) -> Diagnostic:
-        return error("syntax", self.message,
+        return error("syntax", str(self),
                      SourceSpan(filename, self.token.line, self.token.column))
 
 
@@ -223,8 +223,11 @@ class _Parser:
             self.next()
             return Literal(IntV(number))
         if tok.kind == "float":
+            number = float(tok.text)
+            if not isfinite(number):
+                raise OclSyntaxError("float literal out of range", tok)
             self.next()
-            return Literal(FloatV(float(tok.text)))
+            return Literal(FloatV(number))
         if tok.kind == "string":
             self.next()
             return Literal(StrV(tok.text[1:-1]))
@@ -260,10 +263,6 @@ class _Parser:
 
     # Constraint blocks.
 
-    def skip_to_next_context(self) -> None:
-        while (tok := self.peek()).text != "context" and tok.kind != "eof":
-            self.next()
-
     def parse_constraints(self) -> OclParseResult:
         result = OclParseResult()
         names: set[str] = set()
@@ -288,7 +287,8 @@ class _Parser:
                         span=SourceSpan(self.filename, start.line, start.column)))
             except OclSyntaxError as exc:
                 result.diagnostics.append(exc.diagnostic(self.filename))
-                self.skip_to_next_context()
+                while (tok := self.peek()).text != "context" and tok.kind != "eof":
+                    self.next()  # resume at the next constraint
         return result
 
 

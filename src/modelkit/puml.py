@@ -92,121 +92,96 @@ def render_multiplicity(m: Multiplicity) -> str:
     return f"{int_literal(m.lower)}..{upper}"
 
 
-class _ClassModelParser:
-    def __init__(self, text: str, filename: str):
-        self.lines = read_lines(text, "'")
-        self.last = text.count("\n") + 1
-        self.filename = filename
-        self.diagnostics: list[Diagnostic] = []
-        self.model = ClassModel(name="model")
-        self.unnamed_counters: dict[tuple[str, str], int] = {}
+def parse_class_model(text: str, filename: str = "<input>") -> ParseResult:
+    """Parse class-model text; the model is present iff there are no errors."""
+    diagnostics: list[Diagnostic] = []
+    model = ClassModel(name="model")
+    unnamed_counters: dict[tuple[str, str], int] = {}
+    lines = read_lines(text, "'")
+    last = text.count("\n") + 1
 
-    def span(self, lineno: int) -> SourceSpan:
-        return SourceSpan(self.filename, lineno)
+    def err(code: str, message: str, lineno: int) -> None:
+        diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
 
-    def err(self, code: str, message: str, lineno: int) -> None:
-        self.diagnostics.append(error(code, message, self.span(lineno)))
-
-    def parse(self) -> ParseResult:
-        for lineno, line in read_envelope(self.lines, self.last, "@startuml",
-                                          "@enduml", self.err):
-            self.parse_decl(line, lineno)
-
-        if not has_errors(self.diagnostics):
-            semantic = validate_class_model(self.model)
-            self.diagnostics.extend(semantic)
-        model = self.model if not has_errors(self.diagnostics) else None
-        return ParseResult(model, self.diagnostics)
-
-    def parse_decl(self, line: str, lineno: int) -> None:
-        """Parse one declaration starting at `line`, with its body if any."""
-        m = _DECL_RE.fullmatch(line)
-        if m is None:
-            first = line.split()[0]
-            if "<<" in line or first in _FOREIGN_KEYWORDS or first.startswith("@start"):
-                self.err("unsupported-construct",
-                         f"construct '{first}' is outside the supported subset", lineno)
-            elif first in ("class", "abstract", "enum"):
-                self.err("syntax", f"malformed {first} declaration", lineno)
-                # Skip the body block, if one follows.
-                if line.endswith("{"):
-                    for _ in self.block(None):
-                        pass
-            else:
-                self.err("syntax", f"unrecognized declaration: {line}", lineno)
-        elif m.group("cls") is not None:
-            cls = ClassDef(name=m.group("cls"),
-                           is_abstract=m.group("abstract") is not None,
-                           span=self.span(lineno))
-            self.model.classes.append(cls)
-            for body_lineno, body in self.block(f"class '{cls.name}'"):
-                am = _ATTR_RE.match(body)
-                if am is None:
-                    self.err("syntax",
-                             f"malformed attribute in class '{cls.name}': {body}",
-                             body_lineno)
-                    continue
-                cls.properties.append(Property(
-                    name=am.group("name"), type_name=am.group("type"),
-                    is_id=am.group("id") is not None, span=self.span(body_lineno)))
-        elif m.group("enum") is not None:
-            enum = EnumDef(name=m.group("enum"), span=self.span(lineno))
-            self.model.enumerations.append(enum)
-            for body_lineno, body in self.block(f"enum '{enum.name}'"):
-                if _LITERAL_RE.match(body) is None:
-                    self.err("syntax",
-                             f"malformed literal in enum '{enum.name}': {body}",
-                             body_lineno)
-                    continue
-                enum.literals.append(body)
-        elif m.group("general") is not None:
-            self.model.generalizations.append(Generalization(
-                general=m.group("general"), specific=m.group("specific"),
-                span=self.span(lineno)))
-        else:
-            self.parse_assoc(m, lineno)
-
-    def block(self, owner: Optional[str]) -> Iterator[tuple[int, str]]:
+    def block(owner: Optional[str]) -> Iterator[tuple[int, str]]:
         """The lines of a body up to its closing `}`, taken from the lines
         the envelope reads, so an end marker inside a body is body text.
         A body never closed is reported for its `owner`, if given."""
-        for lineno, line in self.lines:
+        for lineno, line in lines:
             if line == "}":
                 return
             yield lineno, line
         if owner is not None:
-            self.err("syntax", f"{owner} body is never closed", self.last)
+            err("syntax", f"{owner} body is never closed", last)
 
-    def parse_assoc(self, m: re.Match, lineno: int) -> None:
-        left, m0, conn, m1, right, name = m.group("left", "m0", "conn", "m1", "right", "name")
-        mults = []
-        for spec in (m0, m1):
-            if spec is None:
-                mults.append(Multiplicity(0, None))
+    for lineno, line in read_envelope(lines, last, "@startuml", "@enduml", err):
+        m = _DECL_RE.fullmatch(line)
+        if m is None:
+            first = line.split()[0]
+            if "<<" in line or first in _FOREIGN_KEYWORDS or first.startswith("@start"):
+                err("unsupported-construct",
+                    f"construct '{first}' is outside the supported subset", lineno)
+            elif first in ("class", "abstract", "enum"):
+                err("syntax", f"malformed {first} declaration", lineno)
+                # Skip the body block, if one follows.
+                if line.endswith("{"):
+                    for _ in block(None):
+                        pass
             else:
-                parsed = _parse_multiplicity(spec)
+                err("syntax", f"unrecognized declaration: {line}", lineno)
+            continue
+        (abstract, cls_name, enum_name, general, specific,
+         left, m0, conn, m1, right, name) = m.groups()
+        if cls_name is not None:
+            cls = ClassDef(name=cls_name, is_abstract=abstract is not None,
+                           span=SourceSpan(filename, lineno))
+            model.classes.append(cls)
+            for body_lineno, body in block(f"class '{cls_name}'"):
+                am = _ATTR_RE.match(body)
+                if am is None:
+                    err("syntax", f"malformed attribute in class '{cls_name}': {body}",
+                        body_lineno)
+                    continue
+                cls.properties.append(Property(
+                    name=am.group("name"), type_name=am.group("type"),
+                    is_id=am.group("id") is not None, span=SourceSpan(filename, body_lineno)))
+        elif enum_name is not None:
+            enum = EnumDef(name=enum_name, span=SourceSpan(filename, lineno))
+            model.enumerations.append(enum)
+            for body_lineno, body in block(f"enum '{enum_name}'"):
+                if _LITERAL_RE.match(body) is None:
+                    err("syntax", f"malformed literal in enum '{enum_name}': {body}",
+                        body_lineno)
+                    continue
+                enum.literals.append(body)
+        elif general is not None:
+            model.generalizations.append(Generalization(
+                general=general, specific=specific, span=SourceSpan(filename, lineno)))
+        else:
+            mults = []
+            for spec in (m0, m1):
+                parsed = Multiplicity(0, None) if spec is None else _parse_multiplicity(spec)
                 if parsed is None:
-                    self.err("syntax", f"malformed multiplicity \"{spec}\"", lineno)
+                    err("syntax", f"malformed multiplicity \"{spec}\"", lineno)
                     parsed = Multiplicity(0, None)
                 mults.append(parsed)
-        if name is None:
-            key = (left, right)
-            self.unnamed_counters[key] = self.unnamed_counters.get(key, 0) + 1
-            name = f"{left}_{right}_{self.unnamed_counters[key]}"
-        self.model.associations.append(Association(
-            name=name,
-            ends=(
-                AssociationEnd(target=left, multiplicity=mults[0],
-                               is_composite=(conn == "*--")),
-                AssociationEnd(target=right, multiplicity=mults[1],
-                               is_composite=(conn == "--*")),
-            ),
-            span=self.span(lineno)))
+            if name is None:
+                key = (left, right)
+                unnamed_counters[key] = unnamed_counters.get(key, 0) + 1
+                name = f"{left}_{right}_{unnamed_counters[key]}"
+            model.associations.append(Association(
+                name=name,
+                ends=(
+                    AssociationEnd(target=left, multiplicity=mults[0],
+                                   is_composite=(conn == "*--")),
+                    AssociationEnd(target=right, multiplicity=mults[1],
+                                   is_composite=(conn == "--*")),
+                ),
+                span=SourceSpan(filename, lineno)))
 
-
-def parse_class_model(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse class-model text; the model is present iff there are no errors."""
-    return _ClassModelParser(text, filename).parse()
+    if not has_errors(diagnostics):
+        diagnostics.extend(validate_class_model(model))
+    return ParseResult(model if not has_errors(diagnostics) else None, diagnostics)
 
 
 def serialize_class_model(model: ClassModel) -> str:

@@ -2,14 +2,19 @@
 
 The benchmark's tracer (`bench/spans.py`) counts work by replacing module
 globals with wrappers: `check_all` must call `evaluate_constraint` once per
-constraint, and `run_scenario` must call `modelkit.fsm.evaluate_expression`
-once per guarded transition it tries.  A refactor that inlines either call
-would leave those counts silently wrong; these tests fail on it instead.
+constraint, `run_scenario` must call `modelkit.fsm.evaluate_expression`
+once per guarded transition it tries, and `builtin_registry` must look up
+`generate_plain_classes` and `generate_sql_ddl` in their modules when it is
+called.  A refactor that inlines or binds early any of these calls would
+leave those counts silently wrong; these tests fail on it instead.
 """
 
+import modelkit.codegen.plainclasses
+import modelkit.codegen.sqlddl
 import modelkit.fsm
 import modelkit.ocl.interp
 from conftest import FIXTURES
+from modelkit.codegen import GenerationResult, GeneratorRegistry, builtin_registry
 from modelkit.fsm import parse_machine, parse_scenario, run_scenario
 from modelkit.objtext import parse_object_model
 from modelkit.ocl.parser import parse_ocl
@@ -70,3 +75,31 @@ def test_run_scenario_calls_evaluate_expression_once_per_guard_tried(monkeypatch
     assert [guard_text[id(args[0])] for args in calls] == TRIED
     assert [(e.source, e.target) for e in session.trace] == [
         ("A", "C"), ("C", "A"), ("A", "B"), ("B", "A"), ("A", "A")]
+
+
+def test_builtin_registry_runs_the_generators_its_modules_hold_when_called(monkeypatch):
+    model = parse_class_model((FIXTURES / "dpp.buml.puml").read_text()).model
+    classes = counting(monkeypatch, modelkit.codegen.plainclasses, "generate_plain_classes")
+    sql = counting(monkeypatch, modelkit.codegen.sqlddl, "generate_sql_ddl")
+    registry = builtin_registry()
+    registry.generate("sql", model)
+    assert (len(classes), [args[0] for args in sql]) == (0, [model])
+    registry.generate("classes", model)
+    assert ([args[0] for args in classes], len(sql)) == ([model], 1)
+
+
+def test_a_registered_generator_runs_through_generate_and_stays_in_its_registry():
+    model = parse_class_model((FIXTURES / "dpp.buml.puml").read_text()).model
+    seen = []
+
+    def produce(given):
+        seen.append(given)
+        return GenerationResult()
+
+    for registry, ids in ((GeneratorRegistry(), ["mine"]),
+                          (builtin_registry(), ["classes", "sql", "mine"])):
+        registry.register("mine", produce)
+        assert registry.generate("mine", model) == GenerationResult()
+        assert registry.ids() == ids
+    assert seen == [model, model]
+    assert builtin_registry().ids() == ["classes", "sql"]

@@ -5,7 +5,6 @@ import pytest
 
 from modelkit.codegen import (
     GeneratedArtifact,
-    GeneratorDescriptor,
     GeneratorError,
     GeneratorRegistry,
     GenerationResult,
@@ -55,24 +54,23 @@ class TestRegistry:
         assert builtin_registry().ids() == ["classes", "sql"]
 
     def test_registering_after_a_builtin_preserves_order(self):
-        from modelkit.codegen.plainclasses import plain_classes_descriptor
-        from modelkit.codegen.sqlddl import sql_descriptor
         registry = GeneratorRegistry()
-        registry.register(plain_classes_descriptor())
-        registry.register(sql_descriptor())
+        registry.register("classes", generate_plain_classes)
+        registry.register("sql", generate_sql_ddl)
         assert registry.ids() == ["classes", "sql"]
 
     def test_duplicate_id(self):
         registry = builtin_registry()
         with pytest.raises(GeneratorError) as info:
-            registry.register(GeneratorDescriptor(
-                "sql", "again", lambda m: GenerationResult()))
+            registry.register("sql", lambda m: GenerationResult())
         assert info.value.code == "dup-generator"
+        assert str(info.value) == "generator 'sql' already registered"
 
     def test_unknown_id(self):
         with pytest.raises(GeneratorError) as info:
             builtin_registry().generate("nope", ClassModel())
         assert info.value.code == "no-such-generator"
+        assert str(info.value) == "no generator 'nope'; available: classes, sql"
 
     def test_artifact_paths_must_be_safe(self):
         with pytest.raises(ValueError):

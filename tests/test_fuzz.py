@@ -18,7 +18,7 @@ from modelkit.cli import main
 from modelkit.diagnostics import int_text, read_int
 from modelkit.fsm import parse_machine, parse_scenario
 from modelkit.metamodel import (
-    AttributeLink, ClassModel, IntV, Multiplicity, ObjectDef, ObjectModel, StrV)
+    AttributeLink, ClassModel, FloatV, IntV, Multiplicity, ObjectDef, ObjectModel, StrV)
 from modelkit.objtext import parse_object_model, render_value, serialize_object_model
 from modelkit.ocl.parser import parse_expression, parse_ocl
 from modelkit.puml import parse_class_model, serialize_class_model
@@ -271,6 +271,27 @@ def test_the_scenario_and_ocl_readers_take_the_longest_literal():
     assert [d.code for d in constraints.diagnostics] == ["syntax"]
 
 
+def test_an_ocl_or_guard_float_literal_past_the_largest_float_is_a_syntax_error():
+    """Written out in digits, 10^308 is a float and 10^400 is not: it is
+    reported where it stands, as the object reader reports it, instead of
+    evaluating as infinity."""
+    largest, huge = "1" + "0" * 308 + ".0", "1" + "0" * 400 + ".0"
+    expr, diagnostics = parse_expression(f"x < {largest}")
+    assert diagnostics == [] and expr.rhs.value == FloatV(1e308)
+    message = "float literal out of range"
+    for text in (f"{huge} > 0", f"{huge} * 1.0"):
+        expr, diagnostics = parse_expression(text)
+        assert expr is None
+        assert [(d.code, d.message, d.span.column) for d in diagnostics] == [
+            ("syntax", message, 1)]
+    constraints = parse_ocl(f"context A inv c: self.x < {huge}\ncontext A inv d: true")
+    assert [(d.message, d.span.column) for d in constraints.diagnostics] == [(message, 27)]
+    assert [c.name for c in constraints.constraints] == ["d"]
+    machine = parse_machine(f"machine m\nstate S\ninitial S\nevent e\n"
+                            f"trans S -> S on e when x < {huge}\n")
+    assert [d.message for d in machine.diagnostics] == [f"malformed guard: {message}"]
+
+
 def _cli(argv, env):
     return subprocess.run([sys.executable, "-m", "modelkit.cli", *argv],
                           capture_output=True, env=env)
@@ -313,6 +334,10 @@ LONG_LITERAL_RUNS = [
                f"trans S -> T on e when x = {digit_run(2000)}\ntrans T -> S on e\n",
       "s.scn": f"e x={digit_run(2000)}\ne x=-{digit_run(2000)}\ne\n"},
      "fsm-run --machine m.fsm --scenario s.scn", 0),
+    # A float literal past the largest float, written out in digits.
+    ({"m.puml": model_with("*"), "o.objs": objects_with("1"),
+      "c.ocl": f"context A inv c: {digit_run(400, '1')}.0 > 0\n"},
+     "check --model m.puml --objects o.objs --ocl c.ocl", 2),
 ]
 
 

@@ -5,7 +5,9 @@ and `import modelkit` re-exports lazily (PEP 562).  No subcommand loads
 `argparse`, `dataclasses` or `inspect`, and `json` only for a string with
 escapes.
 Each footprint is taken in a fresh interpreter, so the modules this test
-process has already loaded cannot hide an import.
+process has already loaded cannot hide an import.  A footprint also counts
+the modelkit source lines the command loads: every run compiles each of
+them, whether or not it executes it.
 """
 
 import ast
@@ -32,27 +34,37 @@ OCL = {"modelkit.ocl", "modelkit.ocl.interp", "modelkit.ocl.nodes",
 WATCHED = ("argparse", "dataclasses", "inspect", "json")
 
 
-def loaded(code: str) -> tuple[set[str], set[str]]:
+def loaded(code: str) -> tuple[set[str], set[str], int]:
     """The modelkit modules a fresh interpreter holds after running `code`,
-    and which of the WATCHED standard modules it loaded."""
+    which of the WATCHED standard modules it loaded, and how many source
+    lines those modelkit modules hold."""
     probe = (code + "\nimport sys\n"
              "print(*sorted(m for m in sys.modules"
-             f" if m.split('.')[0] in {('modelkit',) + WATCHED!r}))\n")
+             f" if m.split('.')[0] in {('modelkit',) + WATCHED!r}))\n"
+             "print(sum(open(m.__file__, 'rb').read().count(b'\\n')"
+             " for n, m in list(sys.modules.items()) if n.split('.')[0] == 'modelkit'))\n")
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert result.returncode == 0, result.stderr
-    names = set(result.stdout.splitlines()[-1].split())
+    *_, modules, lines = result.stdout.splitlines()
+    names = set(modules.split())
     ours = {name for name in names if name.split(".")[0] == "modelkit"}
-    return ours, {name.split(".")[0] for name in names - ours}
+    return ours, {name.split(".")[0] for name in names - ours}, int(lines)
 
 
 def test_importing_the_cli_loads_no_other_module():
-    assert loaded("import modelkit.cli") == (BASE, set())
+    assert loaded("import modelkit.cli")[:2] == (BASE, set())
 
 
 def test_importing_the_package_loads_nothing_else():
-    assert loaded("import modelkit") == ({"modelkit"}, set())
+    assert loaded("import modelkit")[:2] == ({"modelkit"}, set())
+
+
+# The most modelkit source lines each subcommand may load: the counts of
+# the tree this table was last set on.  Lower it when a change loads fewer.
+MOST_LINES = {"validate": 1443, "check": 2617, "generate": 1870, "fsm-run": 2051,
+              "infer": 2025, "enforce": 2025}
 
 
 @pytest.mark.parametrize("command, modules", [
@@ -73,7 +85,9 @@ def test_a_subcommand_loads_only_its_modules(command, modules, tmp_path):
     """The fixtures hold no escaped string, so no subcommand needs `json`."""
     argv = [arg.format(fx=FIXTURES, out=tmp_path) for arg in command.split()]
     code = f"from modelkit.cli import main\nassert main({argv!r}) == 0"
-    assert loaded(code) == (BASE | modules, set())
+    ours, watched, lines = loaded(code)
+    assert (ours, watched) == (BASE | modules, set())
+    assert lines <= MOST_LINES[argv[0]], f"{argv[0]} loads {lines} lines"
 
 
 @pytest.mark.parametrize("value", ['"say \\"hi\\""', '"tab\\there"'])
@@ -108,7 +122,7 @@ def test_submodules_are_attributes_of_a_bare_import():
             "assert 'modelkit.fsm' not in sys.modules\n"
             "assert modelkit.fsm.run_scenario is modelkit.run_scenario\n"
             "assert modelkit.ocl.parser.parse_ocl is modelkit.parse_ocl")
-    modules, _ = loaded(code)
+    modules, _, _ = loaded(code)
     assert "modelkit.fsm" in modules and "modelkit.flex" not in modules
 
 
