@@ -7,6 +7,7 @@ registration order.  Outputs are deterministic: same model, same bytes.
 
 from __future__ import annotations
 
+import importlib
 import posixpath
 import re
 from typing import Callable, Optional
@@ -83,12 +84,15 @@ def end_name(end: AssociationEnd) -> str:
     return end.role if end.role is not None else snake_case(end.target)
 
 
+def _builtin(module: str, name: str) -> Callable[[ClassModel], GenerationResult]:
+    """Runs `modelkit.codegen.<module>.<name>`, imported and looked up as it runs."""
+    return lambda model: getattr(importlib.import_module(f"modelkit.codegen.{module}"),
+                                 name)(model)
+
+
 def builtin_registry() -> GeneratorRegistry:
     """Registry with the two reference generators, "classes" then "sql"."""
-    from modelkit.codegen.plainclasses import generate_plain_classes
-    from modelkit.codegen.sqlddl import generate_sql_ddl
-
     registry = GeneratorRegistry()
-    registry.register("classes", generate_plain_classes)
-    registry.register("sql", generate_sql_ddl)
+    registry.register("classes", _builtin("plainclasses", "generate_plain_classes"))
+    registry.register("sql", _builtin("sqlddl", "generate_sql_ddl"))
     return registry

@@ -4,10 +4,14 @@ Emits one `<class>.gen` artifact per class: a class declaration whose
 constructor takes every attribute (inherited ones first, general-most
 class first) and assigns each to a field.  Association ends the class can
 navigate become initialized fields, a list when the far end's upper
-bound exceeds one, else None; they are not constructor parameters.
+bound exceeds one, else None; they are not constructor parameters.  A
+class, attribute or end name the source cannot hold (a Python keyword, or
+an attribute named `self`) is reported as `gen-unsupported` and left out.
 """
 
 from __future__ import annotations
+
+from keyword import iskeyword
 
 from modelkit.codegen import (
     GeneratedArtifact,
@@ -15,6 +19,7 @@ from modelkit.codegen import (
     end_name,
     snake_case,
 )
+from modelkit.diagnostics import error
 from modelkit.index import ModelIndex
 from modelkit.metamodel import ClassModel
 
@@ -39,15 +44,27 @@ def generate_plain_classes(model: ClassModel) -> GenerationResult:
     result = GenerationResult()
     index = ModelIndex(model)
     association_fields = _association_fields(index)
+
+    def usable(kind: str, name: str, subject: str, reserved: tuple = ()) -> bool:
+        if not iskeyword(name) and name not in reserved:
+            return True
+        result.diagnostics.append(error(
+            "gen-unsupported", f"{kind} '{subject}' is a reserved name in Python "
+            f"and is left out", subject=subject))
+        return False
+
     for cls in model.classes:
-        params = [p.name for p in index.flat(cls.name)]
+        if not usable("class", cls.name, cls.name):
+            continue
+        params = [p.name for p in index.flat(cls.name)
+                  if usable("attribute", p.name, f"{cls.name}.{p.name}", ("self",))]
         lines = [f"class {cls.name}:"]
         signature = ", ".join(["self"] + params)
         lines.append(f"    def __init__({signature}):")
         body = [f"        self.{name} = {name}" for name in params]
         for field_name, is_collection in association_fields.get(cls.name, {}).items():
-            initial = "[]" if is_collection else "None"
-            body.append(f"        self.{field_name} = {initial}")
+            if usable("association end", field_name, f"{cls.name}.{field_name}"):
+                body.append(f"        self.{field_name} = {'[]' if is_collection else 'None'}")
         if not body:
             body = ["        pass"]
         lines.extend(body)

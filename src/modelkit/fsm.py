@@ -36,7 +36,7 @@ from modelkit.diagnostics import (
     read_lines,
 )
 from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
-from modelkit.ocl.interp import OclRuntimeError, evaluate_expression
+from modelkit.ocl.interp import OclRuntimeError, Scope, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
 
@@ -140,14 +140,14 @@ def validate_machine(machine: StateMachine) -> list[Diagnostic]:
     return diags
 
 
-_EMPTY_OBJECTS = ObjectModel(name="none")
-_EMPTY_MODEL = ClassModel(name="none")
+# Guards read no population: every guard shares this one empty scope.
+_GUARD_SCOPE = Scope(ObjectModel(name="none"), ClassModel(name="none"))
 
 
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     try:
-        value = evaluate_expression(transition.guard, variables, _EMPTY_OBJECTS,
-                                    _EMPTY_MODEL)
+        value = evaluate_expression(transition.guard, variables, _GUARD_SCOPE.objects,
+                                    _GUARD_SCOPE.model, scope=_GUARD_SCOPE)
     except OclRuntimeError as exc:
         raise StepError(error(
             "guard-error",

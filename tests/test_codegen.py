@@ -131,6 +131,46 @@ class TestPlainClasses:
                 expected = len(index.flat(cls.name))
                 assert len(pattern.findall(artifact.content)) == expected
 
+    def test_a_name_python_reserves_is_reported_and_left_out(self):
+        model = parse_class_model(RESERVED_NAMES).model
+        result = generate_plain_classes(model)
+        assert [(d.format(), d.subject) for d in result.diagnostics] == [
+            ("error gen-unsupported - attribute 'Order.class' is a reserved name in "
+             "Python and is left out", "Order.class"),
+            ("error gen-unsupported - attribute 'Order.None' is a reserved name in "
+             "Python and is left out", "Order.None"),
+            ("error gen-unsupported - attribute 'Order.self' is a reserved name in "
+             "Python and is left out", "Order.self"),
+            ("error gen-unsupported - association end 'Order.lambda' is a reserved "
+             "name in Python and is left out", "Order.lambda"),
+            ("error gen-unsupported - class 'import' is a reserved name in Python "
+             "and is left out", "import")]
+        assert [(a.relative_path, a.content) for a in result.artifacts] == [
+            ("order.gen", "class Order:\n"
+                          "    def __init__(self, order):\n"
+                          "        self.order = order\n"),
+            ("lambda.gen", "class Lambda:\n"
+                           "    def __init__(self):\n"
+                           "        self.order = None\n")]
+
+
+# Validates clean; Python reserves its keywords, and `self` as a parameter.
+RESERVED_NAMES = """\
+@startuml
+class Order {
+  class : int
+  None : str
+  order : int
+  self : int
+}
+class Lambda {
+}
+class import {
+}
+Order "1" -- "*" Lambda : r
+@enduml
+"""
+
 
 class TestSqlDdl:
     def test_primary_key_and_snake_case(self):
@@ -289,6 +329,14 @@ class TestGolden:
             second = registry.generate(generator, model)
             assert [(a.relative_path, a.content) for a in first.artifacts] == \
                 [(a.relative_path, a.content) for a in second.artifacts]
+
+    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES + ("reserved",))
+    def test_every_generated_class_compiles(self, fixture, fixtures_dir,
+                                            test_fixtures_dir):
+        model = parse_class_model(RESERVED_NAMES).model if fixture == "reserved" \
+            else load_fixture(fixture, fixtures_dir, test_fixtures_dir)
+        for artifact in builtin_registry().generate("classes", model).artifacts:
+            compile(artifact.content, artifact.relative_path, "exec")
 
     @pytest.mark.parametrize("fixture", ["dpp", "shapes", "network", "registry"])
     def test_sql_goldens_parse(self, fixture, golden_dir):

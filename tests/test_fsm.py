@@ -20,7 +20,7 @@ from modelkit.fsm import (
     step,
     validate_machine,
 )
-from modelkit.ocl.interp import OclRuntimeError, evaluate_expression
+from modelkit.ocl.interp import OclRuntimeError, Scope, evaluate_expression
 from modelkit.ocl.parser import parse_expression
 
 
@@ -143,9 +143,9 @@ class TestStep:
         import modelkit.fsm
         seen = []
 
-        def evaluate(expr, env, objects, model):
+        def evaluate(expr, env, objects, model, **kwargs):
             seen.append(env)
-            return evaluate_expression(expr, env, objects, model)
+            return evaluate_expression(expr, env, objects, model, **kwargs)
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = guarded_machine()
@@ -380,9 +380,9 @@ class TestSharedValues:
         import modelkit.fsm
         envs = []
 
-        def evaluate(expr, env, objects, model):
+        def evaluate(expr, env, objects, model, **kwargs):
             envs.append(env)
-            return evaluate_expression(expr, env, objects, model)
+            return evaluate_expression(expr, env, objects, model, **kwargs)
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = parse_machine(SHARING_MACHINE).model
@@ -395,6 +395,25 @@ class TestSharedValues:
         assert len(envs) == 6 and envs[0] is envs[1] is envs[2] is not envs[3]
         assert envs[3] is envs[4] is envs[5]
         assert [envs[0], envs[3]] == [{"x": IntV(1), "y": FALSE}, {"x": IntV(-1), "y": FALSE}]
+
+    def test_a_guarded_run_constructs_no_scope(self, monkeypatch):
+        """Every guard reads the one empty scope `fsm` holds."""
+        import modelkit.fsm
+        built, real_init, tried = [], Scope.__init__, []
+
+        def init(scope, *args):
+            built.append(args)
+            real_init(scope, *args)
+
+        def evaluate(expr, env, objects, model, **kwargs):
+            tried.append(expr)
+            return evaluate_expression(expr, env, objects, model, **kwargs)
+
+        monkeypatch.setattr(Scope, "__init__", init)
+        monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
+        steps, _ = parse_scenario(SHARING_SCENARIO)
+        session = run_scenario(parse_machine(SHARING_MACHINE).model, steps)
+        assert (len(session.trace), len(tried), built) == (5, 12, [])
 
     @pytest.mark.parametrize("guard", [Binary("%", Literal(IntV(7)), Literal(IntV(2))),
                                        Unary("%", Literal(IntV(7)))])

@@ -63,7 +63,7 @@ def test_importing_the_package_loads_nothing_else():
 
 # The most modelkit source lines each subcommand may load: the counts of
 # the tree this table was last set on.  Lower it when a change loads fewer.
-MOST_LINES = {"validate": 1443, "check": 2617, "generate": 1870, "fsm-run": 2051,
+MOST_LINES = {"validate": 1443, "check": 2596, "generate": 1817, "fsm-run": 2030,
               "infer": 2025, "enforce": 2025}
 
 
@@ -72,8 +72,7 @@ MOST_LINES = {"validate": 1443, "check": 2617, "generate": 1870, "fsm-run": 2051
     ("check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl {fx}/dpp.ocl",
      CLASS_MODEL | OCL | {"modelkit.conformance", "modelkit.objtext"}),
     ("generate --model {fx}/dpp.buml.puml --target sql --out {out}",
-     CLASS_MODEL | {"modelkit.codegen", "modelkit.codegen.plainclasses",
-                    "modelkit.codegen.sqlddl"}),
+     CLASS_MODEL | {"modelkit.codegen", "modelkit.codegen.sqlddl"}),
     ("fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario",
      OCL | {"modelkit.diagnostics", "modelkit.fsm", "modelkit.metamodel"}),
     ("infer --objects {fx}/dpp.objs --out {out}/inferred.buml.puml",

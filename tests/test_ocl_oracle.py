@@ -6,7 +6,7 @@ import pytest
 
 from modelkit.metamodel import NULL, BoolV, ClassModel, FloatV, IntV, ObjectModel, StrV
 from modelkit.ocl import check_all, evaluate_constraint, evaluate_expression
-from modelkit.ocl.interp import OclRuntimeError
+from modelkit.ocl.interp import OclRuntimeError, Scope
 from modelkit.ocl.nodes import Binary, Literal, OclConstraint
 from model_gen import random_expression, random_instanced_model
 from ocl_oracle import OracleError, naive_check, naive_eval
@@ -20,12 +20,32 @@ def run_pair(rng, seed_note=""):
 
     expected = naive_check(constraint, objects, model)
     actual = evaluate_constraint(constraint, objects, model)
+    assert_values_match(body, objects, model, Scope(objects, model), seed_note)
     if expected is None:
         assert actual.message is not None, seed_note
         return None
     got = [(r.object_id, r.verdict) for r in actual.per_instance]
     assert got == expected, f"{seed_note}\nexpr={body}\nmodel={model}"
     return [v for _, v in got]
+
+
+def assert_values_match(body, objects, model, scope, note=""):
+    """`body`, with each object of a declared class as `self`, evaluated
+    through `scope` gives the oracle's value, or fails where the oracle does."""
+    known = {c.name for c in model.classes}
+    for obj in objects.objects:
+        if obj.classifier not in known:
+            continue
+        try:
+            expected = repr(naive_eval(body, [("self", obj)], objects, model))
+        except OracleError:
+            expected = "error"
+        try:
+            actual = repr(evaluate_expression(body, {"self": obj}, objects, model,
+                                              scope=scope))
+        except OclRuntimeError:
+            actual = "error"
+        assert actual == expected, f"{note}\nexpr={body}\nself={obj.id}"
 
 
 def test_verdicts_match_the_oracle():
@@ -72,7 +92,9 @@ def test_batch_checking_matches_per_constraint_oracle_runs():
             for k in range(3)
         ]
         results = check_all(constraints, objects, model)
+        scope = Scope(objects, model)  # one per population, shared by its constraints
         for constraint, result in zip(constraints, results):
+            assert_values_match(constraint.body, objects, model, scope)
             expected = naive_check(constraint, objects, model)
             if expected is None:
                 assert result.message is not None
