@@ -21,12 +21,12 @@ _EXPORTS = {
     "modelkit.conformance": ("check_conformance",),
     "modelkit.puml": ("parse_class_model", "serialize_class_model"),
     "modelkit.objtext": ("parse_object_model", "serialize_object_model"),
-    "modelkit.ocl": (
-        "EvalResult", "OclConstraint", "check_all", "evaluate_constraint",
-        "evaluate_expression", "parse_ocl"),
+    "modelkit.ocl.interp": (
+        "Scope", "check_all", "evaluate_constraint", "evaluate_expression"),
+    "modelkit.ocl.nodes": ("EvalResult", "OclConstraint"),
+    "modelkit.ocl.parser": ("parse_ocl",),
     "modelkit.codegen": (
-        "GeneratedArtifact", "GeneratorError", "GeneratorRegistry",
-        "builtin_registry"),
+        "GeneratedArtifact", "GeneratorError", "GeneratorRegistry", "builtin_registry"),
     "modelkit.fsm": (
         "Session", "State", "StateMachine", "StepError", "TraceEntry",
         "Transition", "format_trace", "new_session", "parse_machine",
@@ -40,9 +40,9 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     if name in _HOME:
-        value = getattr(importlib.import_module(_HOME[name]), name)
-        globals()[name] = value
+        globals()[name] = value = getattr(importlib.import_module(_HOME[name]), name)
         return value
-    if f"{__name__}.{name}" in _EXPORTS:  # a submodule that exports a name
+    found = [importlib.import_module(m) for m in _EXPORTS if m.split(".")[1] == name]
+    if found:  # a submodule, loaded with each module in it that exports a name
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

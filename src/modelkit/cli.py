@@ -89,10 +89,10 @@ def cmd_validate(model: str) -> int:
 
 
 def cmd_check(model: str, objects: str, ocl: str) -> int:
+    from modelkit import check_all, parse_ocl
     from modelkit.conformance import check_conformance
     from modelkit.diagnostics import has_errors
     from modelkit.objtext import parse_object_model
-    from modelkit.ocl import check_all, parse_ocl
     from modelkit.puml import parse_class_model
 
     classes, code = _load(model, parse_class_model)

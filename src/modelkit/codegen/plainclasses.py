@@ -6,7 +6,8 @@ class first) and assigns each to a field.  Association ends the class can
 navigate become initialized fields, a list when the far end's upper
 bound exceeds one, else None; they are not constructor parameters.  A
 class, attribute or end name the source cannot hold (a Python keyword, or
-an attribute named `self`) is reported as `gen-unsupported` and left out.
+an attribute named `self`) is reported as `gen-unsupported` and left out,
+and a class whose file name an earlier class took as `name-collision`.
 """
 
 from __future__ import annotations
@@ -53,9 +54,17 @@ def generate_plain_classes(model: ClassModel) -> GenerationResult:
             f"and is left out", subject=subject))
         return False
 
+    paths: set[str] = set()
     for cls in model.classes:
         if not usable("class", cls.name, cls.name):
             continue
+        path = f"{snake_case(cls.name)}.gen"
+        if path in paths:
+            result.diagnostics.append(error(
+                "name-collision", f"file name '{path}' produced twice after snake_case "
+                f"mangling", subject=cls.name))
+            continue
+        paths.add(path)
         params = [p.name for p in index.flat(cls.name)
                   if usable("attribute", p.name, f"{cls.name}.{p.name}", ("self",))]
         lines = [f"class {cls.name}:"]
@@ -69,6 +78,6 @@ def generate_plain_classes(model: ClassModel) -> GenerationResult:
             body = ["        pass"]
         lines.extend(body)
         result.artifacts.append(GeneratedArtifact(
-            relative_path=f"{snake_case(cls.name)}.gen",
+            relative_path=path,
             content="\n".join(lines) + "\n"))
     return result

@@ -146,8 +146,7 @@ _GUARD_SCOPE = Scope(ObjectModel(name="none"), ClassModel(name="none"))
 
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     try:
-        value = evaluate_expression(transition.guard, variables, _GUARD_SCOPE.objects,
-                                    _GUARD_SCOPE.model, scope=_GUARD_SCOPE)
+        value = evaluate_expression(transition.guard, variables, _GUARD_SCOPE)
     except OclRuntimeError as exc:
         raise StepError(error(
             "guard-error",

@@ -34,7 +34,7 @@ per-instance verdict 'error'.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from modelkit.metamodel import NULL, BoolV, ClassModel, EnumV, ObjectDef, ObjectModel, StrV
 from modelkit.ocl.nodes import (EvalResult, Evaluated, InstanceResult, OclConstraint,
@@ -91,28 +91,22 @@ class Scope:
         return partners
 
 
-def evaluate_expression(expr: OclExpr, env: dict[str, Evaluated], objects: ObjectModel,
-                        model: ClassModel, *, scope: Optional[Scope] = None) -> Evaluated:
-    """Evaluate one expression with `env` binding its free variables (and
-    `self`), which it only reads; raises OclRuntimeError on type errors,
-    division by zero, float overflow, null navigation, unknown names and
-    nesting too deep for the interpreter's stack.  A `scope` given is read
-    in place of `objects` and `model`, sharing its indexes among calls."""
+def evaluate_expression(expr: OclExpr, env: dict[str, Evaluated], scope: Scope) -> Evaluated:
+    """Evaluate one expression over `scope`, with `env` binding its free
+    variables (and `self`), which it only reads; raises OclRuntimeError on
+    type errors, division by zero, float overflow, null navigation, unknown
+    names and nesting too deep for the interpreter's stack."""
     try:
-        return expr.evaluate(env, scope or Scope(objects, model))
+        return expr.evaluate(env, scope)
     except RecursionError:
         raise OclRuntimeError("expression nested too deeply") from None
     except OverflowError:  # an int past a float's range met a float
         raise OclRuntimeError("integer too large to convert to float") from None
 
 
-def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
-                        model: ClassModel, *, scope: Optional[Scope] = None
-                        ) -> EvalResult:
+def evaluate_constraint(constraint: OclConstraint, scope: Scope) -> EvalResult:
     """Evaluate one invariant over every instance of its context class,
-    subclass instances included, in object declaration order.  `scope`
-    shares indexes among constraints over the same objects and model."""
-    scope = scope or Scope(objects, model)
+    subclass instances included, in object declaration order."""
     context = constraint.context_class
     if context not in scope.types.classes:
         return EvalResult(
@@ -121,14 +115,14 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
     result = EvalResult(constraint=constraint.name)
     conforms: dict[str, bool] = {}  # decided once per classifier
     env: dict[str, Evaluated] = {}
-    for obj in objects.objects:
+    for obj in scope.objects.objects:
         if obj.classifier not in conforms:
             conforms[obj.classifier] = scope.types.conforms(obj.classifier, context)
         if not conforms[obj.classifier]:
             continue
         env["self"] = obj
         try:
-            value = evaluate_expression(constraint.body, env, objects, model, scope=scope)
+            value = evaluate_expression(constraint.body, env, scope)
         except OclRuntimeError as exc:
             result.per_instance.append(
                 InstanceResult(obj.id, "error", str(exc)))
@@ -144,10 +138,6 @@ def evaluate_constraint(constraint: OclConstraint, objects: ObjectModel,
 
 def check_all(constraints: list[OclConstraint], objects: ObjectModel,
               model: ClassModel) -> list[EvalResult]:
-    """Evaluate every constraint in declaration order."""
+    """Evaluate every constraint in declaration order over one `Scope`."""
     scope = Scope(objects, model)
-    return [evaluate_constraint(c, objects, model, scope=scope) for c in constraints]
-
-
-def all_passed(results: list[EvalResult]) -> bool:
-    return all(r.passed for r in results)
+    return [evaluate_constraint(c, scope) for c in constraints]

@@ -186,6 +186,8 @@ def parse_class_model(text: str, filename: str = "<input>") -> ParseResult:
 
 def serialize_class_model(model: ClassModel) -> str:
     """Canonical text for a valid model; parsing it back yields an equal model.
+    Raises ValueError for a model it cannot write that way: an invalid one,
+    an association end with a role, or a bound too long to read back.
 
     Declarations are emitted in model order (classes, enumerations,
     associations, generalizations), attributes one per line at two-space
@@ -210,15 +212,12 @@ def serialize_class_model(model: ClassModel) -> str:
         out.append("}")
     for assoc in model.associations:
         e0, e1 = assoc.ends
-        if e0.is_composite:
-            conn = "*--"
-        elif e1.is_composite:
-            conn = "--*"
-        else:
-            conn = "--"
+        conn = "*--" if e0.is_composite else "--*" if e1.is_composite else "--"
         mults = []
         for j, end in enumerate(assoc.ends):
             try:
+                if end.role is not None:  # parsing it back would drop the role
+                    raise ValueError(f"role '{end.role}' has no syntax in the notation")
                 mults.append(render_multiplicity(end.multiplicity))
             except ValueError as exc:
                 raise ValueError(f"cannot write end {j} ('{end.target}') of association "

@@ -15,8 +15,9 @@ from modelkit.conformance import check_conformance
 from modelkit.flex import enforce_conformance, infer_class_model
 from modelkit.fsm import format_trace, parse_machine, parse_scenario, run_scenario, validate_machine
 from modelkit.metamodel import ClassModel
-from modelkit.ocl import evaluate_constraint, parse_ocl
+from modelkit.ocl.interp import Scope, evaluate_constraint
 from modelkit.ocl.nodes import OclConstraint
+from modelkit.ocl.parser import parse_ocl
 from modelkit.puml import parse_class_model, serialize_class_model
 from model_gen import (
     random_class_model,
@@ -86,7 +87,7 @@ def test_criterion_3_ocl_oracle_equivalence():
                 context_class=rng.choice(model.classes).name,
                 name="inv", body=random_expression(rng, model, depth=4))
             expected = naive_check(constraint, objects, model)
-            actual = evaluate_constraint(constraint, objects, model)
+            actual = evaluate_constraint(constraint, Scope(objects, model))
             if expected is None:
                 if actual.message is None:
                     mismatches += 1
@@ -118,7 +119,7 @@ def test_criterion_4_vacuous_truth_and_short_circuit():
                            multiplicity=Multiplicity(0, None)))))
         objects = ObjectModel(objects=[ObjectDef("p1", "P")])
         for constraint in parsed.constraints:
-            result = evaluate_constraint(constraint, objects, model)
+            result = evaluate_constraint(constraint, Scope(objects, model))
             assert [r.verdict for r in result.per_instance] == ["true"], \
                 constraint.name
 

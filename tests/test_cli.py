@@ -211,6 +211,25 @@ class TestGenerate:
         assert (tmp_path / "o" / "sql" / "schema.sql").exists()
 
 
+    @pytest.mark.parametrize("target, artifact, message, kept, dropped", [
+        ("classes", "foo_bar.gen", "file name 'foo_bar.gen'", "self.a = a", "self.b"),
+        ("sql", "schema.sql", "table name 'foo_bar'", "  a INTEGER\n", "b INTEGER"),
+    ])
+    def test_two_classes_with_one_snake_case_name_collide(self, capsys, tmp_path, target,
+                                                         artifact, message, kept, dropped):
+        """The second class is reported and left out; nothing is overwritten."""
+        model = tmp_path / "m.puml"
+        model.write_text("@startuml\nclass FooBar {\n  a : int\n}\n"
+                         "class foo_bar {\n  b : int\n}\n@enduml\n")
+        code, out, err = run(capsys, "generate", "--model", str(model),
+                             "--target", target, "--out", str(tmp_path / "o"))
+        written = tmp_path / "o" / target / artifact
+        assert (code, out, err) == (
+            1, f"{written}\nerror name-collision - {message} produced twice after "
+            "snake_case mangling\n", "1 error(s)\n")
+        assert kept in written.read_text() and dropped not in written.read_text()
+
+
 class TestFsmRun:
     def test_greeting_scenario(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "fsm-run",
@@ -255,7 +274,7 @@ class TestFsmRun:
         scenario.write_text("stay\ngo\n")
         head = "machine m\nstate A\nstate B\ninitial A\nevent go\nevent stay\n"
         machine.write_text(head + "trans A -> B on go when "
-                           + "+".join(["1"] * 500) + " > 0\n")
+                           + "+".join(["1"] * 2000) + " > 0\n")
         code, out, err = run(capsys, "fsm-run", "--machine", str(machine),
                              "--scenario", str(scenario))
         assert (code, out) == (1, "stay A -> A []\n")

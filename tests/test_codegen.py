@@ -252,6 +252,46 @@ class TestSqlDdl:
             "(association 'owns')", "s.p_code")]
         assert "CREATE TABLE s (\n  p_code TEXT\n);" in result.artifacts[0].content
 
+    def test_a_join_table_named_like_a_class_table_collides(self):
+        model = parse_class_model(
+            "@startuml\nclass A_B {\n  k : int {id}\n}\nclass A {\n  k : int {id}\n}\n"
+            "class B {\n  k : int {id}\n}\nA \"*\" -- \"*\" B : a_b\n@enduml\n").model
+        result = generate_sql_ddl(model)
+        assert [(d.format(), d.subject) for d in result.diagnostics] == [(
+            "error name-collision - table name 'a_b' produced twice after snake_case "
+            "mangling", "a_b")]
+        content = result.artifacts[0].content
+        assert re.findall(r"^CREATE TABLE (\w+)", content, re.MULTILINE) == ["a_b", "a", "b"]
+        assert "CREATE TABLE a_b (\n  k INTEGER,\n  PRIMARY KEY (k)\n);" in content
+
+    def test_associations_of_a_class_whose_table_collided_are_left_out(self):
+        """Only the collision is reported: the class has no table for a key
+        to live in, to reference, or to join."""
+        model = parse_class_model(
+            "@startuml\nclass FooBar {\n  k : int {id}\n}\nclass foo_bar {\n  k : int {id}\n}\n"
+            "class X {\n  k : int {id}\n}\n"
+            'X "1" -- "*" foo_bar : holds\nfoo_bar "1" -- "*" X : held\n'
+            'foo_bar "*" -- "*" X : pairs\n@enduml\n').model
+        result = generate_sql_ddl(model)
+        assert [d.message for d in result.diagnostics] == [
+            "table name 'foo_bar' produced twice after snake_case mangling"]
+        assert result.artifacts[0].content == (
+            "-- SQL schema for model 'model'\n\n"
+            "CREATE TABLE foo_bar (\n  k INTEGER,\n  PRIMARY KEY (k)\n);\n\n"
+            "CREATE TABLE x (\n  k INTEGER,\n  PRIMARY KEY (k)\n);\n")
+
+    def test_an_association_to_an_undeclared_class_is_left_to_validation(self):
+        """An unvalidated model: the generator skips what validation reports."""
+        model = ClassModel(name="m", classes=[
+            ClassDef("A", properties=[Property("k", "int", is_id=True)])])
+        model.associations.append(Association("r", (
+            AssociationEnd("A", multiplicity=Multiplicity(1, 1)), AssociationEnd("Ghost"))))
+        result = generate_sql_ddl(model)
+        assert result.diagnostics == []
+        assert result.artifacts[0].content == (
+            "-- SQL schema for model 'm'\n\nCREATE TABLE a (\n  k INTEGER,\n"
+            "  PRIMARY KEY (k)\n);\n")
+
     def test_generated_sql_always_parses(self):
         rng = random.Random(71)
         for _ in range(60):

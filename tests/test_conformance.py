@@ -163,6 +163,19 @@ def test_bool_does_not_fit_int():
         == ["slot-type"]
 
 
+def test_a_class_typed_slot_holds_only_null():
+    """A value in a class-typed slot is `slot-type`, as the oracle says;
+    references travel through links."""
+    model = ClassModel(name="m", classes=[
+        ClassDef("A", properties=[Property("ref", "B")]), ClassDef("B")])
+    objects = ObjectModel(objects=[
+        ObjectDef(f"a{i}", "A", slots=[AttributeLink("ref", value)])
+        for i, value in enumerate((NULL, IntV(1), StrV("b1")), 1)])
+    mine = sorted((d.code, d.subject) for d in check_conformance(objects, model))
+    assert mine == brute_conformance(objects, model) == [
+        ("slot-type", "a2.ref"), ("slot-type", "a3.ref")]
+
+
 def test_link_checks():
     model = passport_model(stage_lower="0")
     objects = ObjectModel(

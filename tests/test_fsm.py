@@ -143,9 +143,9 @@ class TestStep:
         import modelkit.fsm
         seen = []
 
-        def evaluate(expr, env, objects, model, **kwargs):
+        def evaluate(expr, env, scope):
             seen.append(env)
-            return evaluate_expression(expr, env, objects, model, **kwargs)
+            return evaluate_expression(expr, env, scope)
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = guarded_machine()
@@ -186,7 +186,7 @@ class TestRunScenario:
         assert a.trace == b.trace
 
     def test_guard_nested_too_deeply_fails_the_step(self):
-        text = "+".join(["1"] * 500) + " > 0"
+        text = "+".join(["1"] * 2000) + " > 0"
         guard, diags = parse_expression(text)
         assert not diags
         machine = StateMachine(
@@ -380,9 +380,9 @@ class TestSharedValues:
         import modelkit.fsm
         envs = []
 
-        def evaluate(expr, env, objects, model, **kwargs):
+        def evaluate(expr, env, scope):
             envs.append(env)
-            return evaluate_expression(expr, env, objects, model, **kwargs)
+            return evaluate_expression(expr, env, scope)
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = parse_machine(SHARING_MACHINE).model
@@ -405,9 +405,9 @@ class TestSharedValues:
             built.append(args)
             real_init(scope, *args)
 
-        def evaluate(expr, env, objects, model, **kwargs):
+        def evaluate(expr, env, scope):
             tried.append(expr)
-            return evaluate_expression(expr, env, objects, model, **kwargs)
+            return evaluate_expression(expr, env, scope)
 
         monkeypatch.setattr(Scope, "__init__", init)
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
@@ -479,7 +479,7 @@ def reference_run(machine, steps):
             if t.guard is not None:
                 try:
                     value = evaluate_expression(t.guard, merged,
-                                                ObjectModel(), ClassModel())
+                                                Scope(ObjectModel(), ClassModel()))
                 except OclRuntimeError:
                     return state, variables, trace, "guard-error"
                 if not isinstance(value, BoolV):

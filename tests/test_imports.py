@@ -63,8 +63,8 @@ def test_importing_the_package_loads_nothing_else():
 
 # The most modelkit source lines each subcommand may load: the counts of
 # the tree this table was last set on.  Lower it when a change loads fewer.
-MOST_LINES = {"validate": 1443, "check": 2596, "generate": 1817, "fsm-run": 2030,
-              "infer": 2025, "enforce": 2025}
+MOST_LINES = {"validate": 1442, "check": 2554, "generate": 1816, "fsm-run": 1988,
+              "infer": 2024, "enforce": 2024}
 
 
 @pytest.mark.parametrize("command, modules", [
@@ -123,6 +123,16 @@ def test_submodules_are_attributes_of_a_bare_import():
             "assert modelkit.ocl.parser.parse_ocl is modelkit.parse_ocl")
     modules, _, _ = loaded(code)
     assert "modelkit.fsm" in modules and "modelkit.flex" not in modules
+
+
+def test_a_package_of_exporting_modules_is_an_attribute_of_a_bare_import():
+    """`modelkit.ocl` holds no code: reading it loads each of its modules that
+    `modelkit` exports from."""
+    code = ("import modelkit\n"
+            "assert modelkit.ocl.parser.parse_ocl is modelkit.parse_ocl\n"
+            "assert modelkit.ocl.interp.Scope is modelkit.Scope")
+    modules, _, _ = loaded(code)
+    assert modules == {"modelkit", "modelkit.diagnostics", "modelkit.metamodel"} | OCL
 
 
 def test_an_unknown_name_raises_attribute_error():

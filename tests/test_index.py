@@ -22,7 +22,7 @@ from modelkit.metamodel import (
     ObjectModel,
     Property,
 )
-from modelkit.ocl import check_all
+from modelkit.ocl.interp import check_all
 from modelkit.ocl.nodes import Binary, Literal, Nav, OclConstraint, SelfRef
 from brute_conf import brute_conformance
 from model_gen import random_expression, random_instanced_model

@@ -21,14 +21,14 @@ from modelkit.metamodel import (
     StrV,
     TRUE,
 )
-from modelkit.ocl import (
+from modelkit.ocl.interp import (
     OclRuntimeError,
+    Scope,
     check_all,
     evaluate_constraint,
     evaluate_expression,
-    parse_expression,
-    parse_ocl,
 )
+from modelkit.ocl.parser import parse_expression, parse_ocl
 from modelkit.ocl.nodes import (
     Binary, CollectionOp, Literal, Nav, OclConstraint, OclExpr, SelfRef, Unary)
 from ocl_oracle import OracleError, naive_eval
@@ -40,7 +40,7 @@ EMPTY_MODEL = ClassModel(name="none")
 def ev(text, env=None, objects=EMPTY_OBJECTS, model=EMPTY_MODEL):
     expr, diags = parse_expression(text)
     assert not diags, diags
-    return evaluate_expression(expr, env or {}, objects, model)
+    return evaluate_expression(expr, env or {}, Scope(objects, model))
 
 
 def dpp_world(n_stages=2, empty_dates=()):
@@ -189,14 +189,14 @@ class TestNavigation:
         model, objects = dpp_world()
         constraint = parse_ocl(
             "context ProductPassport inv hasCode: self.code <> ''").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert [(r.object_id, r.verdict) for r in result.per_instance] == \
             [("p1", "true")]
 
     def test_trivial_invariant_covers_every_instance(self):
         model, objects = dpp_world(n_stages=3)
         constraint = parse_ocl("context Stage inv t: true").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert [r.verdict for r in result.per_instance] == ["true"] * 3
 
     def test_empty_association_navigation(self):
@@ -204,7 +204,7 @@ class TestNavigation:
         constraint = parse_ocl(
             "context ProductPassport inv some: self.stages->size() >= 1"
         ).constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert [(r.object_id, r.verdict) for r in result.per_instance] == \
             [("p1", "false")]
 
@@ -213,7 +213,7 @@ class TestNavigation:
         linked = parse_ocl(
             "context Stage inv linked: self.ProductPassport.code = 'DPP-001'"
         ).constraints[0]
-        result = evaluate_constraint(linked, objects, model)
+        result = evaluate_constraint(linked, Scope(objects, model))
         assert result.per_instance[0].verdict == "true"
 
         model2, objects2 = dpp_world(n_stages=0)
@@ -222,7 +222,7 @@ class TestNavigation:
         null_nav = parse_ocl(
             "context Stage inv unlinked: self.ProductPassport = null"
         ).constraints[0]
-        result2 = evaluate_constraint(null_nav, objects2, model2)
+        result2 = evaluate_constraint(null_nav, Scope(objects2, model2))
         assert result2.per_instance[0].verdict == "true"
 
     def test_missing_slot_reads_as_null(self):
@@ -230,14 +230,14 @@ class TestNavigation:
         objects.objects[0].slots = []
         constraint = parse_ocl(
             "context ProductPassport inv nil: self.code = null").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert result.per_instance[0].verdict == "true"
 
     def test_unknown_attribute_is_an_error_verdict(self):
         model, objects = dpp_world()
         constraint = parse_ocl(
             "context ProductPassport inv bad: self.nope = 1").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert result.per_instance[0].verdict == "error"
 
     def test_dangling_link_end_is_an_error_verdict(self):
@@ -246,7 +246,7 @@ class TestNavigation:
         constraint = parse_ocl(
             "context ProductPassport inv n: self.stages->size() = 2"
         ).constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert result.per_instance[0].verdict == "error"
 
     def test_enum_values_read_as_literal_strings(self):
@@ -257,7 +257,7 @@ class TestNavigation:
         objects = ObjectModel(objects=[ObjectDef("a1", "A", slots=[
             AttributeLink("c", EnumV("Color", "RED"))])])
         constraint = parse_ocl("context A inv red: self.c = 'RED'").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert result.per_instance[0].verdict == "true"
 
     def test_subclass_instances_are_included(self):
@@ -269,7 +269,7 @@ class TestNavigation:
             AttributeLink("start_date", StrV("2024"))]))
         constraint = parse_ocl(
             "context Stage inv started: self.start_date <> ''").constraints[0]
-        result = evaluate_constraint(constraint, objects, model)
+        result = evaluate_constraint(constraint, Scope(objects, model))
         assert [r.object_id for r in result.per_instance] == ["s0", "d1"]
 
 
@@ -279,7 +279,7 @@ class TestCollections:
         constraint = parse_ocl(
             "context ProductPassport inv v: self.stages->forAll(s | 1 / 0 = 0)"
         ).constraints[0]
-        assert evaluate_constraint(constraint, objects, model) \
+        assert evaluate_constraint(constraint, Scope(objects, model)) \
             .per_instance[0].verdict == "true"
 
     def test_exists_on_empty_is_false(self):
@@ -287,7 +287,7 @@ class TestCollections:
         constraint = parse_ocl(
             "context ProductPassport inv e: self.stages->exists(s | true)"
         ).constraints[0]
-        assert evaluate_constraint(constraint, objects, model) \
+        assert evaluate_constraint(constraint, Scope(objects, model)) \
             .per_instance[0].verdict == "false"
 
     def test_select_preserves_order_and_collect_maps(self):
@@ -296,7 +296,7 @@ class TestCollections:
             "self.stages->select(s | s.start_date <> '')"
             "->collect(s | s.start_date)")
         env = {"self": objects.objects[0]}
-        values = evaluate_expression(expr, env, objects, model)
+        values = evaluate_expression(expr, env, Scope(objects, model))
         assert values == [StrV("2024-01-01"), StrV("2024-03-01")]
 
     def test_collect_refuses_nested_collections(self):
@@ -305,14 +305,14 @@ class TestCollections:
                                    ".stages)")
         env = {"self": objects.objects[0]}
         with pytest.raises(OclRuntimeError):
-            evaluate_expression(expr, env, objects, model)
+            evaluate_expression(expr, env, Scope(objects, model))
 
     def test_includes(self):
         model, objects = dpp_world(n_stages=2)
         expr, _ = parse_expression(
             "self.stages->collect(s | s.start_date)->includes('2024-01-01')")
         env = {"self": objects.objects[0]}
-        assert evaluate_expression(expr, env, objects, model) == BoolV(True)
+        assert evaluate_expression(expr, env, Scope(objects, model)) == BoolV(True)
 
     def test_size_on_scalar_is_an_error(self):
         with pytest.raises(OclRuntimeError):
@@ -325,17 +325,34 @@ class TestCheckAll:
         assert check_all([], objects, model) == []
 
     def test_one_failing_instance_fails_overall(self):
-        from modelkit.ocl import all_passed
         model, objects = dpp_world(n_stages=2, empty_dates=(0,))
         parsed = parse_ocl(
             "context ProductPassport inv hasCode: self.code <> ''\n"
             "context Stage inv started: self.start_date <> ''\n")
         results = check_all(parsed.constraints, objects, model)
-        assert not all_passed(results)
+        assert not all(r.passed for r in results)
         failing = [(r.constraint, i.object_id)
                    for r in results for i in r.per_instance
                    if i.verdict != "true"]
         assert failing == [("started", "s0")]
+
+    def test_one_scope_serves_every_constraint(self, monkeypatch):
+        """`check_all` indexes the population and model once, not once per
+        constraint."""
+        built, real_init = [], Scope.__init__
+
+        def init(scope, *args):
+            built.append(args)
+            real_init(scope, *args)
+
+        monkeypatch.setattr(Scope, "__init__", init)
+        model, objects = dpp_world(n_stages=2)
+        parsed = parse_ocl("context ProductPassport inv a: self.stages->size() = 2\n"
+                           "context Stage inv b: self.ProductPassport <> null\n"
+                           "context Stage inv c: true\n")
+        results = check_all(parsed.constraints, objects, model)
+        assert [i.verdict for r in results for i in r.per_instance] == ["true"] * 5
+        assert built == [(objects, model)]
 
     def test_unknown_context_class(self):
         model, objects = dpp_world()
@@ -356,7 +373,9 @@ class TestNestingTooDeep:
     """Nesting deeper than the interpreter's stack is a syntax diagnostic
     when parsing and an `error` verdict when evaluating, never a crash."""
 
-    DEEP_SUM = "+".join(["1"] * 500) + " > 0"  # parses iteratively, nests deeply
+    # Parses iteratively and nests deeply: 2 000 levels pass the default
+    # recursion limit of 1 000 by more than any test runner's own frames.
+    DEEP_SUM = "+".join(["1"] * 2000) + " > 0"
 
     @pytest.mark.parametrize("text", ["(" * 200 + "true" + ")" * 200,
                                       "not " * 1000 + "true"])
@@ -447,14 +466,14 @@ class TestRuntimeErrorMessages:
         ("true >= false", "comparison '>=' needs two numbers or two strings"),
         ("(1)->size()", "'->size' on a non-collection"),
         ("self.code->includes('x')", "'->includes' on a non-collection"),
-        ("+".join(["1"] * 500) + " > 0", "expression nested too deeply"),
+        ("+".join(["1"] * 2000) + " > 0", "expression nested too deeply"),
     ])
     def test_expression_error_text(self, text, message):
         model, objects, env = error_world()
         expr, diags = parse_expression(text)
         assert not diags, diags
         with pytest.raises(OclRuntimeError) as caught:
-            evaluate_expression(expr, env, objects, model)
+            evaluate_expression(expr, env, Scope(objects, model))
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("node", [
@@ -467,14 +486,14 @@ class TestRuntimeErrorMessages:
         """Nodes built through the API: the parser never builds these."""
         model, objects = dpp_world(n_stages=0)
         result = evaluate_constraint(OclConstraint("ProductPassport", "op", node),
-                                     objects, model)
+                                     Scope(objects, model))
         assert [(i.verdict, i.message) for i in result.per_instance] == [
             ("error", "unknown operator '%'")]
 
     def test_unknown_expression_node(self):
         with pytest.raises(OclRuntimeError) as caught:
             evaluate_expression(Binary("and", Literal(BoolV(True)), Mystery()),
-                                {}, EMPTY_OBJECTS, EMPTY_MODEL)
+                                {}, Scope(EMPTY_OBJECTS, EMPTY_MODEL))
         assert str(caught.value) == "unknown expression node Mystery"
 
     def test_constraint_level_messages(self):
@@ -535,7 +554,7 @@ class TestVariablesAgainstTheOracle:
         except OracleError:
             expected = OracleError
         try:
-            actual = evaluate_expression(expr, env, objects, model)
+            actual = evaluate_expression(expr, env, Scope(objects, model))
         except OclRuntimeError:
             actual = OracleError
         assert actual == expected, text

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from modelkit.metamodel import NULL, BoolV, ClassModel, FloatV, IntV, ObjectModel, StrV
-from modelkit.ocl import check_all, evaluate_constraint, evaluate_expression
-from modelkit.ocl.interp import OclRuntimeError, Scope
+from modelkit.ocl.interp import (OclRuntimeError, Scope, check_all, evaluate_constraint,
+                                 evaluate_expression)
 from modelkit.ocl.nodes import Binary, Literal, OclConstraint
 from model_gen import random_expression, random_instanced_model
 from ocl_oracle import OracleError, naive_check, naive_eval
@@ -19,8 +19,9 @@ def run_pair(rng, seed_note=""):
     constraint = OclConstraint(context_class=context, name="inv0", body=body)
 
     expected = naive_check(constraint, objects, model)
-    actual = evaluate_constraint(constraint, objects, model)
-    assert_values_match(body, objects, model, Scope(objects, model), seed_note)
+    scope = Scope(objects, model)
+    actual = evaluate_constraint(constraint, scope)
+    assert_values_match(body, objects, model, scope, seed_note)
     if expected is None:
         assert actual.message is not None, seed_note
         return None
@@ -41,8 +42,7 @@ def assert_values_match(body, objects, model, scope, note=""):
         except OracleError:
             expected = "error"
         try:
-            actual = repr(evaluate_expression(body, {"self": obj}, objects, model,
-                                              scope=scope))
+            actual = repr(evaluate_expression(body, {"self": obj}, scope))
         except OclRuntimeError:
             actual = "error"
         assert actual == expected, f"{note}\nexpr={body}\nself={obj.id}"
@@ -64,7 +64,7 @@ def test_verdicts_match_the_oracle():
 def test_dpp_invariants_match_the_oracle(fixtures_dir):
     from modelkit.puml import parse_class_model
     from modelkit.objtext import parse_object_model
-    from modelkit.ocl import parse_ocl
+    from modelkit.ocl.parser import parse_ocl
 
     model = parse_class_model((fixtures_dir / "dpp.buml.puml").read_text()).model
     model.associations[0].ends[1].role = "stages"
@@ -77,7 +77,7 @@ def test_dpp_invariants_match_the_oracle(fixtures_dir):
     assert parsed.ok
     for constraint in parsed.constraints:
         expected = naive_check(constraint, objects, model)
-        actual = evaluate_constraint(constraint, objects, model)
+        actual = evaluate_constraint(constraint, Scope(objects, model))
         assert [(r.object_id, r.verdict) for r in actual.per_instance] == expected
         assert all(v == "true" for _, v in expected)
 
@@ -135,8 +135,8 @@ def test_each_operator_yields_the_oracles_record(op):
             expected = naive_eval(expr, [], ObjectModel(), ClassModel())
         except OracleError as exc:
             with pytest.raises(OclRuntimeError) as raised:
-                evaluate_expression(expr, {}, ObjectModel(), ClassModel())
+                evaluate_expression(expr, {}, Scope(ObjectModel(), ClassModel()))
             assert str(raised.value) == RUNTIME_ERRORS[str(exc)].format(op=op)
             continue
-        actual = evaluate_expression(expr, {}, ObjectModel(), ClassModel())
+        actual = evaluate_expression(expr, {}, Scope(ObjectModel(), ClassModel()))
         assert repr(actual) == repr(expected), (lhs, op, rhs)

@@ -224,6 +224,18 @@ def test_serializing_an_invalid_model_is_rejected():
         serialize_class_model(model)
 
 
+@pytest.mark.parametrize("j", [0, 1])
+def test_serializing_an_association_end_role_is_refused(j):
+    """The notation has no role syntax, so the text could not give the role back."""
+    text = "@startuml\nclass A {\n}\nclass B {\n}\nA -- B : r\n@enduml\n"
+    model = parse_class_model(text).model
+    model.associations[0].ends[j].role = "owner"
+    with pytest.raises(ValueError) as raised:
+        serialize_class_model(model)
+    assert str(raised.value) == (f"cannot write end {j} ('{'AB'[j]}') of association 'r': "
+                                 "role 'owner' has no syntax in the notation")
+
+
 def test_roundtrip_on_random_models():
     rng = random.Random(101)
     for _ in range(120):
