@@ -13,7 +13,7 @@ _EXPORTS = {
     "modelkit.metamodel": (
         "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
         "ClassModel", "EnumDef", "EnumV", "FloatV", "Generalization", "IntV",
-        "Link", "LinkEnd", "Multiplicity", "NULL", "NullV", "ObjectDef",
+        "Link", "Multiplicity", "NULL", "NullV", "ObjectDef",
         "ObjectModel", "Property", "StrV", "Value"),
     "modelkit.index": ("ModelIndex", "validate_class_model"),
     "modelkit.diagnostics": (

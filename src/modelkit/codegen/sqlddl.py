@@ -18,7 +18,9 @@ Single `schema.sql` artifact.  Mapping rules:
 - many-to-many associations become a join table named after the
   association, with a composite PRIMARY KEY over both ends' key columns;
 - tables are emitted referenced-before-referencing, ties broken by
-  declaration order.
+  declaration order;
+- a table or column name that SQLite reserves (`order`, `Group`) is
+  written as a delimited identifier, `"order"`.
 """
 
 from __future__ import annotations
@@ -37,21 +39,38 @@ from modelkit.metamodel import Association, ClassModel
 
 _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "bool": "BOOLEAN"}
 
+# The SQLite 3.40.1 keywords that fail as a bare table or column name where
+# this generator writes one, in lower case.
+_RESERVED = frozenset("""
+    add all alter and as autoincrement between case cast check collate commit constraint
+    create current_date current_time current_timestamp default deferrable delete distinct
+    drop else escape except exists foreign from group having if in index insert intersect
+    into is isnull join limit not nothing notnull null on or order primary raise references
+    returning select set table then to transaction union unique update using values when
+    where""".split())
+
+
+def _quote(name: str) -> str:
+    """`name` as SQLite reads it: quoted when it is a reserved word."""
+    return f'"{name}"' if name.lower() in _RESERVED else name
+
+
+def _quoted(names: list[str]) -> str:
+    return ", ".join(map(_quote, names))
+
 
 class _Table(Record):
-    """A table being built: columns as (name, rendered type), keys, and the
-    tables it references."""
+    """A table being built: columns as (name, rendered type), keys, and
+    foreign keys as (columns, referenced table, referenced columns)."""
 
     def __init__(self, name: str, order: int,
                  columns: list[tuple[str, str]] | None = None,
                  primary_key: list[str] | None = None,
-                 foreign_keys: list[tuple[list[str], str, list[str]]] | None = None,
-                 depends_on: set[str] | None = None):
+                 foreign_keys: list[tuple[list[str], str, list[str]]] | None = None):
         self.name, self.order = name, order
         self.columns = [] if columns is None else columns
         self.primary_key = [] if primary_key is None else primary_key
         self.foreign_keys = [] if foreign_keys is None else foreign_keys
-        self.depends_on = set() if depends_on is None else depends_on
 
 
 def _column_type(index: ModelIndex, type_name: str, column: str) -> str | None:
@@ -60,7 +79,7 @@ def _column_type(index: ModelIndex, type_name: str, column: str) -> str | None:
         return _TYPE_MAP[type_name]
     if kind == "enum":
         literals = ", ".join(f"'{lit}'" for lit in index.enums[type_name].literals)
-        return f"TEXT CHECK ({column} IN ({literals}))"
+        return f"TEXT CHECK ({_quote(column)} IN ({literals}))"
     return None
 
 
@@ -194,23 +213,28 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             if add_column(table, col, rendered, context):
                 cols.append(col)
         if cols:
-            ref_table = class_table[referenced_class]
-            table.foreign_keys.append(
-                (cols, ref_table, [k for k, _ in keys[referenced_class]]))
-            table.depends_on.add(ref_table)
+            table.foreign_keys.append((cols, class_table[referenced_class],
+                                       [k for k, _ in keys[referenced_class]]))
+
+    def left_out(assoc: Association) -> bool:
+        """Whether a class at an end of `assoc` has no table; reports it."""
+        gone = [end.target for end in assoc.ends if end.target not in class_table]
+        if gone:
+            diags.append(error("gen-unsupported", f"association '{assoc.name}' is left "
+                               f"out: class '{gone[0]}' has no table", subject=assoc.name))
+        return bool(gone)
 
     for assoc, ref, holder in fk_assocs:
-        holder_name = class_table.get(assoc.ends[holder].target)
-        ref_class = assoc.ends[ref].target
-        if holder_name is None or ref_class not in class_table:
+        if left_out(assoc):
             continue
         end = assoc.ends[ref]
-        add_foreign_key(tables[holder_name], ref_class, end_name(end),
-                        end.multiplicity.lower >= 1, f"association '{assoc.name}'")
+        add_foreign_key(tables[class_table[assoc.ends[holder].target]], end.target,
+                        end_name(end), end.multiplicity.lower >= 1,
+                        f"association '{assoc.name}'")
 
     assoc_order = {a.name: i for i, a in enumerate(model.associations)}
     for assoc in join_assocs:
-        if any(end.target not in class_table for end in assoc.ends):
+        if left_out(assoc):
             continue
         table = new_table(snake_case(assoc.name),
                           len(concrete) + assoc_order[assoc.name], assoc.name)
@@ -226,14 +250,13 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
     lines = [f"-- SQL schema for model '{model.name}'"]
     for table in ordered:
         lines.append("")
-        lines.append(f"CREATE TABLE {table.name} (")
-        entries = [f"  {name} {rendered}" for name, rendered in table.columns]
+        lines.append(f"CREATE TABLE {_quote(table.name)} (")
+        entries = [f"  {_quote(name)} {rendered}" for name, rendered in table.columns]
         if table.primary_key:
-            entries.append("  PRIMARY KEY (" + ", ".join(table.primary_key) + ")")
+            entries.append(f"  PRIMARY KEY ({_quoted(table.primary_key)})")
         for cols, ref_table, ref_cols in table.foreign_keys:
-            entries.append(
-                "  FOREIGN KEY (" + ", ".join(cols) + ") REFERENCES "
-                + ref_table + " (" + ", ".join(ref_cols) + ")")
+            entries.append(f"  FOREIGN KEY ({_quoted(cols)}) REFERENCES "
+                           f"{_quote(ref_table)} ({_quoted(ref_cols)})")
         lines.append(",\n".join(entries))
         lines.append(");")
 
@@ -251,7 +274,7 @@ def _dependency_order(tables: dict[str, _Table]) -> list[_Table]:
     pending: dict[str, int] = {}  # unemitted table -> its unmet dependencies
     dependents: dict[str, list[str]] = {}
     for name, table in tables.items():
-        deps = table.depends_on - {name}
+        deps = {ref for _, ref, _ in table.foreign_keys} - {name}
         pending[name] = len(deps)
         for dep in deps:
             dependents.setdefault(dep, []).append(name)

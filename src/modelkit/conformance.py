@@ -101,12 +101,12 @@ def _check_link(position, link, known, index, diags) -> None:
                            f"link of '{assoc.name}' must have exactly two ends",
                            link.span, subject=f"link[{position}]"))
         return
-    for pos, link_end in enumerate(link.ends):
-        obj = known.get(link_end.object_id)
+    for pos, object_id in enumerate(link.ends):
+        obj = known.get(object_id)
         if obj is None:
             diags.append(error("unknown-object",
                                f"link of '{assoc.name}' references unknown object "
-                               f"'{link_end.object_id}'",
+                               f"'{object_id}'",
                                link.span, subject=f"link[{position}]"))
             continue
         end = assoc.ends[pos]

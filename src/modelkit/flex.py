@@ -85,7 +85,7 @@ def infer_class_model(objects: ObjectModel,
     population = PopulationIndex(objects)
     observed: dict[str, tuple[list[str], list[str]]] = {}
     for link in objects.links:
-        holders = [population.objects.get(e.object_id) for e in link.ends]
+        holders = [population.objects.get(e) for e in link.ends]
         if len(holders) != 2 or None in holders:
             continue  # such a link infers nothing
         sides = observed.setdefault(link.association_name, ([], []))
@@ -185,7 +185,7 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
         pruned_objects.append(ObjectDef(id=obj.id, classifier=obj.classifier,
                                         slots=kept_slots, span=obj.span))
 
-    population = PopulationIndex(ObjectModel(objects=pruned_objects, links=objects.links))
+    population = PopulationIndex(ObjectModel(pruned_objects, objects.links))
     dropped: set[int] = set()  # id() of every removed link
     for position, link in enumerate(objects.links):
         bad = _link_fault(link, index, population)
@@ -209,8 +209,7 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                             f"'{assoc.name}' exceeds upper bound {upper} "
                             f"at object '{obj.id}'")
 
-    result = ObjectModel(name=objects.name, objects=pruned_objects,
-                         links=[ln for ln in objects.links if id(ln) not in dropped])
+    result = ObjectModel(pruned_objects, [ln for ln in objects.links if id(ln) not in dropped])
     residual = check_conformance(result, model)
     diags.extend(residual)
     return result, diags
@@ -223,10 +222,10 @@ def _link_fault(link, index, population) -> Optional[str]:
         return f"unknown association '{link.association_name}'"
     if len(link.ends) != 2:
         return f"link of '{assoc.name}' must have exactly two ends"
-    for end, link_end in zip(assoc.ends, link.ends):
-        holder = population.objects.get(link_end.object_id)
+    for end, object_id in zip(assoc.ends, link.ends):
+        holder = population.objects.get(object_id)
         if holder is None:
-            return f"end object '{link_end.object_id}' is gone or unknown"
+            return f"end object '{object_id}' is gone or unknown"
         if not index.conforms(holder.classifier, end.target):
             return (f"object '{holder.id}' ({holder.classifier}) cannot occupy "
                     f"the '{end.target}' end")

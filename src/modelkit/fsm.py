@@ -141,7 +141,7 @@ def validate_machine(machine: StateMachine) -> list[Diagnostic]:
 
 
 # Guards read no population: every guard shares this one empty scope.
-_GUARD_SCOPE = Scope(ObjectModel(name="none"), ClassModel(name="none"))
+_GUARD_SCOPE = Scope(ObjectModel(), ClassModel(name="none"))
 
 
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:

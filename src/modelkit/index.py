@@ -345,7 +345,7 @@ class PopulationIndex:
         for link in objects.links:
             if len(link.ends) == 2:
                 for pos, end in enumerate(link.ends):
-                    key = (link.association_name, pos, end.object_id)
+                    key = (link.association_name, pos, end)
                     self._links.setdefault(key, []).append(link)
 
     def linked(self, association: str, pos: int, object_id: str):

@@ -187,17 +187,10 @@ class ObjectDef(Record):
         return None
 
 
-class LinkEnd(Record):
-    """The object at one end of a link."""
-
-    def __init__(self, object_id: str):
-        self.object_id = object_id
-
-
 class Link(Record):
-    """An instance of an association, its ends in association-end order."""
+    """An instance of an association: its ends' object ids, in association-end order."""
 
-    def __init__(self, association_name: str, ends: tuple[LinkEnd, LinkEnd],
+    def __init__(self, association_name: str, ends: tuple[str, str],
                  span: Optional[SourceSpan] = None):
         self.association_name, self.ends, self.span = association_name, ends, span
 
@@ -205,8 +198,7 @@ class Link(Record):
 class ObjectModel(Record):
     """A population: objects in declaration order, then links."""
 
-    def __init__(self, name: str = "objects", objects: Optional[list[ObjectDef]] = None,
+    def __init__(self, objects: Optional[list[ObjectDef]] = None,
                  links: Optional[list[Link]] = None):
-        self.name = name
         self.objects = [] if objects is None else objects
         self.links = [] if links is None else links

@@ -45,7 +45,6 @@ from modelkit.metamodel import (
     FloatV,
     IntV,
     Link,
-    LinkEnd,
     NULL,
     ObjectDef,
     ObjectModel,
@@ -130,7 +129,7 @@ def parse_object_model(text: str, model: ClassModel,
     consulted."""
     del model
     diagnostics = []
-    result = ObjectModel(name="objects")
+    result = ObjectModel()
     by_id: dict[str, ObjectDef] = {}
     assigned: set[tuple[str, str]] = set()
 
@@ -178,7 +177,7 @@ def parse_object_model(text: str, model: ClassModel,
                 err("unknown-object",
                     f"link references undeclared object '{missing[0]}'", lineno)
                 continue
-            result.links.append(Link(assoc, (LinkEnd(a), LinkEnd(b)),
+            result.links.append(Link(assoc, (by_id[a].id, by_id[b].id),
                                      SourceSpan(filename, lineno)))
 
     return ParseResult(result if not has_errors(diagnostics) else None, diagnostics)
@@ -200,9 +199,8 @@ def serialize_object_model(objects: ObjectModel) -> str:
     for link in objects.links:
         if len(link.ends) != 2:
             raise ValueError(f"cannot write link of '{link.association_name}' with "
-                             f"{len(link.ends)} ends ({', '.join(e.object_id for e in link.ends)})"
+                             f"{len(link.ends)} ends ({', '.join(link.ends)})"
                              ": the notation holds two")
-        out.append(f"link {link.ends[0].object_id} -- {link.ends[1].object_id} "
-                   f": {link.association_name}")
+        out.append(f"link {link.ends[0]} -- {link.ends[1]} : {link.association_name}")
     out.append("@endobjects")
     return "\n".join(out) + "\n"

@@ -80,11 +80,11 @@ class Scope:
         assoc, j = found
         population, partners = self.links, []
         for link in population.linked(assoc.name, 1 - j, obj.id):
-            partner = population.objects.get(link.ends[j].object_id)
+            partner = population.objects.get(link.ends[j])
             if partner is None:
                 raise OclRuntimeError(
                     f"link of '{assoc.name}' references unknown object "
-                    f"'{link.ends[j].object_id}'")
+                    f"'{link.ends[j]}'")
             partners.append(partner)
         if assoc.ends[j].multiplicity.upper == 1:
             return partners[0] if partners else NULL

@@ -85,7 +85,7 @@ def brute_conformance(objects, model):
             rows.append(("link-ends", subject))
             continue
         for pos in (0, 1):
-            oid = link.ends[pos].object_id
+            oid = link.ends[pos]
             if oid not in object_ids:
                 rows.append(("unknown-object", subject))
                 continue
@@ -111,7 +111,7 @@ def brute_conformance(objects, model):
                 count = 0
                 for link in objects.links:
                     if (link.association_name == assoc.name and len(link.ends) == 2
-                            and link.ends[i].object_id == obj.id):
+                            and link.ends[i] == obj.id):
                         count += 1
                 subject = f"{obj.id}@{assoc.name}[{j}]"
                 if count < end.multiplicity.lower:

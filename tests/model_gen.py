@@ -15,7 +15,6 @@ from modelkit.metamodel import (
     Generalization,
     IntV,
     Link,
-    LinkEnd,
     Multiplicity,
     NULL,
     ObjectDef,
@@ -118,7 +117,7 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
             ends[1].role = ends[1].role + "b"
         model.associations.append(Association(name=f"rel{i}", ends=tuple(ends)))
 
-    objects = ObjectModel(name="objects")
+    objects = ObjectModel()
     index = ModelIndex(model)
     values_by_type = {
         "int": lambda: IntV(rng.randint(-3, 9)),
@@ -154,7 +153,7 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
             assoc = rng.choice(model.associations)
             a = rng.choice(objects.objects)
             b = rng.choice(objects.objects)
-            objects.links.append(Link(assoc.name, (LinkEnd(a.id), LinkEnd(b.id))))
+            objects.links.append(Link(assoc.name, (a.id, b.id)))
     return model, objects
 
 
@@ -230,7 +229,7 @@ def random_expression(rng: random.Random, model, depth=4, scope=()):
 def random_object_population(rng: random.Random, max_objects=10) -> ObjectModel:
     """Object model with per-classifier slot signatures and per-association
     end classes kept uniform, as real instance data would be."""
-    objects = ObjectModel(name="objects")
+    objects = ObjectModel()
     n_classes = rng.randint(1, 4)
     signatures = {}
     slot_counter = 0
@@ -286,6 +285,5 @@ def random_object_population(rng: random.Random, max_objects=10) -> ObjectModel:
         for _ in range(rng.randint(1, 5)):
             left = rng.choice(by_class[rng.choice(left_pool)])
             right = rng.choice(by_class[rng.choice(right_pool)])
-            objects.links.append(Link(f"a{i}", (LinkEnd(left.id),
-                                                LinkEnd(right.id))))
+            objects.links.append(Link(f"a{i}", (left.id, right.id)))
     return objects

@@ -80,9 +80,9 @@ def _navigate(obj, name, objects, model):
             for link in objects.links:
                 if link.association_name != assoc.name or len(link.ends) != 2:
                     continue
-                if link.ends[1 - j].object_id != obj.id:
+                if link.ends[1 - j] != obj.id:
                     continue
-                partner = _find_object(objects, link.ends[j].object_id)
+                partner = _find_object(objects, link.ends[j])
                 if partner is None:
                     raise OracleError("dangling link end")
                 partners.append(partner)

@@ -35,7 +35,6 @@ from modelkit.metamodel import (
     FloatV,
     IntV,
     Link,
-    LinkEnd,
     NULL,
     ObjectDef,
     ObjectModel,
@@ -85,7 +84,7 @@ def parse_value(text):
 
 def parse_object_model(text, filename="<input>"):
     diagnostics = []
-    result = ObjectModel(name="objects")
+    result = ObjectModel()
     by_id = {}
 
     def err(code, message, lineno):
@@ -135,7 +134,7 @@ def parse_object_model(text, filename="<input>"):
                 continue
             result.links.append(Link(
                 association_name=m.group("assoc"),
-                ends=(LinkEnd(m.group("a")), LinkEnd(m.group("b"))),
+                ends=(m.group("a"), m.group("b")),
                 span=SourceSpan(filename, lineno)))
             continue
 

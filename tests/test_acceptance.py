@@ -127,7 +127,7 @@ def test_criterion_4_vacuous_truth_and_short_circuit():
 def test_criterion_5_conformance_boundaries():
     from modelkit.metamodel import (
         Association, AssociationEnd, AttributeLink, ClassDef, IntV, Link,
-        LinkEnd, Multiplicity, ObjectDef, ObjectModel, Property, StrV,
+        Multiplicity, ObjectDef, ObjectModel, Property, StrV,
     )
 
     def model_with(assoc_mult):
@@ -154,8 +154,8 @@ def test_criterion_5_conformance_boundaries():
     upper = model_with(Multiplicity(0, 1))
     objects_upper = ObjectModel(
         objects=[p(), ObjectDef("s1", "S"), ObjectDef("s2", "S")],
-        links=[Link("r", (LinkEnd("p1"), LinkEnd("s1"))),
-               Link("r", (LinkEnd("p1"), LinkEnd("s2")))])
+        links=[Link("r", ("p1", "s1")),
+               Link("r", ("p1", "s2"))])
     cases.append(("mult-upper", upper, objects_upper))
     # abstract-instance
     cases.append(("abstract-instance", model_with(Multiplicity(0, None)),

@@ -1,5 +1,8 @@
+import contextlib
+import ctypes
 import random
 import re
+import sqlite3
 
 import pytest
 
@@ -12,7 +15,13 @@ from modelkit.codegen import (
     snake_case,
 )
 from modelkit.codegen.plainclasses import generate_plain_classes
-from modelkit.codegen.sqlddl import _dependency_order, _Table, generate_sql_ddl
+from modelkit.codegen.sqlddl import (
+    _RESERVED,
+    _dependency_order,
+    _quote,
+    _Table,
+    generate_sql_ddl,
+)
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
@@ -265,16 +274,19 @@ class TestSqlDdl:
         assert "CREATE TABLE a_b (\n  k INTEGER,\n  PRIMARY KEY (k)\n);" in content
 
     def test_associations_of_a_class_whose_table_collided_are_left_out(self):
-        """Only the collision is reported: the class has no table for a key
-        to live in, to reference, or to join."""
+        """The class has no table for a key to live in, to reference, or to
+        join: each of its associations is reported after the collision."""
         model = parse_class_model(
             "@startuml\nclass FooBar {\n  k : int {id}\n}\nclass foo_bar {\n  k : int {id}\n}\n"
             "class X {\n  k : int {id}\n}\n"
             'X "1" -- "*" foo_bar : holds\nfoo_bar "1" -- "*" X : held\n'
             'foo_bar "*" -- "*" X : pairs\n@enduml\n').model
         result = generate_sql_ddl(model)
-        assert [d.message for d in result.diagnostics] == [
-            "table name 'foo_bar' produced twice after snake_case mangling"]
+        assert [(d.code, d.message, d.subject) for d in result.diagnostics] == [
+            ("name-collision", "table name 'foo_bar' produced twice after snake_case "
+             "mangling", "foo_bar")] + [
+            ("gen-unsupported", f"association '{name}' is left out: class 'foo_bar' "
+             "has no table", name) for name in ("holds", "held", "pairs")]
         assert result.artifacts[0].content == (
             "-- SQL schema for model 'model'\n\n"
             "CREATE TABLE foo_bar (\n  k INTEGER,\n  PRIMARY KEY (k)\n);\n\n"
@@ -312,6 +324,87 @@ class TestSqlDdl:
             assert sorted(class_tables) == sorted(set(concrete))
 
 
+def sqlite_reads(name: str) -> bool:
+    """Whether SQLite reads `name` in each place `sql` writes a table or
+    column name: a table, a column, a key, a reference and an enum CHECK."""
+    script = (f"CREATE TABLE {name} ({name} INTEGER, PRIMARY KEY ({name}));\n"
+              f"CREATE TABLE t ({name} TEXT CHECK ({name} IN ('a')),\n"
+              f"  FOREIGN KEY ({name}) REFERENCES {name} ({name}));\n")
+    with contextlib.closing(sqlite3.connect(":memory:")) as db:
+        try:
+            db.executescript(script)
+        except sqlite3.Error:
+            return False
+    return True
+
+
+def sqlite_keywords() -> list[str]:
+    """The keywords of the SQLite library `sqlite3` runs on, from its C API;
+    AttributeError when the library does not export that API."""
+    import _sqlite3
+    lib = ctypes.CDLL(_sqlite3.__file__)
+    count, name_of = lib.sqlite3_keyword_count, lib.sqlite3_keyword_name
+    name_of.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_char_p),
+                        ctypes.POINTER(ctypes.c_int)]
+    words = []
+    for i in range(count()):
+        text, size = ctypes.c_char_p(), ctypes.c_int()
+        name_of(i, ctypes.byref(text), ctypes.byref(size))
+        words.append(ctypes.string_at(text, size.value).decode())
+    return words
+
+
+def test_every_reserved_word_fails_bare_and_passes_quoted():
+    for word in sorted(_RESERVED):
+        assert not sqlite_reads(word), word
+        assert sqlite_reads(f'"{word}"'), word
+        assert _quote(word.upper()) == f'"{word.upper()}"'
+    assert [_quote(name) for name in ("order_id", "Group", "k")] == ["order_id", '"Group"', "k"]
+
+
+def test_every_keyword_sqlite_rejects_bare_is_reserved():
+    try:
+        keywords = sqlite_keywords()
+    except AttributeError:
+        pytest.skip("the SQLite library does not list its keywords")
+    assert len(keywords) > 100
+    assert {word.lower() for word in keywords if not sqlite_reads(word)} <= _RESERVED
+
+
+def test_reserved_names_are_quoted_and_sqlite_runs_the_schema():
+    """A class, an attribute, an {id} attribute, an enum-typed attribute and a
+    many-to-many association, each named with a reserved word in any case."""
+    model = parse_class_model(
+        "@startuml\nenum Check {\n  A\n  B\n}\n"
+        "class Order {\n  Group : int {id}\n  check : Check\n  from : str\n}\n"
+        "class Item {\n  index : int {id}\n}\n"
+        'Order "1" -- "*" Item : lines\nOrder "*" -- "*" Item : Where\n@enduml\n').model
+    result = generate_sql_ddl(model)
+    assert result.diagnostics == []
+    content = result.artifacts[0].content
+    assert content == (
+        "-- SQL schema for model 'model'\n\n"
+        'CREATE TABLE "order" (\n  "Group" INTEGER,\n'
+        '  "check" TEXT CHECK ("check" IN (\'A\', \'B\')),\n  "from" TEXT,\n'
+        '  PRIMARY KEY ("Group")\n);\n\n'
+        'CREATE TABLE item (\n  "index" INTEGER,\n  order_Group INTEGER NOT NULL,\n'
+        '  PRIMARY KEY ("index"),\n'
+        '  FOREIGN KEY (order_Group) REFERENCES "order" ("Group")\n);\n\n'
+        'CREATE TABLE "where" (\n  order_Group INTEGER NOT NULL,\n'
+        "  item_index INTEGER NOT NULL,\n  PRIMARY KEY (order_Group, item_index),\n"
+        '  FOREIGN KEY (order_Group) REFERENCES "order" ("Group"),\n'
+        '  FOREIGN KEY (item_index) REFERENCES item ("index")\n);\n')
+    with contextlib.closing(sqlite3.connect(":memory:")) as db:
+        db.executescript("PRAGMA foreign_keys = ON;\n" + content)
+        db.executescript('INSERT INTO "order" VALUES (1, \'A\', \'x\');\n'
+                         "INSERT INTO item VALUES (7, 1);\n"
+                         'INSERT INTO "where" VALUES (1, 7);')
+        with pytest.raises(sqlite3.IntegrityError):  # the CHECK reads the column
+            db.execute('INSERT INTO "order" VALUES (2, \'C\', \'y\')')
+        with pytest.raises(sqlite3.IntegrityError):  # the key references "order"
+            db.execute("INSERT INTO item VALUES (8, 5)")
+
+
 def quadratic_dependency_order(tables):
     """The original table ordering, kept as the reference: rescan every
     remaining table for each one emitted."""
@@ -320,7 +413,7 @@ def quadratic_dependency_order(tables):
     done = set()
     while remaining:
         ready = [t for t in remaining.values()
-                 if not (t.depends_on - done - {t.name})]
+                 if not ({ref for _, ref, _ in t.foreign_keys} - done - {t.name})]
         if not ready:
             ready = list(remaining.values())  # dependency cycle
         nxt = min(ready, key=lambda t: t.order)
@@ -341,7 +434,8 @@ def test_dependency_order_matches_the_quadratic_reference():
             deps = set(rng.sample(names, rng.randint(0, min(3, n))))  # cycles, self
             if rng.random() < 0.2:
                 deps.add("not_a_table")
-            tables[name] = _Table(name=name, order=order, depends_on=deps)
+            tables[name] = _Table(name=name, order=order,
+                                  foreign_keys=[([], ref, []) for ref in deps])
         assert [t.name for t in _dependency_order(tables)] == \
             [t.name for t in quadratic_dependency_order(tables)], case
 

@@ -13,7 +13,6 @@ from modelkit.metamodel import (
     EnumV,
     IntV,
     Link,
-    LinkEnd,
     Multiplicity,
     NULL,
     ObjectDef,
@@ -101,8 +100,8 @@ def test_upper_bound_violation():
     objects = ObjectModel(objects=[
         ObjectDef("a1", "A", slots=[AttributeLink("k", StrV("x"))]),
         ObjectDef("b1", "B"), ObjectDef("b2", "B")],
-        links=[Link("r", (LinkEnd("a1"), LinkEnd("b1"))),
-               Link("r", (LinkEnd("a1"), LinkEnd("b2")))])
+        links=[Link("r", ("a1", "b1")),
+               Link("r", ("a1", "b2"))])
     assert [d.code for d in check_conformance(objects, model)] == ["mult-upper"]
 
 
@@ -183,9 +182,9 @@ def test_link_checks():
                  ObjectDef("s1", "Stage",
                            slots=[AttributeLink("start_date", StrV("d"))])],
         links=[
-            Link("nope", (LinkEnd("p1"), LinkEnd("s1"))),
-            Link("stages", (LinkEnd("p1"), LinkEnd("ghost"))),
-            Link("stages", (LinkEnd("s1"), LinkEnd("s1"))),
+            Link("nope", ("p1", "s1")),
+            Link("stages", ("p1", "ghost")),
+            Link("stages", ("s1", "s1")),
         ])
     codes = [d.code for d in check_conformance(objects, model)]
     assert codes[:3] == ["unknown-association", "unknown-object", "link-end-type"]
@@ -200,7 +199,7 @@ def test_subclass_instances_satisfy_link_end_types():
         objects=[passport_object(),
                  ObjectDef("d1", "Design",
                            slots=[AttributeLink("start_date", StrV("d"))])],
-        links=[Link("stages", (LinkEnd("p1"), LinkEnd("d1")))])
+        links=[Link("stages", ("p1", "d1"))])
     assert check_conformance(objects, model) == []
 
 
@@ -227,7 +226,7 @@ def test_agrees_with_brute_force_on_links_without_two_ends():
             assoc = rng.choice(model.associations).name
             position = rng.randrange(len(objects.links) + 1)
             objects.links.insert(position, Link(assoc, tuple(
-                LinkEnd(rng.choice(ids)) for _ in range(ends))))
+                rng.choice(ids) for _ in range(ends))))
         mine = sorted((d.code, d.subject) for d in check_conformance(objects, model))
         assert mine == brute_conformance(objects, model)
         assert sum(code == "link-ends" for code, _ in mine) == 4

@@ -19,7 +19,6 @@ from modelkit.metamodel import (
     EnumDef,
     Generalization,
     Link,
-    LinkEnd,
     Multiplicity,
     ObjectDef,
     ObjectModel,
@@ -34,8 +33,8 @@ MODEL = ClassModel("m", [ClassDef("A", properties=[Property("code", "str")])],
                    associations=[Association("r", (AssociationEnd("A"), AssociationEnd("A")))])
 TWICE = ObjectDef("a1", "A", [AttributeLink("code", StrV("x")), AttributeLink("code", StrV("y"))])
 OTHER = ObjectDef("a2", "A", [AttributeLink("code", StrV("z"))])
-THREE_ENDS = Link("r", (LinkEnd("a1"), LinkEnd("a2"), LinkEnd("a1")))
-ONE_END = Link("r", (LinkEnd("a1"),))
+THREE_ENDS = Link("r", ("a1", "a2", "a1"))
+ONE_END = Link("r", ("a1",))
 
 
 def test_a_slot_assigned_twice_is_a_dup_slot():
@@ -99,7 +98,7 @@ def test_two_classes_mangled_to_one_table_name_collide():
 def test_infer_names_a_fresh_end_class_past_a_taken_name():
     population = ObjectModel(
         objects=[ObjectDef("x", "r_End0"), ObjectDef("y", "B"), ObjectDef("z", "C")],
-        links=[Link("r", (LinkEnd("y"), LinkEnd("x"))), Link("r", (LinkEnd("z"), LinkEnd("x")))])
+        links=[Link("r", ("y", "x")), Link("r", ("z", "x"))])
     found = []
     model = infer_class_model(population, found)
     assert [d.format() for d in found] == [
@@ -112,7 +111,7 @@ def test_infer_names_a_fresh_end_class_past_a_taken_name():
 def test_infer_skips_a_link_to_a_missing_object():
     """Such a link infers nothing, as a link without two ends infers
     nothing; checking the population reports it, not the inferred bounds."""
-    dangling = Link("r", (LinkEnd("x"), LinkEnd("ghost")))
+    dangling = Link("r", ("x", "ghost"))
     alone = ObjectModel(objects=[ObjectDef("x", "A"), ObjectDef("y", "B")], links=[dangling])
     found = []
     model = infer_class_model(alone, found)
@@ -120,7 +119,7 @@ def test_infer_skips_a_link_to_a_missing_object():
     assert [d.format() for d in check_conformance(alone, model)] == [
         "error unknown-association - link references unknown association 'r'"]
     beside = ObjectModel(objects=alone.objects,
-                         links=[dangling, Link("r", (LinkEnd("x"), LinkEnd("y")))])
+                         links=[dangling, Link("r", ("x", "y"))])
     model = infer_class_model(beside, found)
     assert found == [] and [(a.name, [e.target for e in a.ends]) for a in model.associations] \
         == [("r", ["A", "B"])]

@@ -14,7 +14,6 @@ from modelkit.metamodel import (
     FloatV,
     IntV,
     Link,
-    LinkEnd,
     Multiplicity,
     NULL,
     ObjectDef,
@@ -26,7 +25,7 @@ from model_gen import random_object_population
 
 
 def population(*objs, links=()):
-    return ObjectModel(name="objects", objects=list(objs), links=list(links))
+    return ObjectModel(objects=list(objs), links=list(links))
 
 
 class TestInfer:
@@ -68,9 +67,9 @@ class TestInfer:
         objects = population(
             ObjectDef("p1", "P"), ObjectDef("p2", "P"),
             ObjectDef("s1", "S"), ObjectDef("s2", "S"), ObjectDef("s3", "S"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("s1"))),
-                   Link("r", (LinkEnd("p1"), LinkEnd("s2"))),
-                   Link("r", (LinkEnd("p2"), LinkEnd("s3")))])
+            links=[Link("r", ("p1", "s1")),
+                   Link("r", ("p1", "s2")),
+                   Link("r", ("p2", "s3"))])
         model = infer_class_model(objects)
         (assoc,) = model.associations
         # Every S has exactly one P; Ps carry one or two Ss.
@@ -82,8 +81,8 @@ class TestInfer:
         objects = population(
             ObjectDef("p1", "P"),
             ObjectDef("d1", "Design"), ObjectDef("u1", "Use"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("d1"))),
-                   Link("r", (LinkEnd("p1"), LinkEnd("u1")))])
+            links=[Link("r", ("p1", "d1")),
+                   Link("r", ("p1", "u1"))])
         model = infer_class_model(objects, diags)
         assert [d.code for d in diags] == ["mixed-end"]
         assert model.associations[0].ends[1].target == "r_End1"
@@ -120,7 +119,7 @@ class TestInfer:
     def test_duplicate_ids_resolve_link_ends_first_wins(self):
         objects = population(
             ObjectDef("a", "A"), ObjectDef("a", "B"), ObjectDef("c", "C"),
-            links=[Link("r", (LinkEnd("a"), LinkEnd("c")))])
+            links=[Link("r", ("a", "c"))])
         model = infer_class_model(objects)
         assert [e.target for e in model.associations[0].ends] == ["A", "C"]
         assert check_conformance(objects, model) == []
@@ -130,8 +129,8 @@ class TestInfer:
         # inferred model has no association for a name only such links use.
         objects = population(
             ObjectDef("a", "A"), ObjectDef("b", "B"), ObjectDef("c", "C"),
-            links=[Link("r", (LinkEnd("a"), LinkEnd("b"), LinkEnd("c"))),
-                   Link("q", (LinkEnd("a"), LinkEnd("b")))])
+            links=[Link("r", ("a", "b", "c")),
+                   Link("q", ("a", "b"))])
         model = infer_class_model(objects)
         assert [a.name for a in model.associations] == ["q"]
         assert [(d.code, d.message) for d in check_conformance(objects, model)] == [
@@ -153,7 +152,7 @@ class TestEnforce:
         objects = population(
             ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
             ObjectDef("s1", "S"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("s1")))])
+            links=[Link("r", ("p1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
         assert pruned == objects
         assert diags == []
@@ -163,7 +162,7 @@ class TestEnforce:
         objects = population(
             ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
             ObjectDef("g1", "Ghost"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("g1")))])
+            links=[Link("r", ("p1", "g1"))])
         pruned, diags = enforce_conformance(objects, model)
         assert [o.id for o in pruned.objects] == ["p1"]
         assert pruned.links == []
@@ -175,11 +174,11 @@ class TestEnforce:
         objects = population(
             ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
             ObjectDef("s1", "S"), ObjectDef("s2", "S"), ObjectDef("s3", "S"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("s1"))),
-                   Link("r", (LinkEnd("p1"), LinkEnd("s2"))),
-                   Link("r", (LinkEnd("p1"), LinkEnd("s3")))])
+            links=[Link("r", ("p1", "s1")),
+                   Link("r", ("p1", "s2")),
+                   Link("r", ("p1", "s3"))])
         pruned, diags = enforce_conformance(objects, model)
-        kept = [link.ends[1].object_id for link in pruned.links]
+        kept = [link.ends[1] for link in pruned.links]
         assert kept == ["s1", "s2"]
         assert [d.code for d in diags] == ["removed-link"]
         assert "link[2]" in diags[0].message
@@ -244,7 +243,7 @@ class TestEnforce:
         objects = population(
             ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
             ObjectDef("s1", "S"),
-            links=[Link("r", (LinkEnd("p1"), LinkEnd("s1"), LinkEnd("s1")))])
+            links=[Link("r", ("p1", "s1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
         assert pruned.links == []
         assert [d.message for d in diags] == [
@@ -255,7 +254,7 @@ class TestEnforce:
         objects = population(
             ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
             ObjectDef("s1", "S"),
-            links=[Link("q", (LinkEnd("p1"), LinkEnd("s1")))])
+            links=[Link("q", ("p1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
         assert pruned.links == []
         assert [d.message for d in diags] == [

@@ -17,7 +17,6 @@ from modelkit.metamodel import (
     Generalization,
     IntV,
     Link,
-    LinkEnd,
     ObjectDef,
     ObjectModel,
     Property,
@@ -42,8 +41,8 @@ def messy_population(rng):
     sub = ObjectDef("sub0", "Sub", slots=[AttributeLink("psub", IntV(1))])
     objects.objects.insert(rng.randrange(len(objects.objects) + 1), sub)
     for _ in range(rng.randint(1, 3)):
-        ends = [LinkEnd(rng.choice(objects.objects).id) for _ in range(2)]
-        ends[pos] = LinkEnd(sub.id)
+        ends = [rng.choice(objects.objects).id for _ in range(2)]
+        ends[pos] = sub.id
         objects.links.insert(rng.randrange(len(objects.links) + 1),
                              Link(assoc.name, tuple(ends)))
 
@@ -53,8 +52,8 @@ def messy_population(rng):
 
     # A link end naming an object that does not exist, opposite the
     # subclass instance so that navigating from it reaches the dangling end.
-    ends = [LinkEnd("ghost"), LinkEnd("ghost")]
-    ends[pos] = LinkEnd(sub.id)
+    ends = ["ghost", "ghost"]
+    ends[pos] = sub.id
     objects.links.insert(rng.randrange(len(objects.links) + 1),
                          Link(assoc.name, tuple(ends)))
     far = assoc.ends[1 - pos].nav_name()

@@ -13,7 +13,6 @@ from modelkit.metamodel import (
     FloatV,
     IntV,
     Link,
-    LinkEnd,
     Multiplicity,
     ObjectDef,
     ObjectModel,
@@ -33,7 +32,7 @@ from modelkit.ocl.nodes import (
     Binary, CollectionOp, Literal, Nav, OclConstraint, OclExpr, SelfRef, Unary)
 from ocl_oracle import OracleError, naive_eval
 
-EMPTY_OBJECTS = ObjectModel(name="none")
+EMPTY_OBJECTS = ObjectModel()
 EMPTY_MODEL = ClassModel(name="none")
 
 
@@ -53,14 +52,14 @@ def dpp_world(n_stages=2, empty_dates=()):
         AssociationEnd("ProductPassport", multiplicity=Multiplicity(1, 1)),
         AssociationEnd("Stage", role="stages", multiplicity=Multiplicity(0, None)),
     )))
-    objects = ObjectModel(name="objects")
+    objects = ObjectModel()
     objects.objects.append(ObjectDef("p1", "ProductPassport", slots=[
         AttributeLink("code", StrV("DPP-001"))]))
     for i in range(n_stages):
         date = "" if i in empty_dates else f"2024-0{i + 1}-01"
         objects.objects.append(ObjectDef(f"s{i}", "Stage", slots=[
             AttributeLink("start_date", StrV(date))]))
-        objects.links.append(Link("stages", (LinkEnd("p1"), LinkEnd(f"s{i}"))))
+        objects.links.append(Link("stages", ("p1", f"s{i}")))
     return model, objects
 
 
@@ -242,7 +241,7 @@ class TestNavigation:
 
     def test_dangling_link_end_is_an_error_verdict(self):
         model, objects = dpp_world(n_stages=1)
-        objects.links.append(Link("stages", (LinkEnd("p1"), LinkEnd("ghost"))))
+        objects.links.append(Link("stages", ("p1", "ghost")))
         constraint = parse_ocl(
             "context ProductPassport inv n: self.stages->size() = 2"
         ).constraints[0]
@@ -414,7 +413,7 @@ def error_world():
     near the largest finite one."""
     model, objects = dpp_world(n_stages=1)
     objects.objects.append(ObjectDef("p2", "ProductPassport"))
-    objects.links.append(Link("stages", (LinkEnd("p2"), LinkEnd("ghost"))))
+    objects.links.append(Link("stages", ("p2", "ghost")))
     return model, objects, {"self": objects.objects[0], "orphan": objects.objects[2],
                             "x": FloatV(1.5e308)}
 
