@@ -147,15 +147,12 @@ _GUARD_SCOPE = Scope(ObjectModel(), ClassModel(name="none"))
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     try:
         value = evaluate_expression(transition.guard, variables, _GUARD_SCOPE)
+        if isinstance(value, BoolV):
+            return value.value
+        problem = "did not yield a boolean"
     except OclRuntimeError as exc:
-        raise StepError(error(
-            "guard-error",
-            f"guard '{transition.guard_text or '?'}' failed: {exc}")) from exc
-    if not isinstance(value, BoolV):
-        raise StepError(error(
-            "guard-error",
-            f"guard '{transition.guard_text or '?'}' did not yield a boolean"))
-    return value.value
+        problem = f"failed: {exc}"
+    raise StepError(error("guard-error", f"guard '{transition.guard_text or '?'}' {problem}"))
 
 
 def _entry(transition: Transition, target: Optional[State]) -> TraceEntry:
@@ -175,21 +172,32 @@ def _transitions(machine: StateMachine) -> dict[tuple[str, str], list]:
     return table
 
 
-def _step(events: set[str] | list[str], arcs: Iterable[tuple[Transition, TraceEntry]],
-          variables: dict[str, Value], event: str, payload: Optional[dict[str, Value]]
-          ) -> tuple[dict, Optional[TraceEntry]]:
-    """The variables after one step and the entry of the first of `arcs`
-    whose guard holds, None for a no-op; `variables` itself is left alone.
-    Raises StepError without a session."""
-    if event not in events:
-        raise StepError(error("undeclared-event", f"event '{event}' is not declared"))
-    variables = dict(variables)
-    if payload:
-        variables.update(payload)
-    for t, entry in arcs:
-        if t.guard is None or _guard_holds(t, variables):
-            return variables, entry
-    return variables, None
+def _fold(machine: StateMachine, table: dict[tuple[str, str], list], session: Session,
+          steps: Iterable[tuple[str, dict[str, Value]]]) -> Session:
+    """The session after `steps` from `session`, which is left alone, with
+    arcs from `table` as `_transitions` builds it.  A failing step raises
+    StepError with the session from before it: `session` if it is the first."""
+    declared, noops = set(machine.events), {}
+    state, variables, trace = session.current_state, session.variables, list(session.trace)
+    try:
+        for event, payload in steps:
+            if event not in declared:
+                raise StepError(error("undeclared-event", f"event '{event}' is not declared"))
+            merged = {**variables, **payload}
+            for t, entry in table.get((state, event), ()):
+                if t.guard is None or _guard_holds(t, merged):
+                    break
+            else:
+                entry = noops.get((state, event))
+                if entry is None:
+                    entry = noops[state, event] = TraceEntry(event, state, state)
+            variables = merged
+            trace.append(entry)
+            state = entry.target
+    except StepError as exc:
+        before = session if variables is session.variables else Session(state, variables, trace)
+        raise StepError(exc.diagnostic, before) from None
+    return Session(state, variables, trace)
 
 
 def step(machine: StateMachine, session: Session, event: str,
@@ -201,42 +209,20 @@ def step(machine: StateMachine, session: Session, event: str,
     state = session.current_state
     arcs = [(t, _entry(t, next((s for s in machine.states if s.name == t.target), None)))
             for t in machine.transitions if t.source == state and t.event == event]
-    try:
-        variables, entry = _step(machine.events, arcs, session.variables, event, payload)
-    except StepError as exc:
-        raise StepError(exc.diagnostic, session) from None
-    if entry is None:
-        entry = TraceEntry(event, state, state)
-    return Session(current_state=entry.target, variables=variables,
-                   trace=session.trace + [entry])
+    return _fold(machine, {(state, event): arcs}, session, [(event, payload or {})])
 
 
 def new_session(machine: StateMachine) -> Session:
     return Session(current_state=machine.initial_state)
 
 
-def run_scenario(machine: StateMachine,
-                 events: Iterable[tuple[str, dict[str, Value]]]) -> Session:
+def run_scenario(machine: StateMachine, events: Iterable[tuple[str, dict[str, Value]]]) -> Session:
     """Fold step over a scenario from a fresh session, in time linear in its
     steps; the scenario is read once, so it may be a stream.  Every firing
     of a transition, and every no-op in one state on one event, shares one
     trace entry.  A failing step raises StepError with the session from
     before it."""
-    table, declared, noops = _transitions(machine), set(machine.events), {}
-    state, variables, trace = machine.initial_state, {}, []
-    for event, payload in events:
-        try:
-            variables, entry = _step(declared, table.get((state, event), ()), variables,
-                                     event, payload)
-        except StepError as exc:
-            raise StepError(exc.diagnostic, Session(state, variables, trace)) from None
-        if entry is None:
-            entry = noops.get((state, event))
-            if entry is None:
-                entry = noops[state, event] = TraceEntry(event, state, state)
-        trace.append(entry)
-        state = entry.target
-    return Session(state, variables, trace)
+    return _fold(machine, _transitions(machine), new_session(machine), events)
 
 
 def format_trace(session: Session) -> str:
@@ -326,17 +312,30 @@ def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
                   ) -> Iterator[tuple[str, dict[str, Value]]]:
     """Each (event, payload) step of a scenario file as its line is read; a
     malformed line yields no step, and its diagnostic is appended to
-    `diagnostics`."""
+    `diagnostics`.  A line whose event, keys and `key=int` integers each
+    matched earlier in the read is read by `split` alone."""
+    events, keys = set(), set()
     ints: dict[str, IntV] = {}  # values are immutable: equal literals share one
     for lineno, line in read_lines(text, "#"):
-        parts = line.split(None, 1)
-        event = parts[0]
-        if not _EVENT_NAME_RE.fullmatch(event):
+        event, *items = line.split()
+        if event in events:
+            payload: dict[str, Value] = {}
+            for item in items:
+                key, _, digits = item.partition("=")
+                if key not in keys or digits not in ints:
+                    break
+                payload[key] = ints[digits]
+            else:
+                yield event, payload
+                continue
+        elif _EVENT_NAME_RE.fullmatch(event):
+            events.add(event)
+        else:
             diagnostics.append(error("syntax", f"malformed event name '{event}'",
                                      SourceSpan(filename, lineno)))
             continue
-        payload: dict[str, Value] = {}
-        rest = parts[1] if len(parts) > 1 else ""
+        payload = {}
+        rest = line[len(event):]
         pos, end = 0, len(rest)
         while pos < end:
             m = _PAYLOAD_ITEM_RE.match(rest, pos)
@@ -346,6 +345,7 @@ def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
                     SourceSpan(filename, lineno)))
                 break
             key, plain, digits, other = m.groups()
+            keys.add(key)
             if plain is not None:
                 value = StrV(plain)
             elif digits is not None:
@@ -353,9 +353,7 @@ def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
                 if value is None:
                     value = ints[digits] = IntV(int(digits))
             else:
-                # deferred: plain strings and integers need no object reader
-                from modelkit.objtext import parse_value
-
+                from modelkit.objtext import parse_value  # deferred: plain literals need none
                 value = parse_value(other)
                 if value is None:
                     diagnostics.append(error(

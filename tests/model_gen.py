@@ -33,32 +33,43 @@ _MULTS = [
 
 
 def random_class_model(rng: random.Random, max_classes=8, max_props=5,
-                       max_assocs=6) -> ClassModel:
-    """A valid class model inside the serializable subset (no roles)."""
+                       max_assocs=6, names=None) -> ClassModel:
+    """A valid class model inside the serializable subset (no roles).
+
+    Given `names`, a pool of lower-case identifiers, every class, attribute
+    and association name is a distinct word of the pool instead, and so is
+    a role on each association end: class names capitalized, attributes in
+    lower, upper or capitalized case.  The pool must hold enough words.
+    Without `names` no draw is added, so the seeded tests that omit it see
+    the models their seeds give."""
     model = ClassModel(name="model")
     prop_counter = 0
+    fresh = iter(rng.sample(sorted(names), len(names))) if names else None
 
     for i in range(rng.randint(0, 2)):
         literals = [f"L{i}_{k}" for k in range(rng.randint(1, 3))]
         model.enumerations.append(EnumDef(name=f"E{i}", literals=literals))
 
     n_classes = rng.randint(0, max_classes)
+    class_names = [next(fresh).capitalize() if fresh else f"C{i}" for i in range(n_classes)]
     for i in range(n_classes):
-        cls = ClassDef(name=f"C{i}", is_abstract=rng.random() < 0.2)
+        cls = ClassDef(name=class_names[i], is_abstract=rng.random() < 0.2)
         for _ in range(rng.randint(0, max_props)):
             choices = list(("int", "float", "str", "bool"))
             choices += [e.name for e in model.enumerations]
-            if n_classes:
-                choices += [f"C{k}" for k in range(n_classes)]
+            choices += class_names
             type_name = rng.choice(choices)
             primitive = type_name in ("int", "float", "str", "bool")
+            name = f"p{prop_counter}"
+            if fresh:
+                name = rng.choice([str.lower, str.upper, str.capitalize])(next(fresh))
             cls.properties.append(Property(
-                name=f"p{prop_counter}", type_name=type_name,
+                name=name, type_name=type_name,
                 is_id=primitive and rng.random() < 0.25))
             prop_counter += 1
         model.classes.append(cls)
         if i > 0 and rng.random() < 0.3:
-            general = f"C{rng.randrange(i)}"
+            general = class_names[rng.randrange(i)]
             model.generalizations.append(
                 Generalization(general=general, specific=cls.name))
 
@@ -66,12 +77,14 @@ def random_class_model(rng: random.Random, max_classes=8, max_props=5,
         for i in range(rng.randint(0, max_assocs)):
             composite = rng.random()
             model.associations.append(Association(
-                name=f"rel{i}",
+                name=next(fresh) if fresh else f"rel{i}",
                 ends=(
-                    AssociationEnd(target=f"C{rng.randrange(n_classes)}",
+                    AssociationEnd(target=class_names[rng.randrange(n_classes)],
+                                   role=next(fresh) if fresh else None,
                                    multiplicity=rng.choice(_MULTS),
                                    is_composite=composite < 0.15),
-                    AssociationEnd(target=f"C{rng.randrange(n_classes)}",
+                    AssociationEnd(target=class_names[rng.randrange(n_classes)],
+                                   role=next(fresh) if fresh else None,
                                    multiplicity=rng.choice(_MULTS),
                                    is_composite=0.15 <= composite < 0.25),
                 )))

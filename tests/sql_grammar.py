@@ -3,22 +3,36 @@
 Accepts exactly the shape the generator promises: a header comment, then
 CREATE TABLE blocks whose entries are column definitions, one optional
 PRIMARY KEY, and FOREIGN KEY constraints.  Also enforces that referenced
-tables are defined before their referencing tables (self-references
-aside) and that every constraint names real columns.
+tables are defined before their referencing tables, and that every
+constraint names real columns.  Self-references are exempt, and so is a
+reference within a cycle of references, which no order of the tables can
+avoid: the generator falls back to declaration order there.
 """
 
 import re
 
 _HEADER_RE = re.compile(r"^-- SQL schema for model '[A-Za-z_]\w*'$")
-_CREATE_RE = re.compile(r"^CREATE TABLE ([a-z_]\w*) \($")
+# A table or column name: bare, or delimited (`"order"`, a quote doubled).
+_NAME = r'(?:[a-z_]\w*|"(?:[^"]|"")+")'
+_NAMES = rf"{_NAME}(?:, {_NAME})*"
+_CREATE_RE = re.compile(rf"^CREATE TABLE ({_NAME}) \($")
 _COLUMN_RE = re.compile(
-    r"^  ([a-z_]\w*) (INTEGER|REAL|TEXT|BOOLEAN)"
+    rf"^  ({_NAME}) (INTEGER|REAL|TEXT|BOOLEAN)"
     r"( NOT NULL)?"
-    r"( CHECK \(([a-z_]\w*) IN \('[^']*'(, '[^']*')*\)\))?$")
-_PK_RE = re.compile(r"^  PRIMARY KEY \(([a-z_]\w*(, [a-z_]\w*)*)\)$")
+    rf"( CHECK \(({_NAME}) IN \('[^']*'(?:, '[^']*')*\)\))?$")
+_PK_RE = re.compile(rf"^  PRIMARY KEY \(({_NAMES})\)$")
 _FK_RE = re.compile(
-    r"^  FOREIGN KEY \(([a-z_]\w*(, [a-z_]\w*)*)\) "
-    r"REFERENCES ([a-z_]\w*) \(([a-z_]\w*(, [a-z_]\w*)*)\)$")
+    rf"^  FOREIGN KEY \(({_NAMES})\) "
+    rf"REFERENCES ({_NAME}) \(({_NAMES})\)$")
+
+
+def _names(text: str) -> list[str]:
+    """The names a `, `-separated list holds, delimited ones unquoted."""
+    return [_unquote(m.group()) for m in re.finditer(_NAME, text)]
+
+
+def _unquote(name: str) -> str:
+    return name[1:-1].replace('""', '"') if name.startswith('"') else name
 
 
 def check_sql(text: str) -> list[str]:
@@ -32,6 +46,8 @@ def check_sql(text: str) -> list[str]:
         problems.append("no trailing newline")
 
     tables: dict[str, set[str]] = {}
+    refs: dict[str, set[str]] = {}  # table -> the tables its keys reference
+    forward: list[tuple[int, str, str, list[str]]] = []  # to tables not yet defined
     current: str | None = None
     current_cols: set[str] = set()
     pk_seen = False
@@ -47,7 +63,7 @@ def check_sql(text: str) -> list[str]:
             if current is not None:
                 problems.append(f"line {number}: CREATE TABLE inside a table")
                 continue
-            name = m.group(1)
+            name = _unquote(m.group(1))
             if name in tables:
                 problems.append(f"line {number}: duplicate table '{name}'")
             current = name
@@ -68,12 +84,12 @@ def check_sql(text: str) -> list[str]:
         if column:
             if pending_constraint_zone:
                 problems.append(f"line {number}: column after constraints")
-            col_name = column.group(1)
+            col_name = _unquote(column.group(1))
             if col_name in current_cols:
                 problems.append(f"line {number}: duplicate column '{col_name}'")
             current_cols.add(col_name)
             check_target = column.group(5)
-            if check_target is not None and check_target != col_name:
+            if check_target is not None and _unquote(check_target) != col_name:
                 problems.append(
                     f"line {number}: CHECK names '{check_target}', not the column")
             continue
@@ -83,7 +99,7 @@ def check_sql(text: str) -> list[str]:
             if pk_seen:
                 problems.append(f"line {number}: second PRIMARY KEY")
             pk_seen = True
-            for col in pk.group(1).split(", "):
+            for col in _names(pk.group(1)):
                 if col not in current_cols:
                     problems.append(
                         f"line {number}: PRIMARY KEY names unknown column '{col}'")
@@ -91,24 +107,19 @@ def check_sql(text: str) -> list[str]:
         fk = _FK_RE.match(body)
         if fk:
             pending_constraint_zone = True
-            own_cols = fk.group(1).split(", ")
-            ref_table = fk.group(3)
-            ref_cols = fk.group(4).split(", ")
+            own_cols = _names(fk.group(1))
+            ref_table = _unquote(fk.group(2))
+            ref_cols = _names(fk.group(3))
             for col in own_cols:
                 if col not in current_cols:
                     problems.append(
                         f"line {number}: FOREIGN KEY names unknown column '{col}'")
+            refs.setdefault(current, set()).add(ref_table)
             if ref_table != current:
                 if ref_table not in tables:
-                    problems.append(
-                        f"line {number}: references '{ref_table}' before it is "
-                        f"defined")
+                    forward.append((number, current, ref_table, ref_cols))
                 else:
-                    for col in ref_cols:
-                        if col not in tables[ref_table]:
-                            problems.append(
-                                f"line {number}: references unknown column "
-                                f"'{ref_table}.{col}'")
+                    problems += _unknown_columns(number, tables, ref_table, ref_cols)
             if len(own_cols) != len(ref_cols):
                 problems.append(f"line {number}: FOREIGN KEY arity mismatch")
             continue
@@ -116,4 +127,29 @@ def check_sql(text: str) -> list[str]:
 
     if current is not None:
         problems.append(f"table '{current}' never closed")
+    for number, table, ref_table, ref_cols in forward:
+        if ref_table in tables and _reaches(refs, ref_table, table):
+            problems += _unknown_columns(number, tables, ref_table, ref_cols)
+        else:
+            problems.append(f"line {number}: references '{ref_table}' before it is "
+                            f"defined")
     return problems
+
+
+def _unknown_columns(number: int, tables: dict[str, set[str]], table: str,
+                     cols: list[str]) -> list[str]:
+    return [f"line {number}: references unknown column '{table}.{col}'"
+            for col in cols if col not in tables[table]]
+
+
+def _reaches(refs: dict[str, set[str]], start: str, goal: str) -> bool:
+    """Whether a chain of references leads from table `start` to `goal`."""
+    seen, todo = {start}, [start]
+    while todo:
+        for ref in refs.get(todo.pop(), ()):
+            if ref == goal:
+                return True
+            if ref not in seen:
+                seen.add(ref)
+                todo.append(ref)
+    return False

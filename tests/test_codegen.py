@@ -31,7 +31,7 @@ from modelkit.metamodel import (
     Multiplicity,
     Property,
 )
-from modelkit.index import ModelIndex
+from modelkit.index import ModelIndex, validate_class_model
 from modelkit.puml import parse_class_model
 from model_gen import random_class_model
 from sql_grammar import check_sql
@@ -394,6 +394,7 @@ def test_reserved_names_are_quoted_and_sqlite_runs_the_schema():
         "  item_index INTEGER NOT NULL,\n  PRIMARY KEY (order_Group, item_index),\n"
         '  FOREIGN KEY (order_Group) REFERENCES "order" ("Group"),\n'
         '  FOREIGN KEY (item_index) REFERENCES item ("index")\n);\n')
+    assert check_sql(content) == []
     with contextlib.closing(sqlite3.connect(":memory:")) as db:
         db.executescript("PRAGMA foreign_keys = ON;\n" + content)
         db.executescript('INSERT INTO "order" VALUES (1, \'A\', \'x\');\n'
@@ -403,6 +404,56 @@ def test_reserved_names_are_quoted_and_sqlite_runs_the_schema():
             db.execute('INSERT INTO "order" VALUES (2, \'C\', \'y\')')
         with pytest.raises(sqlite3.IntegrityError):  # the key references "order"
             db.execute("INSERT INTO item VALUES (8, 5)")
+
+
+
+def test_models_named_with_reserved_words_give_sql_that_check_sql_and_sqlite_read():
+    """Seeded models whose class, attribute, association and role names are
+    all words SQLite reserves, attributes in any case: the schema quotes
+    each one where it stands bare, `check_sql` reads it and SQLite runs it."""
+    rng = random.Random(2023)
+    delimited = 0
+    for case in range(80):
+        model = random_class_model(rng, max_classes=6, max_props=4, max_assocs=5,
+                                   names=_RESERVED)
+        assert validate_class_model(model) == [], case
+        content = generate_sql_ddl(model).artifacts[0].content
+        assert check_sql(content) == [], content
+        with contextlib.closing(sqlite3.connect(":memory:")) as db:
+            db.executescript("PRAGMA foreign_keys = ON;\n" + content)
+        delimited += content.count('"') // 2
+    assert delimited > 200, delimited
+
+
+def test_check_sql_reads_delimited_names_and_matches_them_to_bare_ones():
+    content = ('-- SQL schema for model \'m\'\n\n'
+               'CREATE TABLE "order" (\n  "Group" INTEGER,\n  k TEXT,\n'
+               '  PRIMARY KEY ("Group", "k")\n);\n\n'
+               'CREATE TABLE item (\n  "a ""b""" INTEGER,\n  c TEXT,\n'
+               '  FOREIGN KEY ("a ""b""", c) REFERENCES "order" ("Group", "k")\n);\n')
+    assert check_sql(content) == []
+    assert check_sql(content.replace('"order" ("Group", "k")', '"order" ("Group", "K")')) == [
+        "line 12: references unknown column 'order.K'"]
+    assert check_sql(content.replace('REFERENCES "order"', "REFERENCES items")) == [
+        "line 12: references 'items' before it is defined"]
+
+
+def test_check_sql_lets_a_reference_come_first_only_within_a_cycle():
+    """Two tables that reference each other have no order that puts each
+    after what it references; a reference ahead with no way back does."""
+    def schema(back: str) -> str:
+        return ("-- SQL schema for model 'm'\n\n"
+                "CREATE TABLE a (\n  k INTEGER,\n  b_k INTEGER,\n  PRIMARY KEY (k),\n"
+                "  FOREIGN KEY (b_k) REFERENCES b (k)\n);\n\n"
+                f"CREATE TABLE b (\n  k INTEGER,\n  a_k INTEGER,\n  PRIMARY KEY (k){back}\n);\n")
+    assert check_sql(schema(",\n  FOREIGN KEY (a_k) REFERENCES a (k)")) == []
+    assert check_sql(schema(",\n  FOREIGN KEY (a_k) REFERENCES a (z)")) == [
+        "line 14: references unknown column 'a.z'"]
+    assert check_sql(schema(",\n  FOREIGN KEY (a_k) REFERENCES b (k)")) == [
+        "line 7: references 'b' before it is defined"]
+    assert check_sql(schema("").replace("REFERENCES b (k)", "REFERENCES b (z)")) == [
+        "line 7: references 'b' before it is defined"]
+
 
 
 def quadratic_dependency_order(tables):

@@ -63,7 +63,7 @@ def test_importing_the_package_loads_nothing_else():
 
 # The most modelkit source lines each subcommand may load: the counts of
 # the tree this table was last set on.  Lower it when a change loads fewer.
-MOST_LINES = {"validate": 1434, "check": 2544, "generate": 1831, "fsm-run": 1980,
+MOST_LINES = {"validate": 1434, "check": 2544, "generate": 1831, "fsm-run": 1978,
               "infer": 2013, "enforce": 2013}
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reader_oracle
 from modelkit.fsm import parse_machine, parse_scenario
 from modelkit.puml import _DECL_RE
-from modelkit.metamodel import ClassModel, StrV
+from modelkit.metamodel import ClassModel, IntV, StrV
 from modelkit.objtext import parse_object_model, render_value
 
 ORACLE = settings(derandomize=True, max_examples=200, deadline=None)
@@ -158,6 +158,58 @@ def test_object_cases_match_the_oracle(line):
 @pytest.mark.parametrize("line", SCENARIO_CASES)
 def test_scenario_cases_match_the_oracle(line):
     _agree(parse_scenario(line + "\n"), reader_oracle.parse_scenario(line + "\n"))
+
+
+# A first line after which the reader knows the event `go`, every key the
+# generated lines use and some small integers, so that later lines may take
+# its split-only path.
+PRIME = "go x=1 y=2 label=3 x_1=-7 _=0 tick=5\n"
+
+
+@pytest.mark.parametrize("line", SCENARIO_CASES)
+def test_scenario_cases_match_the_oracle_after_a_prime(line):
+    """Each case after the prime, twice: the second read of it finds what
+    the first one checked."""
+    text = PRIME + line + "\n" + line + "\n"
+    _agree(parse_scenario(text), reader_oracle.parse_scenario(text))
+
+
+@ORACLE
+@given(st.lists(scenario_line(), max_size=30).map("\n".join))
+def test_scenario_reader_matches_the_oracle_after_a_prime(text):
+    _agree(parse_scenario(PRIME + text), reader_oracle.parse_scenario(PRIME + text))
+
+
+def test_every_unicode_blank_separates_payload_items_as_the_oracle_does():
+    """`str.split` and the payload pattern's `\\s` agree on what a blank is."""
+    blanks = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(blanks) > 20
+    lines = []
+    for blank in blanks:
+        lines += [f"go{blank}x=1{blank}y=2", f"tick x=1{blank}label=3{blank}",
+                  f"go x=1{blank}y=2z=3", f"go x=1{blank}{blank}y", f"go{blank}x=-7"]
+    text = PRIME + "\n".join(lines * 2) + "\n"
+    _agree(parse_scenario(text), reader_oracle.parse_scenario(text))
+
+
+def test_a_repeated_line_is_read_without_the_payload_pattern(monkeypatch):
+    """Only the first of 1 000 equal lines goes through the item pattern;
+    each later one is read by `split` from what the first one checked."""
+    import modelkit.fsm
+
+    calls = []
+    pattern = modelkit.fsm._PAYLOAD_ITEM_RE
+
+    class Counting:
+        def match(self, *args):
+            calls.append(args)
+            return pattern.match(*args)
+
+    monkeypatch.setattr(modelkit.fsm, "_PAYLOAD_ITEM_RE", Counting())
+    steps, diagnostics = parse_scenario("go x=1 y=-20 label=3\n" * 1000)
+    assert diagnostics == [] and len(steps) == 1000
+    assert steps[-1] == ("go", {"x": IntV(1), "y": IntV(-20), "label": IntV(3)})
+    assert len(calls) == 3
 
 
 @ORACLE
