@@ -18,7 +18,8 @@ Single `schema.sql` artifact.  Mapping rules:
 - many-to-many associations become a join table named after the
   association, with a composite PRIMARY KEY over both ends' key columns;
 - tables are emitted referenced-before-referencing, ties broken by
-  declaration order;
+  declaration order, and a cycle of references is entered at its
+  earliest-declared table;
 - a table or column name that SQLite reserves (`order`, `Group`) is
   written as a delimited identifier, `"order"`.
 """
@@ -34,7 +35,7 @@ from modelkit.codegen import (
     snake_case,
 )
 from modelkit.diagnostics import Diagnostic, Record, error, warning
-from modelkit.index import ModelIndex
+from modelkit.index import ModelIndex, graph_cycles
 from modelkit.metamodel import Association, ClassModel
 
 _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "bool": "BOOLEAN"}
@@ -149,7 +150,8 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
             keys[cls.name] = []
 
     tables: dict[str, _Table] = {}
-    column_names: dict[str, set[str]] = {}  # of each table, to find a duplicate
+    # The lower-case column names of each table: SQLite compares them without case.
+    column_names: dict[str, set[str]] = {}
 
     def new_table(name: str, order: int, subject: str) -> _Table | None:
         if name in tables:
@@ -163,14 +165,14 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
         return table
 
     def add_column(table: _Table, name: str, rendered: str, context: str) -> bool:
-        names = column_names[table.name]
-        if name in names:
+        names, folded = column_names[table.name], name.lower()
+        if folded in names:
             diags.append(error("name-collision",
                                f"column '{name}' appears twice in table "
                                f"'{table.name}' ({context})",
                                subject=f"{table.name}.{name}"))
             return False
-        names.add(name)
+        names.add(name if folded == name else folded)  # no copy of a lower-case name
         table.columns.append((name, rendered))
         return True
 
@@ -267,28 +269,28 @@ def generate_sql_ddl(model: ClassModel) -> GenerationResult:
 
 
 def _dependency_order(tables: dict[str, _Table]) -> list[_Table]:
-    """Referenced tables first; ties and cycles fall back to declaration order.
-    Each step emits the earliest-declared table whose dependencies are all
-    emitted or, when there is none, the earliest-declared table left."""
+    """Referenced tables first, ties broken by declaration order.  Each step
+    emits the earliest-declared table whose dependencies are all emitted
+    or, when there is none, the earliest-declared table on a cycle of
+    references among the tables left.  A reference to no table is no
+    dependency."""
     keys = {name: (t.order, name) for name, t in tables.items()}
     pending: dict[str, int] = {}  # unemitted table -> its unmet dependencies
     dependents: dict[str, list[str]] = {}
     for name, table in tables.items():
-        deps = {ref for _, ref, _ in table.foreign_keys} - {name}
+        deps = {ref for _, ref, _ in table.foreign_keys if ref in tables} - {name}
         pending[name] = len(deps)
         for dep in deps:
             dependents.setdefault(dep, []).append(name)
     ready = [keys[name] for name, unmet in pending.items() if not unmet]
     heapq.heapify(ready)
-    by_order = sorted(keys.values(), reverse=True)
     emitted: list[_Table] = []
     while pending:
         if ready:
             name = heapq.heappop(ready)[1]
-        else:
-            name = by_order.pop()[1]  # dependency cycle
-            if name not in pending:
-                continue
+        else:  # each table left waits, through a chain, on a cycle
+            cycles = graph_cycles(pending, lambda t: [r for _, r, _ in tables[t].foreign_keys])
+            name = min(keys[t] for comp in cycles for t in comp)[1]
         del pending[name]
         emitted.append(tables[name])
         for dependent in dependents.get(name, ()):

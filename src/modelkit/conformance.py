@@ -41,7 +41,7 @@ def check_conformance(objects: ObjectModel, model: ClassModel) -> list[Diagnosti
         _check_object(obj, index, diags)
     for i, link in enumerate(objects.links):
         _check_link(i, link, population.objects, index, diags)
-    _check_multiplicities(index, population, diags)
+    check_multiplicities(index, population, diags)
     return diags
 
 
@@ -79,9 +79,14 @@ def _check_object(obj, index, diags) -> None:
                 continue
         diags.append(error(code, message, slot.span, subject=f"{obj.id}.{name}"))
 
+    check_missing_slots(obj, props, seen_slots, index, diags)
+
+
+def check_missing_slots(obj, props, present, index, diags) -> None:
+    """slot-missing for each of `props`, those of obj's class, not in `present`."""
     for prop in props.values():
         # Class-typed properties admit omission (their only value is null).
-        if prop.name not in seen_slots and index.kind(prop.type_name) != "class":
+        if prop.name not in present and index.kind(prop.type_name) != "class":
             diags.append(error("slot-missing",
                                f"object '{obj.id}' has no slot for required property "
                                f"'{prop.name}'",
@@ -119,7 +124,7 @@ def _check_link(position, link, known, index, diags) -> None:
                                link.span, subject=f"link[{position}]"))
 
 
-def _check_multiplicities(index, population, diags) -> None:
+def check_multiplicities(index, population, diags) -> None:
     # The multiplicity at end j bounds, for each instance at the opposite
     # end, how many links of the association it participates in.
     for assoc in index.binary:

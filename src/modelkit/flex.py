@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from modelkit.conformance import check_conformance, value_conforms
+# check_conformance stays bound here, where bench/spans.py wraps it by name.
+from modelkit.conformance import (check_conformance, check_missing_slots,  # noqa: F401
+                                  check_multiplicities, value_conforms)
 from modelkit.diagnostics import Diagnostic, warning
 from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
 from modelkit.metamodel import (
@@ -140,9 +142,11 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
     keeping the earliest).
     Lower-bound and missing-slot violations cannot be fixed by removal,
     so they stay in the output as residual diagnostics.  The returned
-    diagnostics list removals (warnings) followed by residuals (errors).
+    diagnostics list removals (warnings) followed by residuals (errors):
+    all that check_conformance finds in the output, in its order.
     """
     diags: list[Diagnostic] = []
+    residual: list[Diagnostic] = []  # pruning leaves only missing slots and lower bounds
 
     def removed(kind: str, subject: str, reason: str) -> None:
         diags.append(warning(f"removed-{kind}", f"removed {kind} {subject}: {reason}",
@@ -182,6 +186,8 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                     kept_slots.append(slot)
                     continue
             removed("slot", f"'{obj.id}.{name}'", reason)
+        check_missing_slots(obj, props, {s.property_name for s in kept_slots}, index,
+                            residual)
         pruned_objects.append(ObjectDef(id=obj.id, classifier=obj.classifier,
                                         slots=kept_slots, span=obj.span))
 
@@ -210,9 +216,8 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                             f"at object '{obj.id}'")
 
     result = ObjectModel(pruned_objects, [ln for ln in objects.links if id(ln) not in dropped])
-    residual = check_conformance(result, model)
-    diags.extend(residual)
-    return result, diags
+    check_multiplicities(index, PopulationIndex(result), residual)
+    return result, diags + residual
 
 
 def _link_fault(link, index, population) -> Optional[str]:

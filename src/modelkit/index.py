@@ -17,6 +17,50 @@ PRIMITIVE_VALUES = {"int": (IntV,), "float": (IntV, FloatV), "bool": (BoolV,),
                     "str": (StrV, EnumV)}
 
 
+def graph_cycles(nodes, successors) -> list[list[str]]:
+    """Strongly connected components of two or more of `nodes` under the
+    edges from each node to `successors(node)` (those that are not nodes
+    are left out), in the order Tarjan's algorithm finishes them."""
+    # Frames of (node, successors iterator, place on the stack), so that
+    # long chains cannot exhaust the interpreter stack.  A node whose
+    # component is done gets a number no lowlink can be lowered to.
+    number: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    stack, sccs, frames = [], [], []
+
+    def enter(v: str) -> None:
+        number[v] = lowlink[v] = len(number)
+        frames.append((v, iter(successors(v)), len(stack)))
+        stack.append(v)
+
+    for n in nodes:
+        if n in number:
+            continue
+        enter(n)
+        while frames:
+            v, after, at = frames[-1]
+            for w in after:
+                if w not in nodes:
+                    continue
+                if w not in number:
+                    enter(w)
+                    break
+                lowlink[v] = min(lowlink[v], number[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == number[v]:
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        number[w] = len(nodes)
+                    if len(comp) > 1:
+                        sccs.append(comp)
+    return sccs
+
+
 class ModelIndex:
     """Names, inheritance, flattened properties and navigation of one
     class model, each computed at most once per class."""
@@ -57,51 +101,6 @@ class ModelIndex:
                     order.append(done)
         self._ancestors[name] = order
         return order
-
-    def cycles(self) -> list[list[str]]:
-        """Strongly connected components of two or more declared classes under
-        the generalizations between them, in the order Tarjan's algorithm
-        finishes them."""
-        # Frames of (class, generals iterator, place on the stack), so that
-        # deep hierarchies cannot exhaust the interpreter stack.  A class whose
-        # component is done gets a number no lowlink can be lowered to.
-        number: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        stack: list[str] = []
-        sccs: list[list[str]] = []
-        frames: list = []
-
-        def enter(v: str) -> None:
-            number[v] = lowlink[v] = len(number)
-            frames.append((v, iter(self.parents.get(v, ())), len(stack)))
-            stack.append(v)
-
-        for n in self.classes:
-            if n in number:
-                continue
-            enter(n)
-            while frames:
-                v, generals, at = frames[-1]
-                for w in generals:
-                    if w not in self.classes:
-                        continue
-                    if w not in number:
-                        enter(w)
-                        break
-                    lowlink[v] = min(lowlink[v], number[w])
-                else:
-                    frames.pop()
-                    if frames:
-                        parent = frames[-1][0]
-                        lowlink[parent] = min(lowlink[parent], lowlink[v])
-                    if lowlink[v] == number[v]:
-                        comp = stack[at:]
-                        del stack[at:]
-                        for w in comp:
-                            number[w] = len(self.classes)
-                        if len(comp) > 1:
-                            sccs.append(comp)
-        return sccs
 
     def conforms(self, sub: str, sup: str) -> bool:
         """Both classes exist and sub is sup or one of its descendants."""
@@ -194,7 +193,8 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
             seen[name] = kind
 
     decl_pos = {c.name: i for i, c in enumerate(model.classes)}
-    cycles = [sorted(comp, key=decl_pos.get) for comp in index.cycles()]
+    cycles = [sorted(comp, key=decl_pos.get)
+              for comp in graph_cycles(index.classes, lambda v: index.parents.get(v, ()))]
     cyclic = {name for comp in cycles for name in comp}
 
     for ci, cls in enumerate(model.classes):
@@ -358,6 +358,10 @@ class PopulationIndex:
         end: the objects and link counts end j's multiplicity bounds."""
         i = 1 - j
         target = assoc.ends[i].target
+        fits: dict[str, bool] = {}  # whether each classifier conforms to target
         for obj in self.listed:
-            if index.conforms(obj.classifier, target):
+            fit = fits.get(obj.classifier)
+            if fit is None:
+                fit = fits[obj.classifier] = index.conforms(obj.classifier, target)
+            if fit:
                 yield obj, self.linked(assoc.name, i, obj.id)

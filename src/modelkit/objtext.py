@@ -28,6 +28,7 @@ from modelkit.diagnostics import (
     INT_CHARS,
     PLAIN_CHARS,
     ParseResult,
+    SAFE_DIGITS,
     SourceSpan,
     error,
     has_errors,
@@ -129,35 +130,74 @@ def parse_object_model(text: str, model: ClassModel,
     consulted."""
     del model
     diagnostics = []
-    result = ObjectModel()
-    by_id: dict[str, ObjectDef] = {}
-    assigned: set[tuple[str, str]] = set()
+    objects, links, by_id = [], [], {}
+    assigned: set[str] = set()  # the `id.prop` of every slot read
+    # Each classifier, property and association name the pattern has
+    # matched in this read, mapped to the one string every record shares.
+    names: dict[str, str] = {}
 
     def err(code: str, message: str, lineno: int) -> None:
         diagnostics.append(error(code, message, SourceSpan(filename, lineno)))
 
     for lineno, line in read_envelope(read_lines(text, "'"), text.count("\n") + 1,
                                       "@startobjects", "@endobjects", err):
+        # A statement made of names in `names`, a new ASCII id or declared
+        # ones, and a plain string or a short unsigned integer is read by
+        # `split` alone.
+        parts = line.split()
+        n = len(parts)
+        if n == 4 and parts[0] == "object" and parts[2] == ":" and parts[3] in names:
+            oid = parts[1]
+            if oid.isascii() and oid.isidentifier() and oid not in by_id:
+                by_id[oid] = obj = ObjectDef(oid, names[parts[3]],
+                                             span=SourceSpan(filename, lineno))
+                objects.append(obj)
+                continue
+        elif (n == 6 and parts[0] == "link" and parts[2] == "--" and parts[4] == ":"
+              and parts[1] in by_id and parts[3] in by_id and parts[5] in names):
+            links.append(Link(names[parts[5]], (by_id[parts[1]].id, by_id[parts[3]].id),
+                              SourceSpan(filename, lineno)))
+            continue
+        elif n > 2 and parts[1] == "=" and parts[0] not in assigned:
+            sid, _, prop = parts[0].partition(".")
+            if sid in by_id and prop in names:
+                literal = parts[2] if n == 3 else line.partition("=")[2].lstrip()
+                plain = literal[1:-1]
+                if (literal[0] == literal[-1] == '"' and len(literal) > 1 and '"' not in plain
+                        and "\\" not in plain and plain.isprintable()):
+                    value = StrV(plain)
+                elif literal.isdecimal() and len(literal) <= SAFE_DIGITS:
+                    value = IntV(int(literal))
+                else:
+                    value = None
+                if value is not None:
+                    by_id[sid].slots.append(AttributeLink(names[prop], value,
+                                                          SourceSpan(filename, lineno)))
+                    assigned.add(parts[0])
+                    continue
+
         m = _STATEMENT_RE.fullmatch(line)
         if m is None:
             err("syntax", f"unrecognized statement: {line}", lineno)
             continue
         oid, classifier, sid, prop, plain, digits, other, a, b, assoc = m.groups()
+        name = classifier or prop or assoc  # the statement's one name that `names` keeps
+        name = names.setdefault(name, name)
         if oid is not None:
             if oid in by_id:
                 err("dup-object", f"object '{oid}' declared twice", lineno)
                 continue
-            obj = ObjectDef(oid, classifier, span=SourceSpan(filename, lineno))
-            by_id[oid] = obj
-            result.objects.append(obj)
+            by_id[oid] = obj = ObjectDef(oid, name, span=SourceSpan(filename, lineno))
+            objects.append(obj)
         elif sid is not None:
             obj = by_id.get(sid)
             if obj is None:
                 err("unknown-object", f"slot assigned to undeclared object '{sid}'",
                     lineno)
                 continue
-            if (sid, prop) in assigned:
-                err("dup-slot", f"slot '{sid}.{prop}' assigned twice", lineno)
+            key = f"{sid}.{prop}"
+            if key in assigned:
+                err("dup-slot", f"slot '{key}' assigned twice", lineno)
                 continue
             if plain is not None:
                 value = StrV(plain)
@@ -166,21 +206,20 @@ def parse_object_model(text: str, model: ClassModel,
             else:
                 value = parse_value(other)
                 if value is None:
-                    err("bad-value", f"malformed value for '{sid}.{prop}': "
-                        f"{other.strip()}", lineno)
+                    err("bad-value", f"malformed value for '{key}': {other.strip()}", lineno)
                     continue
-            obj.slots.append(AttributeLink(prop, value, SourceSpan(filename, lineno)))
-            assigned.add((sid, prop))
+            obj.slots.append(AttributeLink(name, value, SourceSpan(filename, lineno)))
+            assigned.add(key)
         else:
             missing = [o for o in (a, b) if o not in by_id]
             if missing:
                 err("unknown-object",
                     f"link references undeclared object '{missing[0]}'", lineno)
                 continue
-            result.links.append(Link(assoc, (by_id[a].id, by_id[b].id),
-                                     SourceSpan(filename, lineno)))
+            links.append(Link(name, (by_id[a].id, by_id[b].id), SourceSpan(filename, lineno)))
 
-    return ParseResult(result if not has_errors(diagnostics) else None, diagnostics)
+    return ParseResult(ObjectModel(objects, links) if not has_errors(diagnostics) else None,
+                       diagnostics)
 
 
 def serialize_object_model(objects: ObjectModel) -> str:

@@ -35,6 +35,7 @@ _MULTS = [
 def random_class_model(rng: random.Random, max_classes=8, max_props=5,
                        max_assocs=6, names=None) -> ClassModel:
     """A valid class model inside the serializable subset (no roles).
+    Attributes are named `p<n>`, every third one capitalized as `P<n>`.
 
     Given `names`, a pool of lower-case identifiers, every class, attribute
     and association name is a distinct word of the pool instead, and so is
@@ -60,7 +61,7 @@ def random_class_model(rng: random.Random, max_classes=8, max_props=5,
             choices += class_names
             type_name = rng.choice(choices)
             primitive = type_name in ("int", "float", "str", "bool")
-            name = f"p{prop_counter}"
+            name = f"P{prop_counter}" if prop_counter % 3 == 0 else f"p{prop_counter}"
             if fresh:
                 name = rng.choice([str.lower, str.upper, str.capitalize])(next(fresh))
             cls.properties.append(Property(
@@ -167,6 +168,33 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
             a = rng.choice(objects.objects)
             b = rng.choice(objects.objects)
             objects.links.append(Link(assoc.name, (a.id, b.id)))
+    return model, objects
+
+
+def random_defective_model(rng: random.Random, max_objects=12, max_links=16):
+    """A random_instanced_model pair with, besides its own mistyped, missing,
+    undeclared and `Ghost` slots and objects and its wrongly typed link ends,
+    each other defect enforcement prunes: an abstract classifier, a
+    duplicate slot, a link of an unknown association, a link with a dangling
+    end, a link without two ends, and surplus links at a bounded end."""
+    model, objects = random_instanced_model(rng, max_objects, max_links)
+    objects.objects.append(ObjectDef("ghost", "Ghost"))
+    if rng.random() < 0.5:
+        rng.choice(model.classes).is_abstract = True
+    slotted = [o for o in objects.objects if o.slots]
+    if slotted:
+        obj = rng.choice(slotted)
+        slot = rng.choice(obj.slots)
+        obj.slots.insert(rng.randrange(len(obj.slots) + 1),
+                         AttributeLink(slot.property_name, slot.value))
+    ids = [o.id for o in objects.objects]
+    assoc = rng.choice(model.associations).name
+    extra = [Link("nope", (rng.choice(ids), rng.choice(ids))),
+             Link(assoc, (rng.choice(ids), "missing")), Link(assoc, (rng.choice(ids),))]
+    a, b = rng.choice(ids), rng.choice(ids)
+    extra += [Link(assoc, (a, b)) for _ in range(rng.randint(2, 4))]
+    for link in extra:
+        objects.links.insert(rng.randrange(len(objects.links) + 1), link)
     return model, objects
 
 

@@ -13,7 +13,7 @@ import re
 
 _HEADER_RE = re.compile(r"^-- SQL schema for model '[A-Za-z_]\w*'$")
 # A table or column name: bare, or delimited (`"order"`, a quote doubled).
-_NAME = r'(?:[a-z_]\w*|"(?:[^"]|"")+")'
+_NAME = r'(?:[A-Za-z_]\w*|"(?:[^"]|"")+")'
 _NAMES = rf"{_NAME}(?:, {_NAME})*"
 _CREATE_RE = re.compile(rf"^CREATE TABLE ({_NAME}) \($")
 _COLUMN_RE = re.compile(

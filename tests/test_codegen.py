@@ -261,6 +261,51 @@ class TestSqlDdl:
             "(association 'owns')", "s.p_code")]
         assert "CREATE TABLE s (\n  p_code TEXT\n);" in result.artifacts[0].content
 
+    def test_column_names_that_differ_only_in_case_collide(self):
+        """SQLite compares column names without case, so it rejects a table
+        with both; the second is reported and left out, and the schema runs."""
+        model = parse_class_model(
+            "@startuml\nclass Item {\n  Name : int {id}\n  name : str\n  NAME : bool\n"
+            "  label : str\n}\nclass Tag {\n  k : int {id}\n  item_name : str\n}\n"
+            'Item "1" -- "*" Tag : tags\n@enduml\n').model
+        result = generate_sql_ddl(model)
+        assert [(d.format(), d.subject) for d in result.diagnostics] == [
+            ("error name-collision - column 'name' appears twice in table 'item' "
+             "(declared property)", "item.name"),
+            ("error name-collision - column 'NAME' appears twice in table 'item' "
+             "(declared property)", "item.NAME"),
+            ("error name-collision - column 'item_Name' appears twice in table 'tag' "
+             "(association 'tags')", "tag.item_Name")]
+        content = result.artifacts[0].content
+        assert "CREATE TABLE item (\n  Name INTEGER,\n  label TEXT,\n" in content
+        assert check_sql(content) == []
+        with contextlib.closing(sqlite3.connect(":memory:")) as db:
+            db.executescript("PRAGMA foreign_keys = ON;\n" + content)
+            db.execute("INSERT INTO item VALUES (1, 'x')")
+            db.execute("INSERT INTO tag VALUES (2, 'y')")
+        both = content.replace("  label TEXT", "  name TEXT")
+        with contextlib.closing(sqlite3.connect(":memory:")) as db:
+            with pytest.raises(sqlite3.OperationalError, match="duplicate column"):
+                db.executescript(both)
+
+    def test_a_cycle_of_references_is_entered_at_its_earliest_table(self):
+        """c1 references c2, and c2 and c3 reference each other: no table is
+        ready, and the cycle, not the earliest table, goes first, so that
+        the only reference ahead of its table is one inside the cycle."""
+        model = parse_class_model(
+            "@startuml\n" + "".join(f"class C{i} {{\n  k : int {{id}}\n}}\n" for i in (1, 2, 3))
+            + 'C2 "1" -- "*" C1 : r1\nC3 "1" -- "*" C2 : r2\nC2 "1" -- "*" C3 : r3\n'
+            "@enduml\n").model
+        result = generate_sql_ddl(model)
+        assert result.diagnostics == []
+        content = result.artifacts[0].content
+        assert re.findall(r"^CREATE TABLE (\w+)", content, re.MULTILINE) == ["c2", "c1", "c3"]
+        assert check_sql(content) == []
+        first_declared = content.split("\n\n")
+        first_declared[1:] = [first_declared[2], first_declared[1], first_declared[3]]
+        assert check_sql("\n\n".join(first_declared)) == [
+            "line 7: references 'c2' before it is defined"]
+
     def test_a_join_table_named_like_a_class_table_collides(self):
         model = parse_class_model(
             "@startuml\nclass A_B {\n  k : int {id}\n}\nclass A {\n  k : int {id}\n}\n"
@@ -457,19 +502,34 @@ def test_check_sql_lets_a_reference_come_first_only_within_a_cycle():
 
 
 def quadratic_dependency_order(tables):
-    """The original table ordering, kept as the reference: rescan every
-    remaining table for each one emitted."""
+    """The table ordering done the slow way, kept as the reference: rescan
+    every remaining table for each one emitted, and when none is ready, take
+    the earliest-declared one from which a chain of references among the
+    remaining tables leads back to itself."""
     remaining = dict(tables)
     emitted = []
-    done = set()
+
+    def refs(name):
+        return {ref for _, ref, _ in tables[name].foreign_keys
+                if ref in remaining and ref != name}
+
+    def on_cycle(name):
+        seen, todo = set(), [name]
+        while todo:
+            for ref in refs(todo.pop()):
+                if ref == name:
+                    return True
+                if ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+        return False
+
     while remaining:
-        ready = [t for t in remaining.values()
-                 if not ({ref for _, ref, _ in t.foreign_keys} - done - {t.name})]
+        ready = [t for t in remaining.values() if not refs(t.name)]
         if not ready:
-            ready = list(remaining.values())  # dependency cycle
+            ready = [t for t in remaining.values() if on_cycle(t.name)]
         nxt = min(ready, key=lambda t: t.order)
         emitted.append(nxt)
-        done.add(nxt.name)
         del remaining[nxt.name]
     return emitted
 

@@ -1,6 +1,7 @@
 import random
 
 from modelkit.conformance import check_conformance, value_conforms
+from modelkit.diagnostics import SourceSpan
 from modelkit.flex import enforce_conformance, infer_class_model
 from modelkit.index import ModelIndex, validate_class_model
 from modelkit.metamodel import (
@@ -21,7 +22,7 @@ from modelkit.metamodel import (
     Property,
     StrV,
 )
-from model_gen import random_object_population
+from model_gen import random_defective_model, random_object_population
 
 
 def population(*objs, links=()):
@@ -317,3 +318,34 @@ def test_inferred_types_follow_the_table_conformance_checks_against():
             subject = f"{classifier_of[obj_id]}.{name}"
             assert d.code == "slot-missing" or (
                 d.code == "slot-type" and warned.get(subject) == "mixed-kind")
+
+
+# What each removal reason says, one phrase per kind of defect enforcement prunes.
+REMOVAL_REASONS = ("unknown classifier", "abstract classifier", "duplicate assignment",
+                   "unknown property", "does not fit", "unknown association",
+                   "exactly two ends", "gone or unknown", "cannot occupy",
+                   "exceeds upper bound")
+
+
+def test_the_residual_is_what_check_conformance_finds_in_the_pruned_output():
+    """Enforcement reports what it could not prune without checking its
+    output again: on populations with every defect it prunes, its residual
+    diagnostics are check_conformance's on the output, in order, with spans
+    and subjects, and a second enforcement removes nothing."""
+    rng = random.Random(24)
+    reasons, residual_codes = set(), set()
+    for case in range(300):
+        model, objects = random_defective_model(rng)
+        for line, element in enumerate(objects.objects + objects.links, 1):
+            element.span = SourceSpan("gen.objs", line)
+        pruned, diags = enforce_conformance(objects, model)
+        removals = [d for d in diags if d.code.startswith("removed-")]
+        residual = diags[len(removals):]
+        assert diags[:len(removals)] == removals, case
+        assert residual == check_conformance(pruned, model), case
+        assert enforce_conformance(pruned, model) == (pruned, residual), case
+        reasons.update(phrase for d in removals for phrase in REMOVAL_REASONS
+                       if phrase in d.message.split(": ", 1)[1])
+        residual_codes.update(d.code for d in residual)
+    assert reasons == set(REMOVAL_REASONS)
+    assert residual_codes == {"slot-missing", "mult-lower"}

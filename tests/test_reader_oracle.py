@@ -95,6 +95,13 @@ def _agree(actual, expected):
     assert repr(actual) == repr(expected)
 
 
+def _agree_on_objects(text):
+    actual = parse_object_model(text, ClassModel(name="m"))
+    expected = reader_oracle.parse_object_model(text)
+    _agree(actual.model, expected.model)
+    _agree(actual.diagnostics, expected.diagnostics)
+
+
 @ORACLE
 @given(st.lists(object_line(), max_size=8))
 def test_object_lines_match_the_oracle(lines):
@@ -102,20 +109,13 @@ def test_object_lines_match_the_oracle(lines):
     does not hide what the others parse to."""
     head = "".join(f"object {oid} : K\n" for oid in DECLARED)
     for line in lines:
-        text = f"@startobjects\n{head}{line}\n@endobjects\n"
-        actual = parse_object_model(text, ClassModel(name="m"))
-        expected = reader_oracle.parse_object_model(text)
-        _agree(actual.model, expected.model)
-        _agree(actual.diagnostics, expected.diagnostics)
+        _agree_on_objects(f"@startobjects\n{head}{line}\n@endobjects\n")
 
 
 @ORACLE
 @given(object_text())
 def test_object_reader_matches_the_oracle(text):
-    actual = parse_object_model(text, ClassModel(name="m"))
-    expected = reader_oracle.parse_object_model(text)
-    _agree(actual.model, expected.model)
-    _agree(actual.diagnostics, expected.diagnostics)
+    _agree_on_objects(text)
 
 
 @ORACLE
@@ -136,6 +136,7 @@ OBJECT_CASES = [
     "z.p = 1", "object a : B", "link a -- z : r", "a.p = \"O'Brien\" ' comment",
     "a.p = " + "7" * 4300, "a.p = -" + "7" * 4300, "a.p = " + "7" * 4301,
     "a.p = -" + "7" * 4301, "a.p = ٣" * 4301,
+    "object é : A", "object a· : A", "object ａ : A", "object ab : é", "link a -- a : é",
 ]
 SCENARIO_CASES = [
     'go x="a"y=2', "go x=1y=2", "go x=1 y=2", 'go x="a b" y="c\\"d"',
@@ -148,16 +149,94 @@ SCENARIO_CASES = [
 @pytest.mark.parametrize("line", OBJECT_CASES)
 def test_object_cases_match_the_oracle(line):
     """`line` between a declaration of `a` and a link."""
-    text = f"@startobjects\nobject a : A\n{line}\nlink a -- a : r\n@endobjects\n"
-    actual = parse_object_model(text, ClassModel(name="m"))
-    expected = reader_oracle.parse_object_model(text)
-    _agree(actual.model, expected.model)
-    _agree(actual.diagnostics, expected.diagnostics)
+    _agree_on_objects(f"@startobjects\nobject a : A\n{line}\nlink a -- a : r\n@endobjects\n")
 
 
 @pytest.mark.parametrize("line", SCENARIO_CASES)
 def test_scenario_cases_match_the_oracle(line):
     _agree(parse_scenario(line + "\n"), reader_oracle.parse_scenario(line + "\n"))
+
+
+# Declarations after which the object reader knows, as the pattern matched
+# them, every classifier, property and association name the object lines
+# and cases use, so that later lines may take its split-only path.
+OBJECT_NAMES = DECLARED + ["c", "K", "A", "B", "p", "q", "r2", "r", "z"]
+OBJECT_PRIME = "".join(f"object w{i} : {name}\n" for i, name in enumerate(OBJECT_NAMES))
+
+
+
+@pytest.mark.parametrize("line", OBJECT_CASES)
+def test_object_cases_match_the_oracle_after_a_prime(line):
+    """Each case after the prime, twice: the second read of it finds the
+    slot or object the first one read."""
+    _agree_on_objects(f"@startobjects\n{OBJECT_PRIME}object a : A\n{line}\n{line}\n"
+                      "link a -- a : r\nlink a -- a : r\n@endobjects\n")
+
+
+@ORACLE
+@given(object_text())
+def test_object_reader_matches_the_oracle_after_a_prime(text):
+    start = "@startobjects\n"
+    primed = start + OBJECT_PRIME + text[len(start):] if text.startswith(start) \
+        else OBJECT_PRIME + text
+    _agree_on_objects(primed)
+
+
+@ORACLE
+@given(st.lists(object_line(), max_size=8))
+def test_object_lines_match_the_oracle_after_a_prime(lines):
+    head = "".join(f"object {oid} : K\n" for oid in DECLARED)
+    for line in lines:
+        _agree_on_objects(f"@startobjects\n{OBJECT_PRIME}{head}{line}\n{line}\n@endobjects\n")
+
+
+def test_every_unicode_blank_separates_object_statements_as_the_oracle_does():
+    """`str.split` and the statement pattern's `\\s` agree on what a blank is,
+    in each of the three statements the split-only path reads."""
+    blanks = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(blanks) > 20
+    lines = []
+    for k, blank in enumerate(blanks):
+        o = f"o{k}"
+        lines += [f"object{blank}{o}{blank}:{blank}K", f"{o}.p{blank}={blank}\"v{blank}w\"",
+                  f"{o}.q{blank}={blank}12", f"{o}.r2 ={blank}{blank}\"x\"",
+                  f"link{blank}{o}{blank}--{blank}a{blank}:{blank}r",
+                  f"link {o} --{blank}{o}{blank}{blank}: r", f"object{blank}{o}_{blank}:K"]
+    _agree_on_objects("@startobjects\n" + OBJECT_PRIME + "object a : K\n"
+                      + "\n".join(lines) + "\n@endobjects\n")
+
+
+def test_the_statement_pattern_reads_only_the_first_sighting_of_a_name(monkeypatch):
+    """500 passports and 1 000 stages with the same two properties and one
+    association: the pattern reads the first statement that names each
+    classifier, property or association, and `split` reads every other."""
+    import modelkit.objtext
+
+    calls = []
+    pattern = modelkit.objtext._STATEMENT_RE
+
+    class Counting:
+        def fullmatch(self, line):
+            calls.append(line)
+            return pattern.fullmatch(line)
+
+    monkeypatch.setattr(modelkit.objtext, "_STATEMENT_RE", Counting())
+    lines = ["@startobjects"]
+    for i in range(500):
+        lines += [f"object p{i} : Passport", f'p{i}.code = "DPP-{i:04}"', f"p{i}.year = {i}"]
+        for k in (2 * i, 2 * i + 1):
+            lines += [f"object s{k} : Stage", f's{k}.code = "S {k}"',
+                      f"link p{i} -- s{k} : stages"]
+    text = "\n".join(lines + ["@endobjects"]) + "\n"
+    result = parse_object_model(text, ClassModel(name="m"))
+    assert result.diagnostics == [] and len(result.model.objects) == 1500
+    assert calls == ["object p0 : Passport", 'p0.code = "DPP-0000"', "p0.year = 0",
+                     "object s0 : Stage", "link p0 -- s0 : stages"]
+    objects, links = result.model.objects, result.model.links
+    assert len({id(o.classifier) for o in objects}) == 2
+    assert len({id(slot.property_name) for o in objects for slot in o.slots}) == 2
+    assert len({id(link.association_name) for link in links}) == 1
+    _agree(result.model, reader_oracle.parse_object_model(text).model)
 
 
 # A first line after which the reader knows the event `go`, every key the
