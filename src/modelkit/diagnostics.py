@@ -171,10 +171,10 @@ class ParseResult(Record):
 # escapes; `#`-comment files also hold single-quoted OCL strings.  A quote
 # that never closes is an ordinary character.
 JSON_STRING = r'"(?:[^"\\]|\\.)*"'
-# The characters of a JSON string that has nothing to escape (RFC 8259
-# section 7: no quote, backslash or control character), and an integer
-# int() converts under every PYTHONINTMAXSTRDIGITS: the literals the
-# object and scenario readers take straight from their match.
+# The characters of a JSON string with nothing to escape (RFC 8259 section
+# 7: no quote, backslash or control character), which the object notation
+# reads and writes between quotes as is, and an integer int() converts under
+# every PYTHONINTMAXSTRDIGITS: the literals the scenario reader takes whole.
 PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
 INT_CHARS = rf"-?\d{{1,{SAFE_DIGITS}}}"
 _BEFORE_COMMENT = {

@@ -155,20 +155,18 @@ def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     raise StepError(error("guard-error", f"guard '{transition.guard_text or '?'}' {problem}"))
 
 
-def _entry(transition: Transition, target: Optional[State]) -> TraceEntry:
-    """The entry each firing of `transition` records; `target` is the first
-    state declared with its target's name, whose action it fires."""
-    actions = (target.body_action,) if target and target.body_action else ()
-    return TraceEntry(transition.event, transition.source, transition.target, actions)
-
-
-def _transitions(machine: StateMachine) -> dict[tuple[str, str], list]:
-    """(source, event) -> its transitions in declaration order, each with the
-    one trace entry all its firings share."""
+def _transitions(machine: StateMachine, transitions: Iterable[Transition]
+                 ) -> dict[tuple[str, str], list]:
+    """(source, event) -> its `transitions` in their order, each with the one
+    trace entry all its firings share, which fires the action of the first
+    state declared with its target's name."""
     first = {s.name: s for s in reversed(machine.states)}
     table: dict[tuple[str, str], list[tuple[Transition, TraceEntry]]] = {}
-    for t in machine.transitions:
-        table.setdefault((t.source, t.event), []).append((t, _entry(t, first.get(t.target))))
+    for t in transitions:
+        target = first.get(t.target)
+        actions = (target.body_action,) if target and target.body_action else ()
+        table.setdefault((t.source, t.event), []).append(
+            (t, TraceEntry(t.event, t.source, t.target, actions)))
     return table
 
 
@@ -207,9 +205,8 @@ def step(machine: StateMachine, session: Session, event: str,
     recorded no-op.  Undeclared events and guard errors raise StepError and
     leave the session untouched, payload merge included."""
     state = session.current_state
-    arcs = [(t, _entry(t, next((s for s in machine.states if s.name == t.target), None)))
-            for t in machine.transitions if t.source == state and t.event == event]
-    return _fold(machine, {(state, event): arcs}, session, [(event, payload or {})])
+    arcs = [t for t in machine.transitions if t.source == state and t.event == event]
+    return _fold(machine, _transitions(machine, arcs), session, [(event, payload or {})])
 
 
 def new_session(machine: StateMachine) -> Session:
@@ -222,7 +219,7 @@ def run_scenario(machine: StateMachine, events: Iterable[tuple[str, dict[str, Va
     of a transition, and every no-op in one state on one event, shares one
     trace entry.  A failing step raises StepError with the session from
     before it."""
-    return _fold(machine, _transitions(machine), new_session(machine), events)
+    return _fold(machine, _transitions(machine, machine.transitions), new_session(machine), events)
 
 
 def format_trace(session: Session) -> str:

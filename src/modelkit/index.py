@@ -157,69 +157,59 @@ def is_identifier(name: str) -> bool:
 def validate_class_model(model: ClassModel) -> list[Diagnostic]:
     """Check every class-model invariant; empty result means well-formed.
 
-    Diagnostics are ordered by (declaration order, code), where declaration
-    order runs classes, then enumerations, then associations, then
-    generalizations.
+    Diagnostics come in declaration order: the model's name, then classes,
+    enumerations, associations and generalizations, each declaration's
+    sorted by code.
     """
-    found: list[tuple[int, str, Diagnostic]] = []
-    index = ModelIndex(model)
-    n_classes = len(model.classes)
-    n_enums = len(model.enumerations)
-
-    def add(order: int, diag: Diagnostic) -> None:
-        found.append((order, diag.code, diag))
-
+    found: list[Diagnostic] = []
     if not is_identifier(model.name):
-        add(-1, error("bad-name", f"model name '{model.name}' is not an identifier"))
-
-    # One namespace for classes, enumerations, and associations.
+        found.append(error("bad-name", f"model name '{model.name}' is not an identifier"))
+    index = ModelIndex(model)
+    groups: list[list[Diagnostic]] = []  # each declaration's findings, in order
     seen: dict[str, str] = {}
-    named = (
-        [(i, "class", c.name, c.span) for i, c in enumerate(model.classes)]
-        + [(n_classes + i, "enum", e.name, e.span)
-           for i, e in enumerate(model.enumerations)]
-        + [(n_classes + n_enums + i, "association", a.name, a.span)
-           for i, a in enumerate(model.associations)]
-    )
-    for order, kind, name, span in named:
+
+    def opened(kind: str, name: str, span) -> list[Diagnostic]:
+        """Open the findings of the next class, enumeration or association
+        with those on its name: the three share one namespace."""
+        groups.append(findings := [])
         if not is_identifier(name):
-            add(order, error("bad-name", f"{kind} name '{name}' is not an identifier",
-                             span, subject=name))
+            findings.append(error("bad-name", f"{kind} name '{name}' is not an identifier",
+                                  span, subject=name))
         if name in seen:
-            add(order, error("dup-name",
-                             f"{kind} '{name}' clashes with {seen[name]} of the same name",
-                             span, subject=name))
+            findings.append(error("dup-name", f"{kind} '{name}' clashes with {seen[name]} "
+                                  "of the same name", span, subject=name))
         else:
             seen[name] = kind
+        return findings
 
     decl_pos = {c.name: i for i, c in enumerate(model.classes)}
     cycles = [sorted(comp, key=decl_pos.get)
               for comp in graph_cycles(index.classes, lambda v: index.parents.get(v, ()))]
     cyclic = {name for comp in cycles for name in comp}
 
-    for ci, cls in enumerate(model.classes):
+    for cls in model.classes:
+        add = opened("class", cls.name, cls.span).append
         own: set[str] = set()
         for prop in cls.properties:
             if not is_identifier(prop.name):
-                add(ci, error("bad-name",
-                              f"property name '{prop.name}' is not an identifier",
-                              prop.span, subject=f"{cls.name}.{prop.name}"))
+                add(error("bad-name", f"property name '{prop.name}' is not an identifier",
+                          prop.span, subject=f"{cls.name}.{prop.name}"))
             if prop.name in own:
-                add(ci, error("dup-property",
-                              f"property '{prop.name}' declared twice in class '{cls.name}'",
-                              prop.span, subject=f"{cls.name}.{prop.name}"))
+                add(error("dup-property",
+                          f"property '{prop.name}' declared twice in class '{cls.name}'",
+                          prop.span, subject=f"{cls.name}.{prop.name}"))
             own.add(prop.name)
             kind = index.kind(prop.type_name)
             if kind is None:
-                add(ci, error("bad-type",
-                              f"property '{cls.name}.{prop.name}' references unknown type "
-                              f"'{prop.type_name}'",
-                              prop.span, subject=f"{cls.name}.{prop.name}"))
+                add(error("bad-type",
+                          f"property '{cls.name}.{prop.name}' references unknown type "
+                          f"'{prop.type_name}'",
+                          prop.span, subject=f"{cls.name}.{prop.name}"))
             elif prop.is_id and kind != "primitive":
-                add(ci, error("id-not-primitive",
-                              f"identifier property '{cls.name}.{prop.name}' must have a "
-                              f"primitive type, not '{prop.type_name}'",
-                              prop.span, subject=f"{cls.name}.{prop.name}"))
+                add(error("id-not-primitive",
+                          f"identifier property '{cls.name}.{prop.name}' must have a "
+                          f"primitive type, not '{prop.type_name}'",
+                          prop.span, subject=f"{cls.name}.{prop.name}"))
 
         # Shadowing of inherited properties, skipped for classes on a cycle
         # (their ancestry is not well defined until the cycle is fixed).
@@ -239,7 +229,7 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
                             for d in index.parents[cls.name]
                         )
                         if not meets_below:
-                            add(ci, error(
+                            add(error(
                                 "dup-property",
                                 f"class '{cls.name}' inherits property '{prop.name}' "
                                 f"from both '{inherited_from[prop.name]}' and '{anc}'",
@@ -248,89 +238,81 @@ def validate_class_model(model: ClassModel) -> list[Diagnostic]:
                         inherited_from[prop.name] = anc
             for prop in cls.properties:
                 if prop.name in inherited_from:
-                    add(ci, error("dup-property",
-                                  f"property '{cls.name}.{prop.name}' redeclares a property "
-                                  f"inherited from '{inherited_from[prop.name]}'",
-                                  prop.span, subject=f"{cls.name}.{prop.name}"))
+                    add(error("dup-property",
+                              f"property '{cls.name}.{prop.name}' redeclares a property "
+                              f"inherited from '{inherited_from[prop.name]}'",
+                              prop.span, subject=f"{cls.name}.{prop.name}"))
 
-    for ei, enum in enumerate(model.enumerations):
-        order = n_classes + ei
+    for enum in model.enumerations:
+        add = opened("enum", enum.name, enum.span).append
         if not enum.literals:
-            add(order, error("no-literals",
-                             f"enumeration '{enum.name}' has no literals",
-                             enum.span, subject=enum.name))
+            add(error("no-literals", f"enumeration '{enum.name}' has no literals",
+                      enum.span, subject=enum.name))
         lits: set[str] = set()
         for lit in enum.literals:
             if not is_identifier(lit):
-                add(order, error("bad-name",
-                                 f"enumeration literal '{lit}' is not an identifier",
-                                 enum.span, subject=f"{enum.name}.{lit}"))
+                add(error("bad-name", f"enumeration literal '{lit}' is not an identifier",
+                          enum.span, subject=f"{enum.name}.{lit}"))
             if lit in lits:
-                add(order, error("dup-literal",
-                                 f"literal '{lit}' repeated in enumeration '{enum.name}'",
-                                 enum.span, subject=f"{enum.name}.{lit}"))
+                add(error("dup-literal", f"literal '{lit}' repeated in enumeration '{enum.name}'",
+                          enum.span, subject=f"{enum.name}.{lit}"))
             lits.add(lit)
 
-    for ai, assoc in enumerate(model.associations):
-        order = n_classes + n_enums + ai
+    for assoc in model.associations:
+        add = opened("association", assoc.name, assoc.span).append
         if len(assoc.ends) != 2:
-            add(order, error("assoc-ends",
-                             f"association '{assoc.name}' must have exactly two ends",
-                             assoc.span, subject=assoc.name))
+            add(error("assoc-ends", f"association '{assoc.name}' must have exactly two ends",
+                      assoc.span, subject=assoc.name))
             continue
         for j, end in enumerate(assoc.ends):
             if end.target not in index.classes:
-                add(order, error("unknown-class",
-                                 f"association '{assoc.name}' end references unknown class "
-                                 f"'{end.target}'",
-                                 assoc.span, subject=f"{assoc.name}[{j}]"))
+                add(error("unknown-class",
+                          f"association '{assoc.name}' end references unknown class "
+                          f"'{end.target}'",
+                          assoc.span, subject=f"{assoc.name}[{j}]"))
             m = end.multiplicity
             if m.lower < 0 or (m.upper is not None and m.upper < 1):
-                add(order, error("bad-mult",
-                                 f"association '{assoc.name}' end has malformed multiplicity "
-                                 f"bounds",
-                                 assoc.span, subject=f"{assoc.name}[{j}]"))
+                add(error("bad-mult",
+                          f"association '{assoc.name}' end has malformed multiplicity bounds",
+                          assoc.span, subject=f"{assoc.name}[{j}]"))
             elif m.upper is not None and m.lower > m.upper:
-                add(order, error("bad-mult",
-                                 f"association '{assoc.name}' end multiplicity has "
-                                 f"lower {int_text(m.lower)} > upper {int_text(m.upper)}",
-                                 assoc.span, subject=f"{assoc.name}[{j}]"))
+                add(error("bad-mult",
+                          f"association '{assoc.name}' end multiplicity has "
+                          f"lower {int_text(m.lower)} > upper {int_text(m.upper)}",
+                          assoc.span, subject=f"{assoc.name}[{j}]"))
             if end.role is not None and not is_identifier(end.role):
-                add(order, error("bad-name",
-                                 f"role '{end.role}' on association '{assoc.name}' is not "
-                                 f"an identifier",
-                                 assoc.span, subject=f"{assoc.name}[{j}]"))
+                add(error("bad-name",
+                          f"role '{end.role}' on association '{assoc.name}' is not "
+                          f"an identifier",
+                          assoc.span, subject=f"{assoc.name}[{j}]"))
         r0, r1 = assoc.ends[0].role, assoc.ends[1].role
         if r0 is not None and r0 == r1:
-            add(order, error("dup-role",
-                             f"association '{assoc.name}' has two ends with role '{r0}'",
-                             assoc.span, subject=assoc.name))
+            add(error("dup-role", f"association '{assoc.name}' has two ends with role '{r0}'",
+                      assoc.span, subject=assoc.name))
         if assoc.ends[0].is_composite and assoc.ends[1].is_composite:
-            add(order, error("two-composites",
-                             f"association '{assoc.name}' has two composite ends",
-                             assoc.span, subject=assoc.name))
+            add(error("two-composites", f"association '{assoc.name}' has two composite ends",
+                      assoc.span, subject=assoc.name))
 
-    gen_base = n_classes + n_enums + len(model.associations)
-    for gi, gen in enumerate(model.generalizations):
-        order = gen_base + gi
+    for gen in model.generalizations:
+        groups.append(findings := [])
+        add = findings.append
         for name in (gen.general, gen.specific):
             if name not in index.classes:
-                add(order, error("unknown-class",
-                                 f"generalization references unknown class '{name}'",
-                                 gen.span, subject=name))
+                add(error("unknown-class", f"generalization references unknown class '{name}'",
+                          gen.span, subject=name))
         if gen.general == gen.specific:
-            add(order, error("gen-self",
-                             f"class '{gen.general}' cannot specialize itself",
-                             gen.span, subject=gen.general))
+            add(error("gen-self", f"class '{gen.general}' cannot specialize itself",
+                      gen.span, subject=gen.general))
 
     for comp in cycles:
-        add(decl_pos[comp[0]],
-            error("gen-cycle",
-                  "generalization cycle: " + " -> ".join(comp + [comp[0]]),
-                  subject=comp[0]))
+        groups[decl_pos[comp[0]]].append(error(
+            "gen-cycle", "generalization cycle: " + " -> ".join(comp + [comp[0]]),
+            subject=comp[0]))
 
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [diag for _, _, diag in found]
+    for findings in groups:
+        if findings:  # most declarations have none, and need no sort
+            found += sorted(findings, key=lambda diag: diag.code)
+    return found
 
 
 class PopulationIndex:

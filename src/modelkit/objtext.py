@@ -25,7 +25,6 @@ import re
 from typing import Optional
 
 from modelkit.diagnostics import (
-    INT_CHARS,
     PLAIN_CHARS,
     ParseResult,
     SAFE_DIGITS,
@@ -54,16 +53,14 @@ from modelkit.metamodel import (
     Value,
 )
 
-# The readers take a plain string or a short integer straight from their
-# match, and any other value goes through parse_value, which reads a longer
-# integer with read_int; render_value writes a plain string as is.
+# A string with nothing to escape: render_value writes it between quotes as
+# is, and parse_value reads it back so, without json.
 _PLAIN_RE = re.compile(PLAIN_CHARS)
 
 # Object, slot and link statements, tried in that order.
 _STATEMENT_RE = re.compile(
     r"object\s+(?P<oid>[A-Za-z_]\w*)\s*:\s*(?P<classifier>[A-Za-z_]\w*)"
-    r"|(?P<sid>[A-Za-z_]\w*)\.(?P<prop>[A-Za-z_]\w*)\s*=\s*"
-    rf'(?:"(?P<str>{PLAIN_CHARS})"|(?P<int>{INT_CHARS})|(?P<value>.+))'
+    r"|(?P<sid>[A-Za-z_]\w*)\.(?P<prop>[A-Za-z_]\w*)\s*=\s*(?P<value>.+)"
     r"|link\s+(?P<a>[A-Za-z_]\w*)\s*--\s*(?P<b>[A-Za-z_]\w*)"
     r"\s*:\s*(?P<assoc>[A-Za-z_]\w*)")
 
@@ -88,7 +85,10 @@ def parse_value(text: str) -> Optional[Value]:
         number = float(text)
         return None if math.isinf(number) else FloatV(number)
     if text.startswith('"'):
-        import json  # deferred: the readers take plain strings from their match
+        plain = text[1:-1]
+        if len(text) > 1 and text.endswith('"') and _PLAIN_RE.fullmatch(plain):
+            return StrV(plain)
+        import json  # deferred: a string with nothing to escape needs none
         try:
             decoded = json.loads(text)
         except ValueError:
@@ -180,7 +180,7 @@ def parse_object_model(text: str, model: ClassModel,
         if m is None:
             err("syntax", f"unrecognized statement: {line}", lineno)
             continue
-        oid, classifier, sid, prop, plain, digits, other, a, b, assoc = m.groups()
+        oid, classifier, sid, prop, literal, a, b, assoc = m.groups()
         name = classifier or prop or assoc  # the statement's one name that `names` keeps
         name = names.setdefault(name, name)
         if oid is not None:
@@ -199,15 +199,10 @@ def parse_object_model(text: str, model: ClassModel,
             if key in assigned:
                 err("dup-slot", f"slot '{key}' assigned twice", lineno)
                 continue
-            if plain is not None:
-                value = StrV(plain)
-            elif digits is not None:
-                value = IntV(int(digits))
-            else:
-                value = parse_value(other)
-                if value is None:
-                    err("bad-value", f"malformed value for '{key}': {other.strip()}", lineno)
-                    continue
+            value = parse_value(literal)
+            if value is None:
+                err("bad-value", f"malformed value for '{key}': {literal.strip()}", lineno)
+                continue
             obj.slots.append(AttributeLink(name, value, SourceSpan(filename, lineno)))
             assigned.add(key)
         else:

@@ -360,20 +360,27 @@ class TestSharedValues:
             format_trace(Session("A", trace=[entry])) for entry in trace)
 
     def test_step_reads_only_the_transitions_it_may_fire(self, monkeypatch):
-        """`step` builds no table of the whole machine on each call."""
+        """`step` builds its arcs from the transitions out of its state on its
+        event alone, not from a table of the whole machine."""
         import modelkit.fsm
 
         machine = parse_machine(SHARING_MACHINE).model
         steps, _ = parse_scenario(SHARING_SCENARIO)
         expected = run_scenario(machine, steps)
+        build, handed = modelkit.fsm._transitions, []
 
-        def whole_table(machine):
-            raise AssertionError("step built the table of every transition")
+        def transitions(machine, chosen):
+            handed.append(chosen := list(chosen))
+            return build(machine, chosen)
 
-        monkeypatch.setattr(modelkit.fsm, "_transitions", whole_table)
+        monkeypatch.setattr(modelkit.fsm, "_transitions", transitions)
         session = new_session(machine)
         for event, payload in steps:
+            state = session.current_state
             session = step(machine, session, event, payload)
+            assert handed == [[t for t in machine.transitions
+                               if t.source == state and t.event == event]]
+            handed.clear()
         assert session == expected
 
     def test_the_guards_a_step_tries_share_its_variables_dict(self, monkeypatch):

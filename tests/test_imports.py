@@ -61,10 +61,11 @@ def test_importing_the_package_loads_nothing_else():
     assert loaded("import modelkit")[:2] == ({"modelkit"}, set())
 
 
-# The most modelkit source lines each subcommand may load: the counts of
-# the tree this table was last set on.  Lower it when a change loads fewer.
-MOST_LINES = {"validate": 1438, "check": 2592, "generate": 1837, "fsm-run": 1978,
-              "infer": 2066, "enforce": 2066}
+# The most modelkit source lines each subcommand may load, held equal to
+# what it loads, so that a cap cannot go stale: a change that loads fewer
+# lowers it, and one that loads more must raise it on purpose.
+MOST_LINES = {"validate": 1420, "check": 2569, "generate": 1819, "fsm-run": 1975,
+              "infer": 2043, "enforce": 2043}
 
 
 @pytest.mark.parametrize("command, modules", [
@@ -86,7 +87,7 @@ def test_a_subcommand_loads_only_its_modules(command, modules, tmp_path):
     code = f"from modelkit.cli import main\nassert main({argv!r}) == 0"
     ours, watched, lines = loaded(code)
     assert (ours, watched) == (BASE | modules, set())
-    assert lines <= MOST_LINES[argv[0]], f"{argv[0]} loads {lines} lines"
+    assert lines == MOST_LINES[argv[0]], f"{argv[0]} loads {lines} lines"
 
 
 @pytest.mark.parametrize("value", ['"say \\"hi\\""', '"tab\\there"'])

@@ -143,6 +143,54 @@ class TestValidate:
         second = [d.format() for d in validate_class_model(model)]
         assert first == second
 
+    def test_findings_come_in_declaration_order_then_by_code(self):
+        """The model's name, then each class, enumeration, association and
+        generalization in turn, its findings sorted by code and otherwise in
+        the order they are found.  A cycle is reported with the last class
+        declared under its first member's name."""
+        end = AssociationEnd
+        model = ClassModel(
+            "order model",
+            [ClassDef("A", properties=[Property("x y", "Nope"), Property("x y", "int")]),
+             ClassDef("A", properties=[Property("z", "Nope")]),
+             ClassDef("B"),
+             ClassDef("D", properties=[Property("p", "int")]),
+             ClassDef("C", properties=[Property("p", "int"), Property("q", "int"),
+                                       Property("q", "str")])],
+            [EnumDef("A", ["x", "x", "1"]), EnumDef("E e", [])],
+            [Association("r", (end("A", "k", Multiplicity(3, 1)), end("Nope", "k"))),
+             Association("B", (end("B", "9"), end("B"))),
+             Association("t-ri", (end("A"), end("A"), end("A")))],
+            [Generalization("A", "B"), Generalization("B", "A"),
+             Generalization("D", "C"), Generalization("Nope", "C"),
+             Generalization("D", "D")])
+        assert [d.format() for d in validate_class_model(model)] == [
+            "error bad-name - model name 'order model' is not an identifier",
+            "error bad-name - property name 'x y' is not an identifier",
+            "error bad-name - property name 'x y' is not an identifier",
+            "error bad-type - property 'A.x y' references unknown type 'Nope'",
+            "error dup-property - property 'x y' declared twice in class 'A'",
+            "error bad-type - property 'A.z' references unknown type 'Nope'",
+            "error dup-name - class 'A' clashes with class of the same name",
+            "error gen-cycle - generalization cycle: A -> B -> A",
+            "error dup-property - property 'q' declared twice in class 'C'",
+            "error dup-property - property 'C.p' redeclares a property inherited from 'D'",
+            "error bad-name - enumeration literal '1' is not an identifier",
+            "error dup-literal - literal 'x' repeated in enumeration 'A'",
+            "error dup-name - enum 'A' clashes with class of the same name",
+            "error bad-name - enum name 'E e' is not an identifier",
+            "error no-literals - enumeration 'E e' has no literals",
+            "error bad-mult - association 'r' end multiplicity has lower 3 > upper 1",
+            "error dup-role - association 'r' has two ends with role 'k'",
+            "error unknown-class - association 'r' end references unknown class 'Nope'",
+            "error bad-name - role '9' on association 'B' is not an identifier",
+            "error dup-name - association 'B' clashes with class of the same name",
+            "error assoc-ends - association 't-ri' must have exactly two ends",
+            "error bad-name - association name 't-ri' is not an identifier",
+            "error unknown-class - generalization references unknown class 'Nope'",
+            "error gen-self - class 'D' cannot specialize itself",
+        ]
+
     def test_random_generated_models_are_valid(self):
         rng = random.Random(7)
         for _ in range(50):
