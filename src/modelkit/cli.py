@@ -20,6 +20,7 @@ error counts are summarized on stderr.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -338,10 +339,6 @@ def _command(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    command = _command(sys.argv[1:] if argv is None else argv)
-    if isinstance(command, int):
-        return command
-    func, values = command
     # No command makes a reference cycle, so reference counting frees all
     # it drops and a collector pass would only rescan live, acyclic models
     # and populations; a CLI process ends when its command returns.  An
@@ -349,7 +346,20 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return func(**values)
+        command = _command(sys.argv[1:] if argv is None else argv)
+        code = command if isinstance(command, int) else command[0](**command[1])
+        sys.stdout.flush()  # so that a failed write fails here, not at exit
+        return code
+    except OSError as exc:  # a closed pipe or a full disk behind stdout or stderr
+        try:
+            sys.stdout.flush()
+        except OSError:  # lest it fail again at exit, with a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr is what failed
+        return EXIT_USAGE
     finally:
         if enabled:
             gc.enable()

@@ -8,7 +8,7 @@ links, then per-association multiplicity counts.
 
 from __future__ import annotations
 
-from modelkit.diagnostics import Diagnostic, error, int_text
+from modelkit.diagnostics import Diagnostic, SourceSpan, error, int_text
 from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
 from modelkit.metamodel import ClassModel, EnumV, NullV, ObjectModel, Value
 
@@ -37,25 +37,31 @@ def check_conformance(objects: ObjectModel, model: ClassModel) -> list[Diagnosti
     diags: list[Diagnostic] = []
     index = ModelIndex(model)
     population = PopulationIndex(objects)
+    file = objects.file
     for obj in objects.objects:
-        _check_object(obj, index, diags)
+        _check_object(obj, file, index, diags)
     for i, link in enumerate(objects.links):
-        _check_link(i, link, population.objects, index, diags)
-    check_multiplicities(index, population, diags)
+        _check_link(i, link, file, population.objects, index, diags)
+    check_multiplicities(index, population, file, diags)
     return diags
 
 
-def _check_object(obj, index, diags) -> None:
+def _at(file: str, line: int):
+    """The span of line `line` of `file`; None for line 0 (built through the API)."""
+    return SourceSpan(file, line) if line else None
+
+
+def _check_object(obj, file, index, diags) -> None:
     cls = index.classes.get(obj.classifier)
     if cls is None:
         diags.append(error("unknown-classifier",
                            f"object '{obj.id}' has unknown classifier '{obj.classifier}'",
-                           obj.span, subject=obj.id))
+                           _at(file, obj.line), subject=obj.id))
         return
     if cls.is_abstract:
         diags.append(error("abstract-instance",
                            f"object '{obj.id}' instantiates abstract class '{cls.name}'",
-                           obj.span, subject=obj.id))
+                           _at(file, obj.line), subject=obj.id))
 
     props = index.properties(cls.name)
     seen_slots: set[str] = set()
@@ -77,12 +83,12 @@ def _check_object(obj, index, diags) -> None:
                     f"fit declared type '{prop.type_name}'")
             else:
                 continue
-        diags.append(error(code, message, slot.span, subject=f"{obj.id}.{name}"))
+        diags.append(error(code, message, _at(file, slot.line), subject=f"{obj.id}.{name}"))
 
-    check_missing_slots(obj, props, seen_slots, index, diags)
+    check_missing_slots(obj, file, props, seen_slots, index, diags)
 
 
-def check_missing_slots(obj, props, present, index, diags) -> None:
+def check_missing_slots(obj, file, props, present, index, diags) -> None:
     """slot-missing for each of `props`, those of obj's class, not in `present`."""
     for prop in props.values():
         # Class-typed properties admit omission (their only value is null).
@@ -90,21 +96,21 @@ def check_missing_slots(obj, props, present, index, diags) -> None:
             diags.append(error("slot-missing",
                                f"object '{obj.id}' has no slot for required property "
                                f"'{prop.name}'",
-                               obj.span, subject=f"{obj.id}.{prop.name}"))
+                               _at(file, obj.line), subject=f"{obj.id}.{prop.name}"))
 
 
-def _check_link(position, link, known, index, diags) -> None:
+def _check_link(position, link, file, known, index, diags) -> None:
     assoc = index.associations.get(link.association_name)
     if assoc is None:
         diags.append(error("unknown-association",
                            f"link references unknown association "
                            f"'{link.association_name}'",
-                           link.span, subject=f"link[{position}]"))
+                           _at(file, link.line), subject=f"link[{position}]"))
         return
     if len(link.ends) != 2:
         diags.append(error("link-ends",
                            f"link of '{assoc.name}' must have exactly two ends",
-                           link.span, subject=f"link[{position}]"))
+                           _at(file, link.line), subject=f"link[{position}]"))
         return
     for pos, object_id in enumerate(link.ends):
         obj = known.get(object_id)
@@ -112,7 +118,7 @@ def _check_link(position, link, known, index, diags) -> None:
             diags.append(error("unknown-object",
                                f"link of '{assoc.name}' references unknown object "
                                f"'{object_id}'",
-                               link.span, subject=f"link[{position}]"))
+                               _at(file, link.line), subject=f"link[{position}]"))
             continue
         end = assoc.ends[pos]
         if end.target not in index.classes or obj.classifier not in index.classes:
@@ -121,10 +127,10 @@ def _check_link(position, link, known, index, diags) -> None:
             diags.append(error("link-end-type",
                                f"object '{obj.id}' ({obj.classifier}) cannot occupy the "
                                f"'{end.target}' end of association '{assoc.name}'",
-                               link.span, subject=f"link[{position}]"))
+                               _at(file, link.line), subject=f"link[{position}]"))
 
 
-def check_multiplicities(index, population, diags) -> None:
+def check_multiplicities(index, population, file, diags) -> None:
     # The multiplicity at end j bounds, for each instance at the opposite
     # end, how many links of the association it participates in.
     for assoc in index.binary:
@@ -137,10 +143,10 @@ def check_multiplicities(index, population, diags) -> None:
                         "mult-lower",
                         f"object '{obj.id}' has {count} '{assoc.name}' link(s) toward "
                         f"'{bound_end.target}', below lower bound {int_text(mult.lower)}",
-                        obj.span, subject=f"{obj.id}@{assoc.name}[{j}]"))
+                        _at(file, obj.line), subject=f"{obj.id}@{assoc.name}[{j}]"))
                 elif mult.upper is not None and count > mult.upper:
                     diags.append(error(
                         "mult-upper",
                         f"object '{obj.id}' has {count} '{assoc.name}' link(s) toward "
                         f"'{bound_end.target}', above upper bound {mult.upper}",
-                        obj.span, subject=f"{obj.id}@{assoc.name}[{j}]"))
+                        _at(file, obj.line), subject=f"{obj.id}@{assoc.name}[{j}]"))

@@ -33,17 +33,17 @@ class _RecordType(type):
 class Record(metaclass=_RecordType):
     """Base of the plain records, whose fields are their constructors'
     parameters.  Records compare field by field, as tuples do, only within
-    one class and skipping the `_uncompared` field; they are unhashable,
+    one class and skipping the `_uncompared` fields; they are unhashable,
     their repr is `Name(field=value, ...)`, class patterns bind fields in order."""
 
-    _uncompared = "span"  # where a record came from
+    _uncompared = ("span", "line", "file")  # where a record came from
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         skip = self._uncompared
         for name in self.__slots__:
-            if name != skip:
+            if name not in skip:
                 mine, theirs = getattr(self, name), getattr(other, name)
                 if mine is not theirs and not mine == theirs:
                     return False
@@ -57,6 +57,8 @@ class Record(metaclass=_RecordType):
 class SourceSpan(Record):
     """1-based position of a construct inside an input file."""
 
+    _uncompared = ()  # a span is a position
+
     def __init__(self, file: str, line: int, column: int = 1):
         self.file, self.line, self.column = file, line, column
 
@@ -65,7 +67,7 @@ class Diagnostic(Record):
     """One reported problem: severity, stable code, message, position and,
     for tooling, the id or name of the offending element."""
 
-    _uncompared = None  # unlike other records', a diagnostic's span counts
+    _uncompared = ()  # unlike other records', a diagnostic's span counts
 
     def __init__(self, severity: Severity, code: str, message: str,
                  span: Optional[SourceSpan] = None, subject: Optional[str] = None):
@@ -172,10 +174,11 @@ class ParseResult(Record):
 # that never closes is an ordinary character.
 JSON_STRING = r'"(?:[^"\\]|\\.)*"'
 # The characters of a JSON string with nothing to escape (RFC 8259 section
-# 7: no quote, backslash or control character), which the object notation
-# reads and writes between quotes as is, and an integer int() converts under
-# every PYTHONINTMAXSTRDIGITS: the literals the scenario reader takes whole.
-PLAIN_CHARS = r'[^"\\\x00-\x1f]*'
+# 7: no quote, backslash or control character; nor a surrogate, which has no
+# UTF-8 form), which the object notation reads and writes between quotes as
+# is, and an integer int() converts under every PYTHONINTMAXSTRDIGITS: the
+# literals the scenario reader takes whole.
+PLAIN_CHARS = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 INT_CHARS = rf"-?\d{{1,{SAFE_DIGITS}}}"
 _BEFORE_COMMENT = {
     "'": (('"',), re.compile(rf"(?:{JSON_STRING}|[^'])*")),

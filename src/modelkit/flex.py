@@ -186,37 +186,44 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
                     kept_slots.append(slot)
                     continue
             removed("slot", f"'{obj.id}.{name}'", reason)
-        check_missing_slots(obj, props, {s.property_name for s in kept_slots}, index,
-                            residual)
-        pruned_objects.append(ObjectDef(id=obj.id, classifier=obj.classifier,
-                                        slots=kept_slots, span=obj.span))
+        check_missing_slots(obj, objects.file, props, {s.property_name for s in kept_slots},
+                            index, residual)
+        pruned_objects.append(ObjectDef(obj.id, obj.classifier, kept_slots, obj.line))
 
-    population = PopulationIndex(ObjectModel(pruned_objects, objects.links))
-    dropped: set[int] = set()  # id() of every removed link
+    # One index serves every walk below: it takes the links _link_fault keeps.
+    result = ObjectModel(pruned_objects, [], objects.file)
+    population = PopulationIndex(result)
     for position, link in enumerate(objects.links):
         bad = _link_fault(link, index, population)
         if bad is not None:
             removed("link", f"link[{position}]", bad)
-            dropped.add(id(link))
+        else:
+            result.links.append(link)
+    population.add(result.links)
 
     # Upper bounds: walk associations and directions deterministically,
-    # dropping the newest-declared surplus links as we go.
+    # dropping the newest-declared surplus links as we go: from each list
+    # read at once (an object that shares an id reads it again), and from
+    # the other end's lists when the walk ends.
     link_index = {id(ln): i for i, ln in enumerate(objects.links)}
+    dropped: set[int] = set()  # id() of every surplus link
     for assoc in index.binary:
         for j, bound_end in enumerate(assoc.ends):
             upper = bound_end.multiplicity.upper
             if upper is None:
                 continue
+            surplus = []
             for obj, links in population.bounded(index, assoc, j):
-                mine = [ln for ln in links if id(ln) not in dropped]
-                for surplus in mine[upper:][::-1]:
-                    dropped.add(id(surplus))
-                    removed("link", f"link[{link_index[id(surplus)]}]",
-                            f"'{assoc.name}' exceeds upper bound {upper} "
-                            f"at object '{obj.id}'")
-
-    result = ObjectModel(pruned_objects, [ln for ln in objects.links if id(ln) not in dropped])
-    check_multiplicities(index, PopulationIndex(result), residual)
+                if len(links) > upper:
+                    for link in reversed(links[upper:]):
+                        removed("link", f"link[{link_index[id(link)]}]",
+                                f"'{assoc.name}' exceeds upper bound {upper} "
+                                f"at object '{obj.id}'")
+                    surplus += links[upper:]
+                    del links[upper:]
+            dropped |= population.drop(surplus)
+    result.links = [ln for ln in result.links if id(ln) not in dropped]
+    check_multiplicities(index, population, objects.file, residual)
     return result, diags + residual
 
 

@@ -324,11 +324,23 @@ class PopulationIndex:
         self.listed = objects.objects
         self.objects = {o.id: o for o in reversed(objects.objects)}
         self._links: dict[tuple[str, int, str], list] = {}
-        for link in objects.links:
+        self.add(objects.links)
+
+    def add(self, links) -> None:
+        """Index the two-ended links among `links`, after those it holds."""
+        for link in links:
             if len(link.ends) == 2:
                 for pos, end in enumerate(link.ends):
                     key = (link.association_name, pos, end)
                     self._links.setdefault(key, []).append(link)
+
+    def drop(self, links) -> set[int]:
+        """Forget `links`, which the index holds, rebuilding once each list
+        that holds one of them; returns their id()s."""
+        gone = {id(link) for link in links}
+        for key in {(ln.association_name, p, e) for ln in links for p, e in enumerate(ln.ends)}:
+            self._links[key] = [ln for ln in self._links[key] if id(ln) not in gone]
+        return gone
 
     def linked(self, association: str, pos: int, object_id: str):
         """Links of `association` whose end `pos` names `object_id`."""

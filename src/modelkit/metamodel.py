@@ -2,8 +2,9 @@
 
 Models are plain slotted records (`diagnostics.Record`), treated as
 immutable once built; every operation over them is a pure function.
-Source spans attached by the text parsers are excluded from equality so
-that structural comparison ignores where a model came from.
+Where the text parsers read an element (a class model's spans, a
+population's lines and file) is excluded from equality, so that structural
+comparison ignores where a model came from.
 """
 
 from __future__ import annotations
@@ -167,17 +168,16 @@ class ClassModel(Record):
 class AttributeLink(Record):
     """A slot of an object: a property name and its value."""
 
-    def __init__(self, property_name: str, value: Value, span: Optional[SourceSpan] = None):
-        self.property_name, self.value, self.span = property_name, value, span
+    def __init__(self, property_name: str, value: Value, line: int = 0):
+        self.property_name, self.value, self.line = property_name, value, line
 
 
 class ObjectDef(Record):
     """An object: its id, classifier and slots in assignment order."""
 
     def __init__(self, id: str, classifier: str,
-                 slots: Optional[list[AttributeLink]] = None,
-                 span: Optional[SourceSpan] = None):
-        self.id, self.classifier, self.span = id, classifier, span
+                 slots: Optional[list[AttributeLink]] = None, line: int = 0):
+        self.id, self.classifier, self.line = id, classifier, line
         self.slots = [] if slots is None else slots
 
     def slot(self, property_name: str) -> Optional[AttributeLink]:
@@ -190,15 +190,15 @@ class ObjectDef(Record):
 class Link(Record):
     """An instance of an association: its ends' object ids, in association-end order."""
 
-    def __init__(self, association_name: str, ends: tuple[str, str],
-                 span: Optional[SourceSpan] = None):
-        self.association_name, self.ends, self.span = association_name, ends, span
+    def __init__(self, association_name: str, ends: tuple[str, str], line: int = 0):
+        self.association_name, self.ends, self.line = association_name, ends, line
 
 
 class ObjectModel(Record):
-    """A population: objects in declaration order, then links."""
+    """A population: objects in declaration order, links, and the file it was read from."""
 
     def __init__(self, objects: Optional[list[ObjectDef]] = None,
-                 links: Optional[list[Link]] = None):
+                 links: Optional[list[Link]] = None, file: str = "<input>"):
         self.objects = [] if objects is None else objects
         self.links = [] if links is None else links
+        self.file = file

@@ -101,8 +101,9 @@ def parse_value(text: str) -> Optional[Value]:
 
 
 def render_value(value: Value) -> str:
-    """The literal for `value`; ValueError for a float that is not finite
-    and for an integer of more than MAX_DIGITS digits."""
+    """The literal for `value`; ValueError for a float that is not finite,
+    an integer of more than MAX_DIGITS digits and a string holding a high
+    surrogate followed by a low one, which JSON reads as one character."""
     kind = type(value)
     if kind is IntV:
         return int_literal(value.value)
@@ -114,8 +115,12 @@ def render_value(value: Value) -> str:
         text = value.value
         if _PLAIN_RE.fullmatch(text):
             return '"' + text + '"'
+        if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
+            raise ValueError("the notation has no literal for a surrogate pair")
         import json
-        return json.dumps(text, ensure_ascii=False)
+        # A lone surrogate has no UTF-8 form: it is written as its \udXXX escape.
+        text = json.dumps(text, ensure_ascii=False)
+        return text.encode("utf-8", "backslashreplace").decode("utf-8")
     if kind is BoolV:
         return "true" if value.value else "false"
     if kind is EnumV:
@@ -149,14 +154,13 @@ def parse_object_model(text: str, model: ClassModel,
         if n == 4 and parts[0] == "object" and parts[2] == ":" and parts[3] in names:
             oid = parts[1]
             if oid.isascii() and oid.isidentifier() and oid not in by_id:
-                by_id[oid] = obj = ObjectDef(oid, names[parts[3]],
-                                             span=SourceSpan(filename, lineno))
+                by_id[oid] = obj = ObjectDef(oid, names[parts[3]], None, lineno)
                 objects.append(obj)
                 continue
         elif (n == 6 and parts[0] == "link" and parts[2] == "--" and parts[4] == ":"
               and parts[1] in by_id and parts[3] in by_id and parts[5] in names):
             links.append(Link(names[parts[5]], (by_id[parts[1]].id, by_id[parts[3]].id),
-                              SourceSpan(filename, lineno)))
+                              lineno))
             continue
         elif n > 2 and parts[1] == "=" and parts[0] not in assigned:
             sid, _, prop = parts[0].partition(".")
@@ -171,8 +175,7 @@ def parse_object_model(text: str, model: ClassModel,
                 else:
                     value = None
                 if value is not None:
-                    by_id[sid].slots.append(AttributeLink(names[prop], value,
-                                                          SourceSpan(filename, lineno)))
+                    by_id[sid].slots.append(AttributeLink(names[prop], value, lineno))
                     assigned.add(parts[0])
                     continue
 
@@ -187,7 +190,7 @@ def parse_object_model(text: str, model: ClassModel,
             if oid in by_id:
                 err("dup-object", f"object '{oid}' declared twice", lineno)
                 continue
-            by_id[oid] = obj = ObjectDef(oid, name, span=SourceSpan(filename, lineno))
+            by_id[oid] = obj = ObjectDef(oid, name, None, lineno)
             objects.append(obj)
         elif sid is not None:
             obj = by_id.get(sid)
@@ -203,7 +206,7 @@ def parse_object_model(text: str, model: ClassModel,
             if value is None:
                 err("bad-value", f"malformed value for '{key}': {literal.strip()}", lineno)
                 continue
-            obj.slots.append(AttributeLink(name, value, SourceSpan(filename, lineno)))
+            obj.slots.append(AttributeLink(name, value, lineno))
             assigned.add(key)
         else:
             missing = [o for o in (a, b) if o not in by_id]
@@ -211,10 +214,10 @@ def parse_object_model(text: str, model: ClassModel,
                 err("unknown-object",
                     f"link references undeclared object '{missing[0]}'", lineno)
                 continue
-            links.append(Link(name, (by_id[a].id, by_id[b].id), SourceSpan(filename, lineno)))
+            links.append(Link(name, (by_id[a].id, by_id[b].id), lineno))
 
-    return ParseResult(ObjectModel(objects, links) if not has_errors(diagnostics) else None,
-                       diagnostics)
+    return ParseResult(ObjectModel(objects, links, filename)
+                       if not has_errors(diagnostics) else None, diagnostics)
 
 
 def serialize_object_model(objects: ObjectModel) -> str:

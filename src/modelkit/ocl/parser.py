@@ -50,6 +50,8 @@ _TOKEN_RE = re.compile(r"""
 class Token(Record):
     """A lexical token (int, float, string, ident, op or eof) and its 1-based position."""
 
+    _uncompared = ()  # its position counts
+
     def __init__(self, kind: str, text: str, line: int, column: int):
         self.kind, self.text = kind, text
         self.line, self.column = line, column

@@ -84,7 +84,7 @@ def parse_value(text):
 
 def parse_object_model(text, filename="<input>"):
     diagnostics = []
-    result = ObjectModel()
+    result = ObjectModel(file=filename)
     by_id = {}
 
     def err(code, message, lineno):
@@ -98,8 +98,7 @@ def parse_object_model(text, filename="<input>"):
             if oid in by_id:
                 err("dup-object", f"object '{oid}' declared twice", lineno)
                 continue
-            obj = ObjectDef(id=oid, classifier=m.group("class"),
-                            span=SourceSpan(filename, lineno))
+            obj = ObjectDef(id=oid, classifier=m.group("class"), line=lineno)
             by_id[oid] = obj
             result.objects.append(obj)
             continue
@@ -121,8 +120,7 @@ def parse_object_model(text, filename="<input>"):
                 err("bad-value", f"malformed value for '{oid}.{prop}': "
                     f"{m.group('value').strip()}", lineno)
                 continue
-            obj.slots.append(AttributeLink(property_name=prop, value=value,
-                                           span=SourceSpan(filename, lineno)))
+            obj.slots.append(AttributeLink(property_name=prop, value=value, line=lineno))
             continue
 
         m = _LINK_RE.match(line)
@@ -135,7 +133,7 @@ def parse_object_model(text, filename="<input>"):
             result.links.append(Link(
                 association_name=m.group("assoc"),
                 ends=(m.group("a"), m.group("b")),
-                span=SourceSpan(filename, lineno)))
+                line=lineno))
             continue
 
         err("syntax", f"unrecognized statement: {line}", lineno)

@@ -549,3 +549,45 @@ def test_console_entry_point_works_in_a_subprocess(fixtures_dir):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert result.returncode == 0
     assert result.stdout == ""
+
+
+class TestLostOutput:
+    """A report that cannot be written ends the command with exit 2 and at
+    most one error line, never a traceback."""
+
+    @staticmethod
+    def failing_check(tmp_path, fixtures_dir) -> list[str]:
+        """A check that prints a FAIL line for every passport."""
+        ocl = tmp_path / "never.ocl"
+        ocl.write_text("context ProductPassport inv never: self.code = ''\n")
+        return [sys.executable, "-m", "modelkit.cli", "check",
+                "--model", str(fixtures_dir / "dpp.buml.puml"),
+                "--objects", str(fixtures_dir / "dpp.objs"), "--ocl", str(ocl)]
+
+    @staticmethod
+    def run_into(argv, stdout) -> subprocess.CompletedProcess:
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+
+    def test_a_closed_pipe_exits_two_without_a_traceback(self, tmp_path, fixtures_dir):
+        """As under `modelkit check ... | head -1`, with the reader gone first."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_into(self.failing_check(tmp_path, fixtures_dir), write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_a_full_disk_exits_two_without_a_traceback(self, tmp_path, fixtures_dir):
+        with open("/dev/full", "w") as full:
+            result = self.run_into(self.failing_check(tmp_path, fixtures_dir), full)
+        assert result.returncode == 2
+        assert result.stderr == "error: cannot write output: No space left on device\n"
+
+    def test_the_check_prints_fail_lines_when_it_can(self, tmp_path, fixtures_dir):
+        result = self.run_into(self.failing_check(tmp_path, fixtures_dir), subprocess.PIPE)
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout.startswith("FAIL never ")

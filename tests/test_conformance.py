@@ -1,6 +1,7 @@
 import random
 
 from modelkit.conformance import check_conformance
+from modelkit.flex import enforce_conformance
 from modelkit.index import validate_class_model
 from modelkit.metamodel import (
     Association,
@@ -20,8 +21,9 @@ from modelkit.metamodel import (
     Property,
     StrV,
 )
+from modelkit.objtext import parse_object_model, serialize_object_model
 from brute_conf import brute_conformance
-from model_gen import random_instanced_model
+from model_gen import random_defective_model, random_instanced_model
 
 
 def passport_model(stage_lower="1"):
@@ -232,3 +234,75 @@ def test_agrees_with_brute_force_on_links_without_two_ends():
         assert sum(code == "link-ends" for code, _ in mine) == 4
         tried += 1
     assert tried >= 100
+
+
+def _declared_lines(text):
+    """The number of the line of each object, slot and link statement of
+    canonical object text, by the object id, `id.prop` or `link[i]` it
+    declares."""
+    lines, links = {}, []
+    for number, line in enumerate(text.split("\n"), 1):
+        words = line.split()
+        if words[:1] == ["object"]:
+            lines[words[1]] = number
+        elif words[:1] == ["link"]:
+            links.append(number)
+        elif words[1:2] == ["="]:
+            lines[words[0]] = number
+    lines.update((f"link[{i}]", number) for i, number in enumerate(links))
+    return lines
+
+
+def _readable(objects):
+    """`objects` without what object text cannot hold: a second slot of one
+    name, a link without two ends, a link to an undeclared object."""
+    ids = {obj.id for obj in objects.objects}
+    for obj in objects.objects:
+        names = [slot.property_name for slot in obj.slots]
+        obj.slots = [slot for i, slot in enumerate(obj.slots)
+                     if slot.property_name not in names[:i]]
+    objects.links = [link for link in objects.links
+                     if len(link.ends) == 2 and set(link.ends) <= ids]
+    return objects
+
+
+def test_each_position_is_the_line_that_declares_the_subject():
+    """On read populations, each conformance and residual enforcement
+    diagnostic is placed at the line of the object, slot or link its
+    subject names; a missing slot and a bound count are placed at the
+    object's line.
+    Removals carry no position, as before."""
+    rng = random.Random(26)
+    codes = set()
+    for case in range(200):
+        model, objects = random_defective_model(rng)
+        text = serialize_object_model(_readable(objects))
+        read = parse_object_model(text, model, filename="pop.objs").model
+        lines = _declared_lines(text)
+        pruned, enforced = enforce_conformance(read, model)
+        for diag in check_conformance(read, model) + enforced:
+            if diag.code.startswith("removed-"):
+                assert diag.span is None, (case, diag)
+                continue
+            subject = diag.subject
+            if diag.code in ("slot-missing", "mult-lower", "mult-upper"):
+                subject = subject.split("@")[0].split(".")[0]  # the object
+            line = lines[subject]
+            assert diag.format().split()[2] == f"pop.objs:{line}:1", (case, diag)
+            codes.add(diag.code)
+    assert codes == {"unknown-classifier", "abstract-instance", "unknown-property",
+                     "slot-type", "slot-missing", "unknown-association", "link-end-type",
+                     "mult-lower", "mult-upper"}
+
+
+def test_a_population_built_through_the_api_has_no_positions():
+    """Elements built without a line (line 0) are reported without a
+    position, whatever file the population names."""
+    rng = random.Random(26)
+    for case in range(100):
+        model, objects = random_defective_model(rng)
+        objects.file = "pop.objs"
+        diagnostics = check_conformance(objects, model) + enforce_conformance(objects, model)[1]
+        assert diagnostics, case
+        for diag in diagnostics:
+            assert diag.span is None and diag.format().split()[2] == "-", (case, diag)

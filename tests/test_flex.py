@@ -1,7 +1,6 @@
 import random
 
 from modelkit.conformance import check_conformance, value_conforms
-from modelkit.diagnostics import SourceSpan
 from modelkit.flex import enforce_conformance, infer_class_model
 from modelkit.index import ModelIndex, validate_class_model
 from modelkit.metamodel import (
@@ -184,6 +183,20 @@ class TestEnforce:
         assert [d.code for d in diags] == ["removed-link"]
         assert "link[2]" in diags[0].message
 
+    def test_objects_that_share_an_id_drop_each_surplus_link_once(self):
+        """Two objects with one id count the same links; the surplus goes
+        once, and both then count what is left."""
+        model = self.make_model()
+        twin = ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))])
+        objects = population(
+            twin, twin, ObjectDef("s1", "S"), ObjectDef("s2", "S"), ObjectDef("s3", "S"),
+            links=[Link("r", ("p1", "s1")), Link("r", ("p1", "s2")),
+                   Link("r", ("p1", "s3"))])
+        pruned, diags = enforce_conformance(objects, model)
+        assert [link.ends[1] for link in pruned.links] == ["s1", "s2"]
+        assert [(d.code, d.subject) for d in diags] == [("removed-link", "link[2]")]
+        assert enforce_conformance(pruned, model) == (pruned, [])
+
     def test_bad_slots_are_removed_and_leave_residuals(self):
         model = self.make_model()
         objects = population(
@@ -336,8 +349,9 @@ def test_the_residual_is_what_check_conformance_finds_in_the_pruned_output():
     reasons, residual_codes = set(), set()
     for case in range(300):
         model, objects = random_defective_model(rng)
+        objects.file = "gen.objs"
         for line, element in enumerate(objects.objects + objects.links, 1):
-            element.span = SourceSpan("gen.objs", line)
+            element.line = line
         pruned, diags = enforce_conformance(objects, model)
         removals = [d for d in diags if d.code.startswith("removed-")]
         residual = diags[len(removals):]

@@ -3,7 +3,8 @@
 Records are plain slotted classes over `diagnostics.Record`.  They keep
 what they had as dataclasses: a `Name(field=value, ...)` repr, equality
 field by field (as tuples, so a shared NaN still equals itself) only
-within one class and without `span` (a diagnostic's span counts), and no
+within one class and without where they were read (`span`, `line`,
+`file`; the position a span, token or diagnostic holds counts), and no
 hash.
 """
 
@@ -54,6 +55,8 @@ from modelkit.ocl.nodes import (
 from modelkit.ocl.parser import OclParseResult, Token
 
 SPAN = SourceSpan('m.puml', 3, 5)
+# Each field that says where a record was read, and another value for it.
+SOURCE = {"span": SourceSpan("elsewhere", 9), "line": 9, "file": "elsewhere"}
 
 # One instance of each record class and its repr, as the dataclasses wrote it.
 RECORDS = [
@@ -109,18 +112,17 @@ RECORDS = [
      "span=None)], enumerations=[EnumDef(name='E', literals=['X'], span=None)], "
      "associations=[], generalizations=[Generalization(general='A', specific='B', "
      'span=None)])'),
-    (AttributeLink('code', StrV('c'), SPAN),
-     "AttributeLink(property_name='code', value=StrV(value='c'), "
-     "span=SourceSpan(file='m.puml', line=3, column=5))"),
-    (ObjectDef('p1', 'Part', [AttributeLink('n', IntV(1))], SPAN),
+    (AttributeLink('code', StrV('c'), 3),
+     "AttributeLink(property_name='code', value=StrV(value='c'), line=3)"),
+    (ObjectDef('p1', 'Part', [AttributeLink('n', IntV(1))], 3),
      "ObjectDef(id='p1', classifier='Part', slots=[AttributeLink(property_name='n', "
-     "value=IntV(value=1), span=None)], span=SourceSpan(file='m.puml', line=3, column=5))"),
-    (Link('has', ('a', 'b'), SPAN),
-     "Link(association_name='has', ends=('a', 'b'), "
-     "span=SourceSpan(file='m.puml', line=3, column=5))"),
-    (ObjectModel([ObjectDef('a', 'A')], [Link('r', ('a', 'a'))]),
+     "value=IntV(value=1), line=0)], line=3)"),
+    (Link('has', ('a', 'b'), 3),
+     "Link(association_name='has', ends=('a', 'b'), line=3)"),
+    (ObjectModel([ObjectDef('a', 'A')], [Link('r', ('a', 'a'))], 'p.objs'),
      "ObjectModel(objects=[ObjectDef(id='a', classifier='A', slots=[], "
-     "span=None)], links=[Link(association_name='r', ends=('a', 'a'), span=None)])"),
+     "line=0)], links=[Link(association_name='r', ends=('a', 'a'), line=0)], "
+     "file='p.objs')"),
     (Literal(IntV(1)),
      'Literal(value=IntV(value=1))'),
     (SelfRef(),
@@ -210,10 +212,13 @@ def test_repr_lists_every_field_in_order(record, text):
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=IDS)
 def test_equality_is_field_by_field_without_span(record, text):
+    """Where a record was read (a span, a population element's line, a
+    population's file) is no part of it; a span's, a token's and a
+    diagnostic's own position is."""
     assert record == rebuilt(record) and not record != rebuilt(record)
     for name in type(record).__slots__:
-        if name == "span" and not isinstance(record, Diagnostic):
-            assert record == rebuilt(record, span=SourceSpan("elsewhere", 9))
+        if name in SOURCE and not isinstance(record, (Diagnostic, SourceSpan, Token)):
+            assert record == rebuilt(record, **{name: SOURCE[name]})
         else:
             assert record != rebuilt(record, **{name: object()}), name
 
