@@ -11,10 +11,9 @@ import importlib
 # Each exported name, under the module that defines it.
 _EXPORTS = {
     "modelkit.metamodel": (
-        "Association", "AssociationEnd", "AttributeLink", "BoolV", "ClassDef",
-        "ClassModel", "EnumDef", "EnumV", "FloatV", "Generalization", "IntV",
-        "Link", "Multiplicity", "NULL", "NullV", "ObjectDef",
-        "ObjectModel", "Property", "StrV", "Value"),
+        "Association", "AssociationEnd", "AttributeLink", "ClassDef", "ClassModel",
+        "EnumDef", "EnumV", "Generalization", "Link", "Multiplicity", "ObjectDef",
+        "ObjectModel", "Property", "Value"),
     "modelkit.index": ("ModelIndex", "validate_class_model"),
     "modelkit.diagnostics": (
         "Diagnostic", "ParseResult", "Severity", "SourceSpan", "has_errors"),

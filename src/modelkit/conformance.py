@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from modelkit.diagnostics import Diagnostic, SourceSpan, error, int_text
 from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
-from modelkit.metamodel import ClassModel, EnumV, NullV, ObjectModel, Value
+from modelkit.metamodel import ClassModel, EnumV, ObjectModel, Value
 
 
 def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
@@ -21,7 +21,7 @@ def value_conforms(value: Value, declared_type: str, index: ModelIndex) -> bool:
     Class-typed properties hold no literal values, only null; object
     references travel through links instead.
     """
-    if type(value) is NullV:
+    if value is None:
         return True
     kind = index.kind(declared_type)
     if kind == "primitive":

@@ -33,8 +33,10 @@ class _RecordType(type):
 class Record(metaclass=_RecordType):
     """Base of the plain records, whose fields are their constructors'
     parameters.  Records compare field by field, as tuples do, only within
-    one class and skipping the `_uncompared` fields; they are unhashable,
-    their repr is `Name(field=value, ...)`, class patterns bind fields in order."""
+    one class and skipping the `_uncompared` fields; fields of different
+    exact types are unequal, so that 1, 1.0 and True stay apart.  They are
+    unhashable, their repr is `Name(field=value, ...)`, class patterns bind
+    fields in order."""
 
     _uncompared = ("span", "line", "file")  # where a record came from
 
@@ -45,7 +47,8 @@ class Record(metaclass=_RecordType):
         for name in self.__slots__:
             if name not in skip:
                 mine, theirs = getattr(self, name), getattr(other, name)
-                if mine is not theirs and not mine == theirs:
+                if mine is not theirs and (type(mine) is not type(theirs)
+                                           or not mine == theirs):
                     return False
         return True
 

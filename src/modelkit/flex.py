@@ -22,7 +22,6 @@ from modelkit.metamodel import (
     ClassModel,
     Generalization,
     Multiplicity,
-    NullV,
     ObjectDef,
     ObjectModel,
     Property,
@@ -66,7 +65,7 @@ def infer_class_model(objects: ObjectModel,
 
     for cls in model.classes:
         for name, kinds in slot_values[cls.name].items():
-            kinds.discard(NullV)
+            kinds.discard(type(None))
             subject = f"{cls.name}.{name}"
             type_name = next((t for t, admitted in PRIMITIVE_VALUES.items()
                               if kinds and kinds.issubset(admitted)), "str")

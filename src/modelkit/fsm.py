@@ -35,7 +35,7 @@ from modelkit.diagnostics import (
     has_errors,
     read_lines,
 )
-from modelkit.metamodel import BoolV, ClassModel, IntV, ObjectModel, StrV, Value
+from modelkit.metamodel import ClassModel, ObjectModel, Value
 from modelkit.ocl.interp import OclRuntimeError, Scope, evaluate_expression
 from modelkit.ocl.nodes import OclExpr
 from modelkit.ocl.parser import parse_expression
@@ -147,8 +147,8 @@ _GUARD_SCOPE = Scope(ObjectModel(), ClassModel(name="none"))
 def _guard_holds(transition: Transition, variables: dict[str, Value]) -> bool:
     try:
         value = evaluate_expression(transition.guard, variables, _GUARD_SCOPE)
-        if isinstance(value, BoolV):
-            return value.value
+        if type(value) is bool:
+            return value
         problem = "did not yield a boolean"
     except OclRuntimeError as exc:
         problem = f"failed: {exc}"
@@ -312,7 +312,7 @@ def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
     `diagnostics`.  A line whose event, keys and `key=int` integers each
     matched earlier in the read is read by `split` alone."""
     events, keys = set(), set()
-    ints: dict[str, IntV] = {}  # values are immutable: equal literals share one
+    ints: dict[str, int] = {}  # the `key=int` digits `split` may take; equal ones share one int
     for lineno, line in read_lines(text, "#"):
         event, *items = line.split()
         if event in events:
@@ -344,15 +344,16 @@ def read_scenario(text: str, filename: str, diagnostics: list[Diagnostic]
             key, plain, digits, other = m.groups()
             keys.add(key)
             if plain is not None:
-                value = StrV(plain)
+                value = plain
             elif digits is not None:
                 value = ints.get(digits)
                 if value is None:
-                    value = ints[digits] = IntV(int(digits))
+                    value = ints[digits] = int(digits)
             else:
                 from modelkit.objtext import parse_value  # deferred: plain literals need none
-                value = parse_value(other)
-                if value is None:
+                try:
+                    value = parse_value(other)
+                except ValueError:
                     diagnostics.append(error(
                         "bad-value", f"malformed payload value for '{key}'",
                         SourceSpan(filename, lineno)))

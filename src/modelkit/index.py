@@ -9,12 +9,12 @@ like the linear searches it replaces.
 from __future__ import annotations
 
 from modelkit.diagnostics import Diagnostic, error, int_text
-from modelkit.metamodel import BoolV, ClassModel, EnumV, FloatV, IntV, StrV
+from modelkit.metamodel import ClassModel, EnumV
 
-# The value classes each primitive type admits, narrowest type first: the
+# The value types each primitive type admits, narrowest type first: the
 # only table of primitive types, which inference also types observed values by.
-PRIMITIVE_VALUES = {"int": (IntV,), "float": (IntV, FloatV), "bool": (BoolV,),
-                    "str": (StrV, EnumV)}
+PRIMITIVE_VALUES = {"int": (int,), "float": (int, float), "bool": (bool,),
+                    "str": (str, EnumV)}
 
 
 def graph_cycles(nodes, successors) -> list[list[str]]:

@@ -1,4 +1,4 @@
-"""Core model types: class models, object models, and values.
+"""Core model types: class models, object models, and the slot value union.
 
 Models are plain slotted records (`diagnostics.Record`), treated as
 immutable once built; every operation over them is a pure function.
@@ -9,76 +9,23 @@ comparison ignores where a model came from.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from modelkit.diagnostics import Record, SourceSpan
 
 # ---------------------------------------------------------------------------
 # Values
 
-class Value(Record):
-    """Base of the value union stored in object slots."""
-
-
-def _same_value(self, other):
-    # The one-field values compare directly: OCL's `=` calls this.
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return (self.value,) == (other.value,)
-
-
-class IntV(Value):
-    """An integer slot value."""
-
-    __eq__ = _same_value
-
-    def __init__(self, value: int):
-        self.value = value
-
-
-class FloatV(Value):
-    """A floating-point slot value."""
-
-    __eq__ = _same_value
-
-    def __init__(self, value: float):
-        self.value = value
-
-
-class StrV(Value):
-    """A string slot value."""
-
-    __eq__ = _same_value
-
-    def __init__(self, value: str):
-        self.value = value
-
-
-class BoolV(Value):
-    """A boolean slot value."""
-
-    __eq__ = _same_value
-
-    def __init__(self, value: bool):
-        self.value = value
-
-
-class EnumV(Value):
+class EnumV(Record):
     """A qualified enumeration literal, `Enum::LITERAL`."""
 
     def __init__(self, enum: str, literal: str):
         self.enum, self.literal = enum, literal
 
 
-class NullV(Value):
-    """The null slot value; use the NULL singleton."""
-
-
-NULL = NullV()
-# Values are treated as immutable, so whatever yields a boolean shares one of
-# these two: BOOLS[flag] is the value of a Python bool.
-FALSE, TRUE = BoolV(False), BoolV(True)
-BOOLS = (FALSE, TRUE)
+# A slot value: a plain int, float, str or bool, None for null, or an enum
+# literal.  Kinds are told apart by exact type, bool first: True is an int.
+Value = Union[int, float, str, bool, None, EnumV]
 
 
 # ---------------------------------------------------------------------------

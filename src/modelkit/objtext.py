@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Optional
 
 from modelkit.diagnostics import (
     PLAIN_CHARS,
@@ -38,18 +37,11 @@ from modelkit.diagnostics import (
 )
 from modelkit.metamodel import (
     AttributeLink,
-    BoolV,
     ClassModel,
     EnumV,
-    FALSE,
-    FloatV,
-    IntV,
     Link,
-    NULL,
     ObjectDef,
     ObjectModel,
-    StrV,
-    TRUE,
     Value,
 )
 
@@ -69,63 +61,63 @@ _FLOAT_RE = re.compile(r"^-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)$")
 _ENUM_RE = re.compile(r"^(?P<enum>[A-Za-z_]\w*)::(?P<lit>[A-Za-z_]\w*)$")
 
 
-def parse_value(text: str) -> Optional[Value]:
-    """Parse one slot-value literal; None when malformed."""
+def parse_value(text: str) -> Value:
+    """Parse one slot-value literal; ValueError when malformed."""
     text = text.strip()
     if text == "null":
-        return NULL
+        return None
     if text == "true":
-        return TRUE
+        return True
     if text == "false":
-        return FALSE
+        return False
     if _INT_RE.match(text):
         number = read_int(text)
-        return None if number is None else IntV(number)
-    if _FLOAT_RE.match(text):
+        if number is not None:
+            return number
+    elif _FLOAT_RE.match(text):
         number = float(text)
-        return None if math.isinf(number) else FloatV(number)
-    if text.startswith('"'):
+        if not math.isinf(number):
+            return number
+    elif text.startswith('"'):
         plain = text[1:-1]
         if len(text) > 1 and text.endswith('"') and _PLAIN_RE.fullmatch(plain):
-            return StrV(plain)
+            return plain
         import json  # deferred: a string with nothing to escape needs none
-        try:
-            decoded = json.loads(text)
-        except ValueError:
-            return None
-        return StrV(decoded) if isinstance(decoded, str) else None
+        return json.loads(text)  # a JSON text that starts with a quote is a string
     m = _ENUM_RE.match(text)
     if m:
         return EnumV(m.group("enum"), m.group("lit"))
-    return None
+    raise ValueError(f"malformed value: {text}")
 
 
 def render_value(value: Value) -> str:
     """The literal for `value`; ValueError for a float that is not finite,
-    an integer of more than MAX_DIGITS digits and a string holding a high
-    surrogate followed by a low one, which JSON reads as one character."""
+    an integer of more than MAX_DIGITS digits, a string holding a high
+    surrogate followed by a low one, which JSON reads as one character, and
+    anything that is not a slot value."""
     kind = type(value)
-    if kind is IntV:
-        return int_literal(value.value)
-    if kind is FloatV:
-        if not math.isfinite(value.value):
-            raise ValueError(f"the notation has no literal for {value.value!r}")
-        return repr(value.value)
-    if kind is StrV:
-        text = value.value
-        if _PLAIN_RE.fullmatch(text):
-            return '"' + text + '"'
-        if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
+    if kind is int:
+        return int_literal(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"the notation has no literal for {value!r}")
+        return repr(value)
+    if kind is str:
+        if _PLAIN_RE.fullmatch(value):
+            return '"' + value + '"'
+        if re.search("[\ud800-\udbff][\udc00-\udfff]", value):
             raise ValueError("the notation has no literal for a surrogate pair")
         import json
         # A lone surrogate has no UTF-8 form: it is written as its \udXXX escape.
-        text = json.dumps(text, ensure_ascii=False)
+        text = json.dumps(value, ensure_ascii=False)
         return text.encode("utf-8", "backslashreplace").decode("utf-8")
-    if kind is BoolV:
-        return "true" if value.value else "false"
+    if kind is bool:
+        return "true" if value else "false"
     if kind is EnumV:
         return f"{value.enum}::{value.literal}"
-    return "null"
+    if value is None:
+        return "null"
+    raise ValueError(f"the notation has no literal for a value of type {kind.__name__}")
 
 
 def parse_object_model(text: str, model: ClassModel,
@@ -169,11 +161,11 @@ def parse_object_model(text: str, model: ClassModel,
                 plain = literal[1:-1]
                 if (literal[0] == literal[-1] == '"' and len(literal) > 1 and '"' not in plain
                         and "\\" not in plain and plain.isprintable()):
-                    value = StrV(plain)
+                    value = plain
                 elif literal.isdecimal() and len(literal) <= SAFE_DIGITS:
-                    value = IntV(int(literal))
+                    value = int(literal)
                 else:
-                    value = None
+                    value = None  # left to the pattern: split reads no null
                 if value is not None:
                     by_id[sid].slots.append(AttributeLink(names[prop], value, lineno))
                     assigned.add(parts[0])
@@ -202,8 +194,9 @@ def parse_object_model(text: str, model: ClassModel,
             if key in assigned:
                 err("dup-slot", f"slot '{key}' assigned twice", lineno)
                 continue
-            value = parse_value(literal)
-            if value is None:
+            try:
+                value = parse_value(literal)
+            except ValueError:
                 err("bad-value", f"malformed value for '{key}': {literal.strip()}", lineno)
                 continue
             obj.slots.append(AttributeLink(name, value, lineno))
@@ -222,8 +215,8 @@ def parse_object_model(text: str, model: ClassModel,
 
 def serialize_object_model(objects: ObjectModel) -> str:
     """Canonical text: object blocks (each with its slots) then all links.
-    Raises ValueError on a float or integer slot the notation has no literal
-    for and on a link with other than two ends."""
+    Raises ValueError on a slot value the notation has no literal for and on
+    a link with other than two ends."""
     out = ["@startobjects"]
     for obj in objects.objects:
         out.append(f"object {obj.id} : {obj.classifier}")

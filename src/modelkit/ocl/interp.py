@@ -9,7 +9,8 @@ Semantics, in brief:
   booleans; `if` demands a boolean condition and evaluates one branch.
 - `=`/`<>` are total: numbers compare by value across int/float, objects
   by identity, collections pairwise; any other kind mismatch (null
-  included) is plain inequality, never an error.
+  included, and a boolean against a number) is plain inequality, never
+  an error.
 - Ordering `< <= > >=` covers numbers and strings (lexicographic).
 - Navigating `x.name` first tries a property of x's class: the slot value,
   null when the slot is omitted, with enum values read as their literal
@@ -36,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from modelkit.metamodel import NULL, BoolV, ClassModel, EnumV, ObjectDef, ObjectModel, StrV
+from modelkit.metamodel import ClassModel, EnumV, ObjectDef, ObjectModel
 from modelkit.ocl.nodes import (EvalResult, Evaluated, InstanceResult, OclConstraint,
                                 OclExpr, OclRuntimeError)
 
@@ -73,9 +74,9 @@ class Scope:
         if not isinstance(found, tuple):
             slot = obj.slot(name)
             if slot is None:
-                return NULL
+                return None
             if type(slot.value) is EnumV:
-                return StrV(slot.value.literal)  # enum literals read as strings
+                return slot.value.literal  # enum literals read as strings
             return slot.value
         assoc, j = found
         population, partners = self.links, []
@@ -87,7 +88,7 @@ class Scope:
                     f"'{link.ends[j]}'")
             partners.append(partner)
         if assoc.ends[j].multiplicity.upper == 1:
-            return partners[0] if partners else NULL
+            return partners[0] if partners else None
         return partners
 
 
@@ -127,9 +128,9 @@ def evaluate_constraint(constraint: OclConstraint, scope: Scope) -> EvalResult:
             result.per_instance.append(
                 InstanceResult(obj.id, "error", str(exc)))
             continue
-        if isinstance(value, BoolV):
+        if type(value) is bool:
             result.per_instance.append(
-                InstanceResult(obj.id, "true" if value.value else "false"))
+                InstanceResult(obj.id, "true" if value else "false"))
         else:
             result.per_instance.append(
                 InstanceResult(obj.id, "error", "invariant did not yield a boolean"))

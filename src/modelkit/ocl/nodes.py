@@ -13,8 +13,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Optional, Union
 
 from modelkit.diagnostics import Record, SourceSpan
-from modelkit.metamodel import (BOOLS, FALSE, TRUE, BoolV, FloatV, IntV, NullV, ObjectDef,
-                                StrV, Value)
+from modelkit.metamodel import ObjectDef, Value
 
 if TYPE_CHECKING:
     from modelkit.ocl.interp import Scope
@@ -26,10 +25,8 @@ NULLARY_OPS = ("size", "isEmpty", "notEmpty")
 # What an expression can evaluate to: a plain value, an object reference,
 # or an ordered collection of either.
 Evaluated = Union[Value, ObjectDef, list]
-# Values are told apart by exact class: `isinstance` against a record class
-# calls the record metaclass's `__instancecheck__` unless the value is of
-# exactly that class.
-_NUMBER = (IntV, FloatV)
+# Numbers are told apart by exact type, so that a bool is never one.
+_NUMBER = (int, float)
 
 
 class OclRuntimeError(Exception):
@@ -41,21 +38,21 @@ def value_equal(a: Evaluated, b: Evaluated) -> bool:
     pairwise; any other kind mismatch is simply unequal."""
     kind = type(a)
     if kind in _NUMBER and type(b) in _NUMBER:
-        return a.value == b.value
+        return a == b
     if kind is not type(b):
         return False
     if kind is ObjectDef:
         return a.id == b.id
     if kind is list:
         return len(a) == len(b) and all(value_equal(x, y) for x, y in zip(a, b))
-    return a == b  # two values of one class
+    return a == b  # two values of one type
 
 
 def _require_bool(v: Evaluated, context: str, op: str = "") -> bool:
     """v's truth; `context`, with `op` in place of its `{}`, names v in the
     error, formatted only then."""
-    if isinstance(v, BoolV):
-        return v.value
+    if type(v) is bool:
+        return v
     raise OclRuntimeError(f"{context.format(op)} is not a boolean")
 
 
@@ -109,7 +106,7 @@ class Nav(OclExpr):
         source = self.source.evaluate(env, scope)
         if isinstance(source, ObjectDef):
             return scope.navigate(source, self.name)
-        if isinstance(source, NullV):
+        if source is None:
             raise OclRuntimeError(f"navigation '{self.name}' on null")
         if isinstance(source, list):
             raise OclRuntimeError(
@@ -126,11 +123,11 @@ class Unary(OclExpr):
     def evaluate(self, env, scope) -> Evaluated:
         operand = self.operand.evaluate(env, scope)
         if self.op == "not":
-            return BOOLS[not _require_bool(operand, "operand of 'not'")]
+            return not _require_bool(operand, "operand of 'not'")
         if self.op != "-":
             raise OclRuntimeError(f"unknown operator '{self.op}'")
         if type(operand) in _NUMBER:
-            return type(operand)(-operand.value)
+            return -operand
         raise OclRuntimeError("unary '-' on a non-number")
 
 
@@ -138,19 +135,19 @@ def _short_circuit(node: Binary, rule: tuple, env, scope) -> Evaluated:
     """`and`/`or`/`implies`; `rule` is (the left truth that decides, the result)."""
     deciding, result = rule
     lhs = node.lhs.evaluate(env, scope)
-    if type(lhs) is not BoolV:
+    if type(lhs) is not bool:
         raise OclRuntimeError(f"left operand of '{node.op}' is not a boolean")
-    if lhs.value == deciding:
+    if lhs == deciding:
         return result
     rhs = node.rhs.evaluate(env, scope)
-    if type(rhs) is not BoolV:
+    if type(rhs) is not bool:
         raise OclRuntimeError(f"right operand of '{node.op}' is not a boolean")
-    return BOOLS[rhs.value]
+    return rhs
 
 
 def _equality(node: Binary, negated: bool, env, scope) -> Evaluated:
-    return BOOLS[value_equal(node.lhs.evaluate(env, scope),
-                             node.rhs.evaluate(env, scope)) != negated]
+    return value_equal(node.lhs.evaluate(env, scope),
+                       node.rhs.evaluate(env, scope)) != negated
 
 
 def _divide(a, b):
@@ -164,20 +161,18 @@ def _arithmetic(node: Binary, compute, env, scope) -> Evaluated:
     lhs, rhs = node.lhs.evaluate(env, scope), node.rhs.evaluate(env, scope)
     if type(lhs) not in _NUMBER or type(rhs) not in _NUMBER:
         raise OclRuntimeError(f"arithmetic '{node.op}' on non-numbers")
-    r = compute(lhs.value, rhs.value)
-    if type(lhs) is IntV and type(rhs) is IntV:
-        return IntV(r)
-    if not isfinite(r):
+    r = compute(lhs, rhs)  # an int from two ints, else a float
+    if type(r) is float and not isfinite(r):
         raise OclRuntimeError(f"float overflow in '{node.op}'")
-    return FloatV(float(r))
+    return r
 
 
 def _ordering(node: Binary, compare, env, scope) -> Evaluated:
     lhs, rhs = node.lhs.evaluate(env, scope), node.rhs.evaluate(env, scope)
     if not (type(lhs) in _NUMBER and type(rhs) in _NUMBER
-            or type(lhs) is StrV and type(rhs) is StrV):
+            or type(lhs) is str and type(rhs) is str):
         raise OclRuntimeError(f"comparison '{node.op}' needs two numbers or two strings")
-    return BOOLS[compare(lhs.value, rhs.value)]
+    return compare(lhs, rhs)
 
 
 def _unknown(node: Binary, _, env, scope) -> Evaluated:
@@ -188,8 +183,8 @@ def _unknown(node: Binary, _, env, scope) -> Evaluated:
 
 # op -> (its family's function, what that function needs to know of op)
 _BINARY = {
-    "and": (_short_circuit, (False, FALSE)), "or": (_short_circuit, (True, TRUE)),
-    "implies": (_short_circuit, (False, TRUE)),
+    "and": (_short_circuit, (False, False)), "or": (_short_circuit, (True, True)),
+    "implies": (_short_circuit, (False, True)),
     "=": (_equality, False), "<>": (_equality, True),
     "+": (_arithmetic, operator.add), "-": (_arithmetic, operator.sub),
     "*": (_arithmetic, operator.mul), "/": (_arithmetic, _divide),
@@ -237,14 +232,14 @@ class CollectionOp(OclExpr):
             raise OclRuntimeError(f"'->{self.op}' on a non-collection")
         op = self.op
         if op == "size":
-            return IntV(len(source))
+            return len(source)
         if op == "isEmpty":
-            return BOOLS[not source]
+            return not source
         if op == "notEmpty":
-            return BOOLS[bool(source)]
+            return bool(source)
         if op == "includes":
             needle = self.body.evaluate(env, scope)
-            return BOOLS[any(value_equal(item, needle) for item in source)]
+            return any(value_equal(item, needle) for item in source)
         if op not in ("forAll", "exists", "select", "collect"):
             raise OclRuntimeError(f"unknown operator '{op}'")
 
@@ -260,13 +255,13 @@ class CollectionOp(OclExpr):
                 results.append(value)
             elif _require_bool(value, "{} body", op):
                 if op == "exists":
-                    return TRUE
+                    return True
                 if op == "select":
                     results.append(item)
             elif op == "forAll":
-                return FALSE
+                return False
         # No item decided: forAll holds and exists fails.
-        return results if op in ("select", "collect") else BOOLS[op == "forAll"]
+        return results if op in ("select", "collect") else op == "forAll"
 
 
 class OclConstraint(Record):

@@ -14,7 +14,6 @@ from math import isfinite
 from typing import Optional
 
 from modelkit.diagnostics import MAX_DIGITS, Diagnostic, Record, SourceSpan, error, read_int
-from modelkit.metamodel import FALSE, FloatV, IntV, NULL, StrV, TRUE
 from modelkit.ocl.nodes import (
     Binary,
     CollectionOp,
@@ -68,8 +67,8 @@ _BINARY_LEVELS = (
     frozenset({"*", "/"}),
 )
 
-# The keywords that spell a value; values are immutable, so literals share them.
-_CONSTANTS = {"true": TRUE, "false": FALSE, "null": NULL}
+# The keywords that spell a value.
+_CONSTANTS = {"true": True, "false": False, "null": None}
 
 
 class OclSyntaxError(Exception):
@@ -223,16 +222,16 @@ class _Parser:
             if number is None:
                 raise OclSyntaxError(f"integer literal of more than {MAX_DIGITS} digits", tok)
             self.next()
-            return Literal(IntV(number))
+            return Literal(number)
         if tok.kind == "float":
             number = float(tok.text)
             if not isfinite(number):
                 raise OclSyntaxError("float literal out of range", tok)
             self.next()
-            return Literal(FloatV(number))
+            return Literal(number)
         if tok.kind == "string":
             self.next()
-            return Literal(StrV(tok.text[1:-1]))
+            return Literal(tok.text[1:-1])
         if tok.text == "(":
             self.next()
             expr = self.parse_expression()

@@ -2,7 +2,7 @@
 and (object, association end) pair with no shared logic beyond the model
 dataclasses and the (code, subject) reporting convention."""
 
-from modelkit.metamodel import BoolV, EnumV, FloatV, IntV, NullV, StrV
+from modelkit.metamodel import EnumV
 
 
 def _supers(model, class_name):
@@ -26,19 +26,20 @@ def _flat_props(model, class_name):
 
 
 def _fits(value, type_name, model):
-    if isinstance(value, NullV):
+    # Exact types: a bool is an int to isinstance, and fits no int property.
+    if value is None:
         return True
     if type_name == "int":
-        return isinstance(value, IntV)
+        return type(value) is int
     if type_name == "float":
-        return isinstance(value, (IntV, FloatV))
+        return type(value) in (int, float)
     if type_name == "str":
-        return isinstance(value, (StrV, EnumV))
+        return type(value) in (str, EnumV)
     if type_name == "bool":
-        return isinstance(value, BoolV)
+        return type(value) is bool
     for enum in model.enumerations:
         if enum.name == type_name:
-            return (isinstance(value, EnumV) and value.enum == type_name
+            return (type(value) is EnumV and value.enum == type_name
                     and value.literal in enum.literals)
     return False  # class-typed accepts only null
 

@@ -6,21 +6,16 @@ from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
     EnumDef,
     EnumV,
-    FloatV,
     Generalization,
-    IntV,
     Link,
     Multiplicity,
-    NULL,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
 )
 from modelkit.index import ModelIndex
 from modelkit.ocl.nodes import Binary, CollectionOp, If, Literal, Nav, SelfRef, Unary, VarRef
@@ -134,10 +129,10 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
     objects = ObjectModel()
     index = ModelIndex(model)
     values_by_type = {
-        "int": lambda: IntV(rng.randint(-3, 9)),
-        "float": lambda: FloatV(rng.choice([0.5, 2.5, -1.25, 10.0])),
-        "str": lambda: StrV(rng.choice(["", "a", "b", "DPP-001"])),
-        "bool": lambda: BoolV(rng.random() < 0.5),
+        "int": lambda: rng.randint(-3, 9),
+        "float": lambda: rng.choice([0.5, 2.5, -1.25, 10.0]),
+        "str": lambda: rng.choice(["", "a", "b", "DPP-001"]),
+        "bool": lambda: rng.random() < 0.5,
         "Color": lambda: EnumV("Color", rng.choice(["RED", "GREEN", "BLUE"])),
     }
     for i in range(rng.randint(0, max_objects)):
@@ -153,13 +148,13 @@ def random_instanced_model(rng: random.Random, max_objects=8, max_links=12):
                     obj.slots.append(AttributeLink(prop.name,
                                                    values_by_type[prop.type_name]()))
                 elif roll < 0.88:
-                    obj.slots.append(AttributeLink(prop.name, NULL))
+                    obj.slots.append(AttributeLink(prop.name, None))
                 elif roll < 0.93:
                     wrong = rng.choice(["int", "str", "bool"])
                     obj.slots.append(AttributeLink(prop.name, values_by_type[wrong]()))
                 # else: omitted
             if rng.random() < 0.1:
-                obj.slots.append(AttributeLink("junk", IntV(1)))
+                obj.slots.append(AttributeLink("junk", 1))
         objects.objects.append(obj)
 
     if objects.objects and model.associations:
@@ -208,9 +203,7 @@ def random_expression(rng: random.Random, model, depth=4, scope=()):
 
     def literal():
         return Literal(rng.choice([
-            IntV(rng.randint(-2, 5)), IntV(0), FloatV(2.5), FloatV(0.0),
-            StrV(""), StrV("a"), StrV("DPP-001"), BoolV(True), BoolV(False),
-            NULL,
+            rng.randint(-2, 5), 0, 2.5, 0.0, "", "a", "DPP-001", True, False, None,
         ]))
 
     def leaf():
@@ -285,20 +278,20 @@ def random_object_population(rng: random.Random, max_objects=10) -> ObjectModel:
 
     def value_for(kind):
         if kind == "int":
-            return IntV(rng.randint(0, 99))
+            return rng.randint(0, 99)
         if kind == "float":
-            return FloatV(rng.choice([1.5, 2.25, 0.75]))
+            return rng.choice([1.5, 2.25, 0.75])
         if kind == "str":
-            return StrV(rng.choice(["x", "y", ""]))
+            return rng.choice(["x", "y", ""])
         if kind == "bool":
-            return BoolV(rng.random() < 0.5)
+            return rng.random() < 0.5
         if kind == "enum":
             return EnumV("Status", rng.choice(["ON", "OFF"]))
         if kind == "intfloat":
-            return rng.choice([IntV(3), FloatV(3.5)])
+            return rng.choice([3, 3.5])
         if kind == "nullable":
-            return rng.choice([StrV("n"), NULL])
-        return NULL  # allnull
+            return rng.choice(["n", None])
+        return None  # allnull
 
     classifiers = list(signatures)
     for i in range(rng.randint(0, max_objects)):

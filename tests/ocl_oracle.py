@@ -6,7 +6,7 @@ scans are all redone here, naively, from the documented semantics.  Only
 the AST node classes and the model dataclasses are reused, as data.
 """
 
-from modelkit.metamodel import BoolV, EnumV, FloatV, IntV, NULL, NullV, ObjectDef, StrV, Value
+from modelkit.metamodel import EnumV, ObjectDef
 from modelkit.ocl.nodes import (
     Binary,
     CollectionOp,
@@ -17,6 +17,12 @@ from modelkit.ocl.nodes import (
     Unary,
     VarRef,
 )
+
+
+# The type of each plain value; a bool is an int to isinstance, so kinds
+# are told by exact type here.
+NUMBERS = (int, float)
+VALUES = (bool, int, float, str, type(None), EnumV)
 
 
 class OracleError(Exception):
@@ -60,10 +66,10 @@ def _navigate(obj, name, objects, model):
         if name in _flat_property_names(model, obj.classifier):
             for slot in obj.slots:
                 if slot.property_name == name:
-                    if isinstance(slot.value, EnumV):
-                        return StrV(slot.value.literal)
+                    if type(slot.value) is EnumV:
+                        return slot.value.literal
                     return slot.value
-            return NULL
+            return None
     for assoc in model.associations:
         if len(assoc.ends) != 2:
             continue
@@ -87,28 +93,27 @@ def _navigate(obj, name, objects, model):
                     raise OracleError("dangling link end")
                 partners.append(partner)
             if far.multiplicity.upper == 1:
-                return partners[0] if partners else NULL
+                return partners[0] if partners else None
             return partners
     raise OracleError(f"no attribute or association '{name}'")
 
 
 def _equal(a, b):
-    numbers = (IntV, FloatV)
-    if isinstance(a, numbers) and isinstance(b, numbers):
-        return a.value == b.value
+    if type(a) in NUMBERS and type(b) in NUMBERS:
+        return a == b
     if isinstance(a, ObjectDef) and isinstance(b, ObjectDef):
         return a.id == b.id
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, Value) and isinstance(b, Value):
+    if type(a) in VALUES and type(b) in VALUES:
         return type(a) is type(b) and a == b
     return False
 
 
 def _truth(v, what):
-    if not isinstance(v, BoolV):
+    if type(v) is not bool:
         raise OracleError(f"{what} is not boolean")
-    return v.value
+    return v
 
 
 def naive_eval(expr, env, objects, model):
@@ -125,7 +130,7 @@ def naive_eval(expr, env, objects, model):
             raise OracleError(f"unbound '{name}'")
         case Nav(source=src, name=name):
             base = naive_eval(src, env, objects, model)
-            if isinstance(base, NullV):
+            if base is None:
                 raise OracleError("navigation on null")
             if isinstance(base, list):
                 raise OracleError("navigation on collection")
@@ -133,36 +138,33 @@ def naive_eval(expr, env, objects, model):
                 raise OracleError("navigation on plain value")
             return _navigate(base, name, objects, model)
         case Unary(op="not", operand=operand):
-            return BoolV(not _truth(naive_eval(operand, env, objects, model), "not"))
+            return not _truth(naive_eval(operand, env, objects, model), "not")
         case Unary(op="-", operand=operand):
             v = naive_eval(operand, env, objects, model)
-            if isinstance(v, IntV):
-                return IntV(-v.value)
-            if isinstance(v, FloatV):
-                return FloatV(-v.value)
+            if type(v) in NUMBERS:
+                return -v
             raise OracleError("negating a non-number")
         case Binary(op=("and" | "or" | "implies") as op, lhs=lhs, rhs=rhs):
             left = _truth(naive_eval(lhs, env, objects, model), "operand")
             if op == "and" and not left:
-                return BoolV(False)
+                return False
             if op == "or" and left:
-                return BoolV(True)
+                return True
             if op == "implies" and not left:
-                return BoolV(True)
-            return BoolV(_truth(naive_eval(rhs, env, objects, model), "operand"))
+                return True
+            return _truth(naive_eval(rhs, env, objects, model), "operand")
         case Binary(op=op, lhs=lhs, rhs=rhs):
             left = naive_eval(lhs, env, objects, model)
             right = naive_eval(rhs, env, objects, model)
             if op == "=":
-                return BoolV(_equal(left, right))
+                return _equal(left, right)
             if op == "<>":
-                return BoolV(not _equal(left, right))
-            numbers = (IntV, FloatV)
+                return not _equal(left, right)
             if op in ("+", "-", "*", "/"):
-                if not (isinstance(left, numbers) and isinstance(right, numbers)):
+                if not (type(left) in NUMBERS and type(right) in NUMBERS):
                     raise OracleError("arithmetic on non-numbers")
-                ints = isinstance(left, IntV) and isinstance(right, IntV)
-                a, b = left.value, right.value
+                ints = type(left) is int and type(right) is int
+                a, b = left, right
                 if op == "+":
                     r = a + b
                 elif op == "-":
@@ -174,17 +176,17 @@ def naive_eval(expr, env, objects, model):
                         raise OracleError("division by zero")
                     r = a // b if ints else a / b
                 if ints:
-                    return IntV(r)
+                    return r
                 if r != r or r in (float("inf"), float("-inf")):
                     raise OracleError("float overflow")
-                return FloatV(float(r))
-            if isinstance(left, numbers) and isinstance(right, numbers):
-                a, b = left.value, right.value
-            elif isinstance(left, StrV) and isinstance(right, StrV):
-                a, b = left.value, right.value
+                return float(r)
+            if type(left) in NUMBERS and type(right) in NUMBERS:
+                a, b = left, right
+            elif type(left) is str and type(right) is str:
+                a, b = left, right
             else:
                 raise OracleError("unorderable operands")
-            return BoolV({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op])
+            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
         case If(condition=c, then_branch=t, else_branch=e):
             branch = t if _truth(naive_eval(c, env, objects, model), "condition") else e
             return naive_eval(branch, env, objects, model)
@@ -193,21 +195,21 @@ def naive_eval(expr, env, objects, model):
             if not isinstance(coll, list):
                 raise OracleError("collection op on non-collection")
             if op == "size":
-                return IntV(len(coll))
+                return len(coll)
             if op == "isEmpty":
-                return BoolV(len(coll) == 0)
+                return len(coll) == 0
             if op == "notEmpty":
-                return BoolV(len(coll) != 0)
+                return len(coll) != 0
             if op == "includes":
                 needle = naive_eval(body, env, objects, model)
-                return BoolV(any(_equal(item, needle) for item in coll))
+                return any(_equal(item, needle) for item in coll)
             picked = []
             for item in coll:
                 value = naive_eval(body, env + [(var, item)], objects, model)
                 if op == "forAll" and not _truth(value, "forAll body"):
-                    return BoolV(False)
+                    return False
                 if op == "exists" and _truth(value, "exists body"):
-                    return BoolV(True)
+                    return True
                 if op == "select" and _truth(value, "select body"):
                     picked.append(item)
                 if op == "collect":
@@ -215,9 +217,9 @@ def naive_eval(expr, env, objects, model):
                         raise OracleError("nested collection from collect")
                     picked.append(value)
             if op == "forAll":
-                return BoolV(True)
+                return True
             if op == "exists":
-                return BoolV(False)
+                return False
             return picked
     raise OracleError(f"unknown node {expr!r}")
 
@@ -237,8 +239,8 @@ def naive_check(constraint, objects, model):
         except OracleError:
             rows.append((obj.id, "error"))
             continue
-        if isinstance(value, BoolV):
-            rows.append((obj.id, "true" if value.value else "false"))
+        if type(value) is bool:
+            rows.append((obj.id, "true" if value else "false"))
         else:
             rows.append((obj.id, "error"))
     return rows

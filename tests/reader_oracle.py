@@ -28,18 +28,7 @@ from modelkit.diagnostics import (
     read_lines,
 )
 from modelkit.fsm import State, StateMachine, Transition, validate_machine
-from modelkit.metamodel import (
-    AttributeLink,
-    BoolV,
-    EnumV,
-    FloatV,
-    IntV,
-    Link,
-    NULL,
-    ObjectDef,
-    ObjectModel,
-    StrV,
-)
+from modelkit.metamodel import AttributeLink, EnumV, Link, ObjectDef, ObjectModel
 from modelkit.ocl.parser import parse_expression
 
 _OBJECT_RE = re.compile(
@@ -54,32 +43,35 @@ _INT_RE = re.compile(r"^-?\d+$")
 _FLOAT_RE = re.compile(r"^-?(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)$")
 _ENUM_RE = re.compile(r"^(?P<enum>[A-Za-z_]\w*)::(?P<lit>[A-Za-z_]\w*)$")
 
+# What parse_value gives for a malformed literal: None is null.
+MALFORMED = object()
+
 
 def parse_value(text):
     text = text.strip()
     if text == "null":
-        return NULL
+        return None
     if text == "true":
-        return BoolV(True)
+        return True
     if text == "false":
-        return BoolV(False)
+        return False
     if _INT_RE.match(text):
         if len(text.lstrip("-")) > 4300:
-            return None
-        return IntV(int(text))
+            return MALFORMED
+        return int(text)
     if _FLOAT_RE.match(text):
         number = float(text)
-        return None if math.isinf(number) else FloatV(number)
+        return MALFORMED if math.isinf(number) else number
     if text.startswith('"'):
         try:
             decoded = json.loads(text)
         except ValueError:
-            return None
-        return StrV(decoded) if isinstance(decoded, str) else None
+            return MALFORMED
+        return decoded if isinstance(decoded, str) else MALFORMED
     m = _ENUM_RE.match(text)
     if m:
         return EnumV(m.group("enum"), m.group("lit"))
-    return None
+    return MALFORMED
 
 
 def parse_object_model(text, filename="<input>"):
@@ -116,7 +108,7 @@ def parse_object_model(text, filename="<input>"):
                 err("dup-slot", f"slot '{oid}.{prop}' assigned twice", lineno)
                 continue
             value = parse_value(m.group("value"))
-            if value is None:
+            if value is MALFORMED:
                 err("bad-value", f"malformed value for '{oid}.{prop}': "
                     f"{m.group('value').strip()}", lineno)
                 continue
@@ -170,7 +162,7 @@ def parse_scenario(text, filename="<scenario>"):
                 ok = False
                 break
             value = parse_value(m.group("value"))
-            if value is None:
+            if value is MALFORMED:
                 diagnostics.append(error(
                     "bad-value",
                     f"malformed payload value for '{m.group('key')}'",

@@ -126,8 +126,8 @@ def test_criterion_4_vacuous_truth_and_short_circuit():
 
 def test_criterion_5_conformance_boundaries():
     from modelkit.metamodel import (
-        Association, AssociationEnd, AttributeLink, ClassDef, IntV, Link,
-        Multiplicity, ObjectDef, ObjectModel, Property, StrV,
+        Association, AssociationEnd, AttributeLink, ClassDef, Link, Multiplicity,
+        ObjectDef, ObjectModel, Property,
     )
 
     def model_with(assoc_mult):
@@ -142,7 +142,7 @@ def test_criterion_5_conformance_boundaries():
 
     def p(slots=True):
         return ObjectDef("p1", "P", slots=[
-            AttributeLink("name", StrV("x"))] if slots else [])
+            AttributeLink("name", "x")] if slots else [])
 
     cases = []
 
@@ -161,7 +161,7 @@ def test_criterion_5_conformance_boundaries():
     cases.append(("abstract-instance", model_with(Multiplicity(0, None)),
                   ObjectModel(objects=[ObjectDef("a1", "Ab")])))
     # slot-type
-    bad_slot = ObjectDef("p1", "P", slots=[AttributeLink("name", IntV(3))])
+    bad_slot = ObjectDef("p1", "P", slots=[AttributeLink("name", 3)])
     cases.append(("slot-type", model_with(Multiplicity(0, None)),
                   ObjectModel(objects=[bad_slot])))
     # unknown-classifier

@@ -1,12 +1,16 @@
+import contextlib
 import gc
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FIXTURES, REPO
 from modelkit.cli import main
@@ -591,3 +595,115 @@ class TestLostOutput:
         result = self.run_into(self.failing_check(tmp_path, fixtures_dir), subprocess.PIPE)
         assert (result.returncode, result.stderr) == (1, "")
         assert result.stdout.startswith("FAIL never ")
+
+
+def into_files(argv: list[str], directory: Path) -> tuple[int, str, str]:
+    """main(argv) with stdout and stderr bound to real files in
+    `directory`, and what the two files read back."""
+    paths = directory / "stdout", directory / "stderr"
+    with open(paths[0], "w", encoding="utf-8") as out, \
+            open(paths[1], "w", encoding="utf-8") as err, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, paths[0].read_text(encoding="utf-8"), paths[1].read_text(encoding="utf-8")
+
+
+def printed(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with stdout and stderr held in memory."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def ocl_for(rng: random.Random, model) -> str:
+    """Invariants over the classes' own properties, which hold, fail or
+    raise by the values a population gives them."""
+    lines = []
+    for i, cls in enumerate(model.classes):
+        for prop in cls.properties:
+            body = rng.choice(["self.{p} <> null", "self.{p} = self.{p}", "self.{p} + 1 > 0",
+                               "self.{p} = true or self.{p} = 1", "not (self.{p} = 'a')"])
+            lines.append(f"context {cls.name} inv c{i}{prop.name}: {body.format(p=prop.name)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_each_command_writes_through_real_files_what_it_prints(seed, tmp_path):
+    """Every command, run with its report streams bound to real files,
+    exits as its library calls predict; each stream reads back what the
+    command prints into memory, and each file it writes reads back what the
+    library makes."""
+    from model_gen import random_instanced_model
+    from modelkit.codegen import builtin_registry
+    from modelkit.conformance import check_conformance
+    from modelkit.diagnostics import has_errors
+    from modelkit.flex import enforce_conformance, infer_class_model
+    from modelkit.fsm import StepError, format_trace, parse_machine, run_scenario
+    from modelkit.ocl.interp import check_all
+    from modelkit.ocl.parser import parse_ocl
+    from modelkit.puml import serialize_class_model
+
+    rng = random.Random(seed)
+    model, objects = random_instanced_model(rng)
+    for association in model.associations:
+        for end in association.ends:
+            end.role = None  # the notation has no roles
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    inputs = {"m.buml.puml": serialize_class_model(model),
+              "p.objs": serialize_object_model(objects), "c.ocl": ocl_for(rng, model),
+              "l.fsm": rng.choice([LOOPING, GUARDED]),
+              "s.scenario": "".join(f"{rng.choice(['go', 'stay', 'back'])} x="
+                                    f"{'1e999' if rng.random() < 0.1 else rng.randint(-3, 9)}\n"
+                                    for _ in range(rng.randint(0, 3)))}
+    for name, text in inputs.items():
+        (work / name).write_text(text, encoding="utf-8")
+    at = {name: str(work / name) for name in inputs}
+    model = parse_class_model(inputs["m.buml.puml"], filename=at["m.buml.puml"]).model
+    objects = parse_object_model(inputs["p.objs"], model, filename=at["p.objs"]).model
+
+    constraints = parse_ocl(inputs["c.ocl"], filename=at["c.ocl"]).constraints
+    verdicts = check_all(constraints, objects, model)
+    failing = has_errors(check_conformance(objects, model)) or not all(
+        result.passed for result in verdicts)
+    pruned, residual = enforce_conformance(objects, model)
+    inferred = serialize_class_model(infer_class_model(objects))
+    machine = parse_machine(inputs["l.fsm"]).model
+    steps, malformed = parse_scenario(inputs["s.scenario"], filename=at["s.scenario"])
+    try:
+        session, ran = run_scenario(machine, steps), 0
+    except StepError as exc:
+        session, ran = exc.session, 1
+    if malformed:  # reported in place of the trace
+        trace, ran = "".join(f"{d.format()}\n" for d in malformed), 2
+    else:
+        trace = format_trace(session)
+    # Each command's argv, exit code, stdout where the library tells it, and
+    # the files it writes with their contents.
+    commands = [
+        (["validate", "--model", at["m.buml.puml"]], 0, "", {}),
+        (["check", "--model", at["m.buml.puml"], "--objects", at["p.objs"],
+          "--ocl", at["c.ocl"]], int(failing), None, {}),
+        (["enforce", "--model", at["m.buml.puml"], "--objects", at["p.objs"],
+          "--out", str(work / "pruned.objs")], int(has_errors(residual)), None,
+         {work / "pruned.objs": serialize_object_model(pruned)}),
+        (["infer", "--objects", at["p.objs"], "--out", str(work / "inferred.buml.puml")], 0,
+         None, {work / "inferred.buml.puml": inferred}),
+        (["fsm-run", "--machine", at["l.fsm"], "--scenario", at["s.scenario"]], ran, trace,
+         {}),
+    ]
+    for target in ("sql", "classes"):
+        made = builtin_registry().generate(target, model)
+        commands.append((["generate", "--model", at["m.buml.puml"], "--target", target,
+                          "--out", str(work / "gen")], int(has_errors(made.diagnostics)),
+                         None, {work / "gen" / target / a.relative_path: a.content
+                                for a in made.artifacts}))
+    for argv, code, stdout, written in commands:
+        shown = printed(argv)
+        assert into_files(argv, Path(tempfile.mkdtemp(dir=tmp_path))) == shown, argv
+        assert shown[0] == code and shown[1] == (shown[1] if stdout is None else stdout), argv
+        for path, content in written.items():
+            with open(path, encoding="utf-8", newline="") as handle:
+                assert handle.read() == content, path

@@ -7,19 +7,15 @@ from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
     EnumDef,
     EnumV,
-    IntV,
     Link,
     Multiplicity,
-    NULL,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
 )
 from modelkit.objtext import parse_object_model, serialize_object_model
 from brute_conf import brute_conformance
@@ -47,9 +43,9 @@ def passport_model(stage_lower="1"):
 
 def passport_object(**overrides):
     slots = {
-        "code": StrV("DPP-001"),
-        "product_name": StrV("Phone"),
-        "brand": StrV("Acme"),
+        "code": "DPP-001",
+        "product_name": "Phone",
+        "brand": "Acme",
     }
     slots.update(overrides)
     return ObjectDef(id="p1", classifier="ProductPassport",
@@ -72,7 +68,7 @@ def test_missing_stage_links_hit_the_lower_bound():
 
 def test_type_mismatch_is_slot_type():
     model = passport_model(stage_lower="0")
-    objects = ObjectModel(objects=[passport_object(brand=IntV(3))])
+    objects = ObjectModel(objects=[passport_object(brand=3)])
     diags = check_conformance(objects, model)
     assert [d.code for d in diags] == ["slot-type"]
     assert diags[0].subject == "p1.brand"
@@ -100,7 +96,7 @@ def test_upper_bound_violation():
         AssociationEnd("A", multiplicity=Multiplicity(1, 1)),
         AssociationEnd("B", multiplicity=Multiplicity(0, 1)))))
     objects = ObjectModel(objects=[
-        ObjectDef("a1", "A", slots=[AttributeLink("k", StrV("x"))]),
+        ObjectDef("a1", "A", slots=[AttributeLink("k", "x")]),
         ObjectDef("b1", "B"), ObjectDef("b2", "B")],
         links=[Link("r", ("a1", "b1")),
                Link("r", ("a1", "b2"))])
@@ -121,14 +117,14 @@ def test_class_typed_property_may_be_omitted_or_null():
         ClassDef("A"),
         ClassDef("B", properties=[Property("other", "A")])])
     omitted = ObjectDef("b1", "B")
-    explicit = ObjectDef("b2", "B", slots=[AttributeLink("other", NULL)])
+    explicit = ObjectDef("b2", "B", slots=[AttributeLink("other", None)])
     diags = check_conformance(ObjectModel(objects=[omitted, explicit]), model)
     assert diags == []
 
 
 def test_explicit_null_fits_any_type():
     model = passport_model(stage_lower="0")
-    objects = ObjectModel(objects=[passport_object(brand=NULL)])
+    objects = ObjectModel(objects=[passport_object(brand=None)])
     assert check_conformance(objects, model) == []
 
 
@@ -142,7 +138,7 @@ def test_enum_slot_checking():
                             slots=[AttributeLink("s", EnumV("Color", "PINK"))])
     bad_enum = ObjectDef("a3", "A",
                          slots=[AttributeLink("s", EnumV("Size", "RED"))])
-    as_string = ObjectDef("a4", "A", slots=[AttributeLink("s", StrV("RED"))])
+    as_string = ObjectDef("a4", "A", slots=[AttributeLink("s", "RED")])
     diags = check_conformance(
         ObjectModel(objects=[good, bad_literal, bad_enum, as_string]), model)
     assert [(d.code, d.subject) for d in diags] == [
@@ -152,14 +148,14 @@ def test_enum_slot_checking():
 def test_int_fits_float_property():
     model = ClassModel(name="m", classes=[
         ClassDef("A", properties=[Property("w", "float")])])
-    obj = ObjectDef("a1", "A", slots=[AttributeLink("w", IntV(3))])
+    obj = ObjectDef("a1", "A", slots=[AttributeLink("w", 3)])
     assert check_conformance(ObjectModel(objects=[obj]), model) == []
 
 
 def test_bool_does_not_fit_int():
     model = ClassModel(name="m", classes=[
         ClassDef("A", properties=[Property("n", "int")])])
-    obj = ObjectDef("a1", "A", slots=[AttributeLink("n", BoolV(True))])
+    obj = ObjectDef("a1", "A", slots=[AttributeLink("n", True)])
     assert [d.code for d in check_conformance(ObjectModel(objects=[obj]), model)] \
         == ["slot-type"]
 
@@ -171,7 +167,7 @@ def test_a_class_typed_slot_holds_only_null():
         ClassDef("A", properties=[Property("ref", "B")]), ClassDef("B")])
     objects = ObjectModel(objects=[
         ObjectDef(f"a{i}", "A", slots=[AttributeLink("ref", value)])
-        for i, value in enumerate((NULL, IntV(1), StrV("b1")), 1)])
+        for i, value in enumerate((None, 1, "b1"), 1)])
     mine = sorted((d.code, d.subject) for d in check_conformance(objects, model))
     assert mine == brute_conformance(objects, model) == [
         ("slot-type", "a2.ref"), ("slot-type", "a3.ref")]
@@ -182,7 +178,7 @@ def test_link_checks():
     objects = ObjectModel(
         objects=[passport_object(),
                  ObjectDef("s1", "Stage",
-                           slots=[AttributeLink("start_date", StrV("d"))])],
+                           slots=[AttributeLink("start_date", "d")])],
         links=[
             Link("nope", ("p1", "s1")),
             Link("stages", ("p1", "ghost")),
@@ -200,7 +196,7 @@ def test_subclass_instances_satisfy_link_end_types():
     objects = ObjectModel(
         objects=[passport_object(),
                  ObjectDef("d1", "Design",
-                           slots=[AttributeLink("start_date", StrV("d"))])],
+                           slots=[AttributeLink("start_date", "d")])],
         links=[Link("stages", ("p1", "d1"))])
     assert check_conformance(objects, model) == []
 

@@ -23,7 +23,6 @@ from modelkit.metamodel import (
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
 )
 
 DPP = str(FIXTURES / "dpp.buml.puml")
@@ -31,8 +30,8 @@ DPP_OBJECTS = str(FIXTURES / "dpp.objs")
 
 MODEL = ClassModel("m", [ClassDef("A", properties=[Property("code", "str")])],
                    associations=[Association("r", (AssociationEnd("A"), AssociationEnd("A")))])
-TWICE = ObjectDef("a1", "A", [AttributeLink("code", StrV("x")), AttributeLink("code", StrV("y"))])
-OTHER = ObjectDef("a2", "A", [AttributeLink("code", StrV("z"))])
+TWICE = ObjectDef("a1", "A", [AttributeLink("code", "x"), AttributeLink("code", "y")])
+OTHER = ObjectDef("a2", "A", [AttributeLink("code", "z")])
 THREE_ENDS = Link("r", ("a1", "a2", "a1"))
 ONE_END = Link("r", ("a1",))
 

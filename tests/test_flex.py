@@ -7,19 +7,14 @@ from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
     EnumV,
-    FloatV,
-    IntV,
     Link,
     Multiplicity,
-    NULL,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
 )
 from model_gen import random_defective_model, random_object_population
 
@@ -31,7 +26,7 @@ def population(*objs, links=()):
 class TestInfer:
     def test_single_object_single_slot(self):
         objects = population(ObjectDef("p1", "ProductPassport", slots=[
-            AttributeLink("code", StrV("X"))]))
+            AttributeLink("code", "X")]))
         model = infer_class_model(objects)
         assert [c.name for c in model.classes] == ["ProductPassport"]
         (prop,) = model.classes[0].properties
@@ -43,22 +38,22 @@ class TestInfer:
 
     def test_int_and_float_join_at_float(self):
         objects = population(
-            ObjectDef("o1", "K", slots=[AttributeLink("a", IntV(1))]),
-            ObjectDef("o2", "K", slots=[AttributeLink("a", FloatV(2.5))]))
+            ObjectDef("o1", "K", slots=[AttributeLink("a", 1)]),
+            ObjectDef("o2", "K", slots=[AttributeLink("a", 2.5)]))
         model = infer_class_model(objects)
         assert model.classes[0].properties[0].type_name == "float"
 
     def test_mixed_kinds_join_at_str(self):
         objects = population(
-            ObjectDef("o1", "K", slots=[AttributeLink("a", IntV(1))]),
-            ObjectDef("o2", "K", slots=[AttributeLink("a", StrV("x"))]))
+            ObjectDef("o1", "K", slots=[AttributeLink("a", 1)]),
+            ObjectDef("o2", "K", slots=[AttributeLink("a", "x")]))
         model = infer_class_model(objects)
         assert model.classes[0].properties[0].type_name == "str"
 
     def test_all_null_column_defaults_to_str_with_warning(self):
         diags = []
         objects = population(ObjectDef("o1", "K", slots=[
-            AttributeLink("a", NULL)]))
+            AttributeLink("a", None)]))
         model = infer_class_model(objects, diags)
         assert model.classes[0].properties[0].type_name == "str"
         assert [d.code for d in diags] == ["all-null"]
@@ -102,12 +97,12 @@ class TestInfer:
     def test_kinds_no_primitive_admits_warn_and_only_they_fail_the_check(self):
         diags = []
         objects = population(
-            ObjectDef("a", "K", slots=[AttributeLink("x", IntV(1)),
-                                       AttributeLink("y", IntV(2)),
-                                       AttributeLink("z", IntV(3))]),
-            ObjectDef("b", "K", slots=[AttributeLink("x", BoolV(True)),
-                                       AttributeLink("y", StrV("s")),
-                                       AttributeLink("z", FloatV(0.5))]))
+            ObjectDef("a", "K", slots=[AttributeLink("x", 1),
+                                       AttributeLink("y", 2),
+                                       AttributeLink("z", 3)]),
+            ObjectDef("b", "K", slots=[AttributeLink("x", True),
+                                       AttributeLink("y", "s"),
+                                       AttributeLink("z", 0.5)]))
         model = infer_class_model(objects, diags)
         types = [(p.name, p.type_name) for p in model.classes[0].properties]
         assert types == [("x", "str"), ("y", "str"), ("z", "float")]
@@ -150,7 +145,7 @@ class TestEnforce:
     def test_conformant_input_is_a_fixpoint(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]),
             ObjectDef("s1", "S"),
             links=[Link("r", ("p1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
@@ -160,7 +155,7 @@ class TestEnforce:
     def test_unknown_class_cascades_to_links(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]),
             ObjectDef("g1", "Ghost"),
             links=[Link("r", ("p1", "g1"))])
         pruned, diags = enforce_conformance(objects, model)
@@ -172,7 +167,7 @@ class TestEnforce:
     def test_upper_bound_drops_newest_links_first(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]),
             ObjectDef("s1", "S"), ObjectDef("s2", "S"), ObjectDef("s3", "S"),
             links=[Link("r", ("p1", "s1")),
                    Link("r", ("p1", "s2")),
@@ -187,7 +182,7 @@ class TestEnforce:
         """Two objects with one id count the same links; the surplus goes
         once, and both then count what is left."""
         model = self.make_model()
-        twin = ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))])
+        twin = ObjectDef("p1", "P", slots=[AttributeLink("n", 1)])
         objects = population(
             twin, twin, ObjectDef("s1", "S"), ObjectDef("s2", "S"), ObjectDef("s3", "S"),
             links=[Link("r", ("p1", "s1")), Link("r", ("p1", "s2")),
@@ -200,8 +195,8 @@ class TestEnforce:
     def test_bad_slots_are_removed_and_leave_residuals(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", StrV("wrong")),
-                                        AttributeLink("ghost", IntV(1))]))
+            ObjectDef("p1", "P", slots=[AttributeLink("n", "wrong"),
+                                        AttributeLink("ghost", 1)]))
         pruned, diags = enforce_conformance(objects, model)
         assert pruned.objects[0].slots == []
         codes = [d.code for d in diags]
@@ -213,7 +208,7 @@ class TestEnforce:
         model = self.make_model()
         model.associations[0].ends[1].multiplicity = Multiplicity(1, None)
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]))
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]))
         pruned, diags = enforce_conformance(objects, model)
         assert [o.id for o in pruned.objects] == ["p1"]
         assert [d.code for d in diags] == ["mult-lower"]
@@ -255,7 +250,7 @@ class TestEnforce:
     def test_link_of_a_known_association_with_three_ends_names_its_end_count(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]),
             ObjectDef("s1", "S"),
             links=[Link("r", ("p1", "s1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
@@ -266,7 +261,7 @@ class TestEnforce:
     def test_link_of_an_unknown_association_names_the_association(self):
         model = self.make_model()
         objects = population(
-            ObjectDef("p1", "P", slots=[AttributeLink("n", IntV(1))]),
+            ObjectDef("p1", "P", slots=[AttributeLink("n", 1)]),
             ObjectDef("s1", "S"),
             links=[Link("q", ("p1", "s1"))])
         pruned, diags = enforce_conformance(objects, model)
@@ -278,12 +273,12 @@ class TestEnforce:
 # One maker per value kind; a column draws from a few of them, so some
 # columns mix kinds that no primitive type admits together.
 _VALUE_MAKERS = (
-    lambda rng: IntV(rng.randint(-3, 3)),
-    lambda rng: FloatV(rng.random()),
-    lambda rng: BoolV(rng.random() < 0.5),
-    lambda rng: StrV(rng.choice("ab")),
+    lambda rng: rng.randint(-3, 3),
+    lambda rng: rng.random(),
+    lambda rng: rng.random() < 0.5,
+    lambda rng: rng.choice("ab"),
     lambda rng: EnumV("E", "lit"),
-    lambda rng: NULL,
+    lambda rng: None,
 )
 _NARROWEST_FIRST = ("int", "float", "bool", "str")
 
@@ -319,7 +314,7 @@ def test_inferred_types_follow_the_table_conformance_checks_against():
             declared = index.properties(classifier)[name].type_name
             fits = [t for t in _NARROWEST_FIRST
                     if all(value_conforms(v, t, index) for v in values)]
-            if all(v == NULL for v in values):
+            if all(v is None for v in values):
                 assert (declared, warned.get(subject)) == ("str", "all-null")
             elif fits:
                 assert (declared, warned.get(subject)) == (fits[0], None)

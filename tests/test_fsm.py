@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from modelkit.metamodel import (
-    FALSE, NULL, TRUE, BoolV, ClassModel, EnumV, IntV, ObjectModel, StrV)
+from modelkit.metamodel import ClassModel, EnumV, ObjectModel
 from modelkit.ocl.nodes import Binary, Literal, Unary
 from modelkit.fsm import (
     Session,
@@ -94,27 +93,27 @@ class TestStep:
 
     def test_guard_selects_transition(self):
         machine = guarded_machine()
-        taken = step(machine, new_session(machine), "tick", {"x": IntV(5)})
+        taken = step(machine, new_session(machine), "tick", {"x": 5})
         assert taken.current_state == "Pos"
 
     def test_failed_guard_falls_through_in_declaration_order(self):
         machine = guarded_machine()
-        fallback = step(machine, new_session(machine), "tick", {"x": IntV(0)})
+        fallback = step(machine, new_session(machine), "tick", {"x": 0})
         assert fallback.current_state == "Fallback"
         assert fallback.trace[-1].actions_fired == ("go_fb",)
 
     def test_payload_merges_before_matching_and_survives_noops(self):
         machine = greeting_machine()
         session = step(machine, new_session(machine), "bye",
-                       {"note": StrV("kept")})
+                       {"note": "kept"})
         assert session.current_state == "Idle"
-        assert session.variables == {"note": StrV("kept")}
+        assert session.variables == {"note": "kept"}
 
     def test_undeclared_event_raises_and_leaves_session_alone(self):
         machine = greeting_machine()
         session = new_session(machine)
         with pytest.raises(StepError) as info:
-            step(machine, session, "vanish", {"x": IntV(1)})
+            step(machine, session, "vanish", {"x": 1})
         assert info.value.diagnostic.code == "undeclared-event"
         assert session.variables == {} and session.trace == []
 
@@ -149,15 +148,15 @@ class TestStep:
 
         monkeypatch.setattr(modelkit.fsm, "evaluate_expression", evaluate)
         machine = guarded_machine()
-        for variables in ({"x": IntV(1)}, {"x": IntV(-1), "y": StrV("s")}):
+        for variables in ({"x": 1}, {"x": -1, "y": "s"}):
             before = dict(variables)
             run = run_scenario(machine, [("tick", variables)])
             assert variables == before and run.variables == before
             assert seen.pop() is run.variables
         session = new_session(machine)
         with pytest.raises(StepError):
-            step(machine, session, "tick", {"x": StrV("not a number")})
-        assert seen.pop() == {"x": StrV("not a number")} and session.variables == {}
+            step(machine, session, "tick", {"x": "not a number"})
+        assert seen.pop() == {"x": "not a number"} and session.variables == {}
 
 
 class TestRunScenario:
@@ -179,7 +178,7 @@ class TestRunScenario:
         assert info.value.session.current_state == "Greeting"
 
     def test_replay_determinism(self):
-        scenario = [("greet", {"k": IntV(1)}), ("bye", {})]
+        scenario = [("greet", {"k": 1}), ("bye", {})]
         a = run_scenario(greeting_machine(), scenario)
         b = run_scenario(greeting_machine(), scenario)
         assert format_trace(a) == format_trace(b)
@@ -194,12 +193,12 @@ class TestRunScenario:
             transitions=[Transition("S", "T", "go", guard=guard, guard_text=text)],
             initial_state="S")
         with pytest.raises(StepError) as info:
-            run_scenario(machine, [("stay", {"x": IntV(1)}), ("go", {"x": IntV(2)})])
+            run_scenario(machine, [("stay", {"x": 1}), ("go", {"x": 2})])
         assert info.value.diagnostic.code == "guard-error"
         assert info.value.diagnostic.message.endswith(
             "failed: expression nested too deeply")
         partial = info.value.session
-        assert (partial.current_state, partial.variables) == ("S", {"x": IntV(1)})
+        assert (partial.current_state, partial.variables) == ("S", {"x": 1})
         assert [e.event for e in partial.trace] == ["stay"]
 
     def test_states_stay_closed_under_stepping(self):
@@ -207,7 +206,7 @@ class TestRunScenario:
         names = {s.name for s in machine.states}
         session = new_session(machine)
         for x in (-1, 0, 3, 7, -2):
-            session = step(machine, session, "tick", {"x": IntV(x)})
+            session = step(machine, session, "tick", {"x": x})
             assert session.current_state in names
 
 
@@ -253,8 +252,8 @@ class TestFileFormats:
         assert steps[0] == ("greet", {})
         event, payload = steps[1]
         assert event == "tick"
-        assert payload == {"x": IntV(3), "label": StrV("hello there"),
-                           "done": BoolV(True)}
+        assert payload == {"x": 3, "label": "hello there", "done": True}
+        assert [type(v) for v in payload.values()] == [int, str, bool]
 
     def test_hash_inside_a_guard_string_is_not_a_comment(self):
         parsed = parse_machine(
@@ -262,24 +261,26 @@ class TestFileFormats:
             "trans A -> B on e when s = 'a#b'  # the only way out\n")
         assert parsed.ok, parsed.diagnostics
         assert parsed.model.transitions[0].guard_text == "s = 'a#b'"
-        session = run_scenario(parsed.model, [("e", {"s": StrV("a#b")})])
+        session = run_scenario(parsed.model, [("e", {"s": "a#b"})])
         assert session.current_state == "B"
 
     def test_hash_inside_a_payload_string_is_not_a_comment(self):
         steps, diags = parse_scenario('go x="a#b" # a comment\n')
         assert not diags
-        assert steps == [("go", {"x": StrV("a#b")})]
+        assert steps == [("go", {"x": "a#b"})]
 
     def test_escaped_quote_inside_a_payload_string(self):
         steps, diags = parse_scenario('go x="a\\"b" y="c\\\\" z=1\n')
         assert not diags
-        assert steps == [("go", {"x": StrV('a"b'), "y": StrV("c\\"), "z": IntV(1)})]
+        assert steps == [("go", {"x": 'a"b', "y": "c\\", "z": 1})]
+        assert type(steps[0][1]["z"]) is int
 
     def test_unquoted_payload_values_are_unchanged(self):
         steps, diags = parse_scenario("go x=3 y=true z=null w=Color::red\n")
         assert not diags
-        assert steps == [("go", {"x": IntV(3), "y": BoolV(True), "z": NULL,
+        assert steps == [("go", {"x": 3, "y": True, "z": None,
                                  "w": EnumV("Color", "red")})]
+        assert [type(v) for v in steps[0][1].values()] == [int, bool, type(None), EnumV]
 
     def test_unterminated_payload_string_is_a_bad_value(self):
         steps, diags = parse_scenario('go x="a\\"\n')
@@ -326,11 +327,14 @@ class TestSharedValues:
         assert not diags
         payloads = [payload for _, payload in steps]
         ones = [payloads[0]["x"], payloads[2]["x"], payloads[2]["z"]]
-        assert all(one is ones[0] for one in ones) and ones[0] == IntV(1)
+        assert all(one is ones[0] for one in ones) and type(ones[0]) is int and ones[0] == 1
         assert payloads[1]["x"] is payloads[4]["x"]
-        assert payloads[0]["y"] is payloads[4]["y"] is TRUE and payloads[1]["y"] is FALSE
+        assert payloads[0]["y"] is payloads[4]["y"] is True and payloads[1]["y"] is False
         again, _ = parse_scenario(SHARING_SCENARIO)
-        assert again == steps and again[0][1]["x"] is not ones[0]
+        assert again == steps
+        # Past the integers the interpreter itself shares, the reader shares.
+        big = [payload for _, payload in parse_scenario("go x=1000\ngo y=1000 x=1000\n")[0]]
+        assert big[0]["x"] is big[1]["y"] is big[1]["x"] == 1000
 
     def test_equal_guard_texts_in_one_machine_share_one_parse(self):
         machine = parse_machine(SHARING_MACHINE).model
@@ -345,7 +349,6 @@ class TestSharedValues:
         assert [(e.source, e.target) for e in session.trace] == [
             ("A", "A"), ("A", "A"), ("A", "A"), ("A", "B"), ("B", "A")]
         assert steps == parse_scenario(SHARING_SCENARIO)[0]
-        assert (TRUE.value, FALSE.value) == (True, False)
 
     def test_a_run_shares_one_trace_entry_per_transition_and_per_noop(self):
         machine = parse_machine(SHARING_MACHINE).model
@@ -395,13 +398,13 @@ class TestSharedValues:
         machine = parse_machine(SHARING_MACHINE).model
         # Each of the first two steps tries all three guards from A, the
         # second taking A -> B at the last; B -> A has no guard.
-        session = run_scenario(machine, [("go", {"x": IntV(1), "y": FALSE}),
-                                         ("go", {"x": IntV(-1)}), ("go", {})])
+        session = run_scenario(machine, [("go", {"x": 1, "y": False}),
+                                         ("go", {"x": -1}), ("go", {})])
         assert [(e.source, e.target) for e in session.trace] == [
             ("A", "A"), ("A", "B"), ("B", "A")]
         assert len(envs) == 6 and envs[0] is envs[1] is envs[2] is not envs[3]
         assert envs[3] is envs[4] is envs[5]
-        assert [envs[0], envs[3]] == [{"x": IntV(1), "y": FALSE}, {"x": IntV(-1), "y": FALSE}]
+        assert [envs[0], envs[3]] == [{"x": 1, "y": False}, {"x": -1, "y": False}]
 
     def test_a_guarded_run_constructs_no_scope(self, monkeypatch):
         """Every guard reads the one empty scope `fsm` holds."""
@@ -422,8 +425,8 @@ class TestSharedValues:
         session = run_scenario(parse_machine(SHARING_MACHINE).model, steps)
         assert (len(session.trace), len(tried), built) == (5, 12, [])
 
-    @pytest.mark.parametrize("guard", [Binary("%", Literal(IntV(7)), Literal(IntV(2))),
-                                       Unary("%", Literal(IntV(7)))])
+    @pytest.mark.parametrize("guard", [Binary("%", Literal(7), Literal(2)),
+                                       Unary("%", Literal(7))])
     def test_an_operator_the_evaluator_does_not_know_is_a_guard_error(self, guard):
         machine = StateMachine(
             name="m", states=[State("S"), State("T")], events=["go"],
@@ -463,9 +466,9 @@ def random_scenario(rng):
         event = "bogus" if rng.random() < 0.01 else rng.choice(["e0", "e1", "e2"])
         payload = {}
         if rng.random() < 0.7:
-            payload["x"] = IntV(rng.randint(0, 6))
+            payload["x"] = rng.randint(0, 6)
         if rng.random() < 0.1:
-            payload["y"] = IntV(rng.randint(0, 2))
+            payload["y"] = rng.randint(0, 2)
         steps.append((event, payload))
     return steps
 
@@ -489,9 +492,9 @@ def reference_run(machine, steps):
                                                 Scope(ObjectModel(), ClassModel()))
                 except OclRuntimeError:
                     return state, variables, trace, "guard-error"
-                if not isinstance(value, BoolV):
+                if type(value) is not bool:
                     return state, variables, trace, "guard-error"
-                if not value.value:
+                if not value:
                     continue
             fired = t
             break

@@ -18,8 +18,7 @@ from conftest import REPO
 from modelkit.cli import main
 from modelkit.diagnostics import int_text, read_int
 from modelkit.fsm import parse_machine, parse_scenario
-from modelkit.metamodel import (
-    AttributeLink, ClassModel, FloatV, IntV, Multiplicity, ObjectDef, ObjectModel, StrV)
+from modelkit.metamodel import AttributeLink, ClassModel, Multiplicity, ObjectDef, ObjectModel
 from modelkit.objtext import parse_object_model, render_value, serialize_object_model
 from modelkit.ocl.parser import parse_expression, parse_ocl
 from modelkit.puml import parse_class_model, serialize_class_model
@@ -93,7 +92,7 @@ def test_object_text_round_trips_arbitrary_strings(values):
     that has a UTF-8 form.  A high surrogate followed by a low one has no
     literal: JSON reads its two escapes as one character."""
     objects = ObjectModel(objects=[ObjectDef(
-        "o1", "K", slots=[AttributeLink(f"s{i}", StrV(v)) for i, v in enumerate(values)])])
+        "o1", "K", slots=[AttributeLink(f"s{i}", v) for i, v in enumerate(values)])])
     if any(re.search("[\ud800-\udbff][\udc00-\udfff]", v) for v in values):
         with pytest.raises(ValueError, match="no literal for a surrogate pair"):
             serialize_object_model(objects)
@@ -138,8 +137,10 @@ def test_a_long_slot_or_payload_integer_parses_up_to_the_limit(run, sign):
     objects = parse_object_model(objects_with(value), ClassModel(name="m"))
     steps, diagnostics = parse_scenario(f"go x={value} y=1\n")
     if length <= LIMIT:
-        assert objects.model.objects[0].slots[0].value == IntV(int(value))
-        assert steps == [("go", {"x": IntV(int(value)), "y": IntV(1)})]
+        slot = objects.model.objects[0].slots[0].value
+        assert type(slot) is int and slot == int(value)
+        assert steps == [("go", {"x": int(value), "y": 1})]
+        assert [type(v) for v in steps[0][1].values()] == [int, int]
     else:
         assert [d.code for d in objects.diagnostics] == ["bad-value"]
         assert [d.message for d in diagnostics] == ["malformed payload value for 'x'"]
@@ -169,7 +170,8 @@ def test_a_long_ocl_or_guard_literal_parses_up_to_the_limit(run):
                             f"trans S -> S on e when x < {literal}\n")
     if length <= LIMIT:
         assert constraints.ok and guard is not None and machine.ok
-        assert constraints.constraints[0].body.rhs.value == IntV(int(literal))
+        rhs = constraints.constraints[0].body.rhs.value
+        assert type(rhs) is int and rhs == int(literal)
     else:
         assert [(d.message, d.span.column) for d in constraints.diagnostics] == [
             (TOO_LONG, 27)]
@@ -193,15 +195,15 @@ def test_object_text_round_trips_the_longest_integer_and_refuses_a_longer_one(si
 
 def test_the_serializer_refuses_an_integer_it_could_not_read_back():
     """On every interpreter, whatever PYTHONINTMAXSTRDIGITS says."""
-    assert render_value(IntV(10 ** LIMIT - 1)) == "9" * LIMIT
-    assert render_value(IntV(-10 ** LIMIT + 1)) == "-" + "9" * LIMIT
+    assert render_value(10 ** LIMIT - 1) == "9" * LIMIT
+    assert render_value(-10 ** LIMIT + 1) == "-" + "9" * LIMIT
     message = f"the notation has no literal for an integer of more than {LIMIT} digits"
     for number in (10 ** LIMIT, -10 ** LIMIT, 10 ** 5000):
         with pytest.raises(ValueError) as raised:
-            render_value(IntV(number))
+            render_value(number)
         assert str(raised.value) == message
     objects = ObjectModel(objects=[ObjectDef("o1", "K", slots=[
-        AttributeLink("n", IntV(10 ** 5000))])])
+        AttributeLink("n", 10 ** 5000)])])
     with pytest.raises(ValueError) as raised:
         serialize_object_model(objects)
     assert str(raised.value) == f"cannot write slot 'o1.n': {message}"
@@ -266,18 +268,18 @@ def test_readers_and_writers_convert_the_longest_literal_under_any_digit_limit(l
     finally:
         sys.set_int_max_str_digits(before)
     assert model.associations[0].ends[0].multiplicity == Multiplicity(number, number)
-    assert objects.objects[0].slots[0].value == IntV(-number)
-    assert steps == [("go", {"x": IntV(number), "y": IntV(-number)})]
-    assert constraints.constraints[0].body.rhs.value == IntV(number)
+    assert objects.objects[0].slots[0].value == -number
+    assert steps == [("go", {"x": number, "y": -number})]
+    assert constraints.constraints[0].body.rhs.value == number
     assert parse_class_model(written[0]).model == model and written[1] == objects_text
 
 
 def test_the_scenario_and_ocl_readers_take_the_longest_literal():
     longest = digit_run(LIMIT, "9")
     steps, diagnostics = parse_scenario(f"go x=-{longest}\n")
-    assert steps == [("go", {"x": IntV(-int(longest))})] and diagnostics == []
+    assert steps == [("go", {"x": -int(longest)})] and diagnostics == []
     constraints = parse_ocl(f"context A inv c: self.x > -{longest}")
-    assert constraints.constraints[0].body.rhs.operand.value == IntV(int(longest))
+    assert constraints.constraints[0].body.rhs.operand.value == int(longest)
     steps, diagnostics = parse_scenario(f"go x={longest}9\n")
     assert steps == [] and [d.code for d in diagnostics] == ["bad-value"]
     constraints = parse_ocl(f"context A inv c: self.x > {longest}9")
@@ -290,7 +292,7 @@ def test_an_ocl_or_guard_float_literal_past_the_largest_float_is_a_syntax_error(
     evaluating as infinity."""
     largest, huge = "1" + "0" * 308 + ".0", "1" + "0" * 400 + ".0"
     expr, diagnostics = parse_expression(f"x < {largest}")
-    assert diagnostics == [] and expr.rhs.value == FloatV(1e308)
+    assert diagnostics == [] and expr.rhs.value == 1e308
     message = "float literal out of range"
     for text in (f"{huge} > 0", f"{huge} * 1.0"):
         expr, diagnostics = parse_expression(text)

@@ -15,7 +15,6 @@ from modelkit.metamodel import (
     ClassDef,
     ClassModel,
     Generalization,
-    IntV,
     Link,
     ObjectDef,
     ObjectModel,
@@ -38,7 +37,7 @@ def messy_population(rng):
     pos = rng.randrange(2)
     model.classes.append(ClassDef("Sub", properties=[Property("psub", "int")]))
     model.generalizations.append(Generalization(assoc.ends[pos].target, "Sub"))
-    sub = ObjectDef("sub0", "Sub", slots=[AttributeLink("psub", IntV(1))])
+    sub = ObjectDef("sub0", "Sub", slots=[AttributeLink("psub", 1)])
     objects.objects.insert(rng.randrange(len(objects.objects) + 1), sub)
     for _ in range(rng.randint(1, 3)):
         ends = [rng.choice(objects.objects).id for _ in range(2)]
@@ -108,9 +107,9 @@ def test_duplicate_class_names_resolve_to_the_first_declaration():
         ClassDef("A", is_abstract=True, properties=[Property("y", "str")]),
     ])
     objects = ObjectModel(objects=[
-        ObjectDef("a1", "A", slots=[AttributeLink("x", IntV(1))])])
+        ObjectDef("a1", "A", slots=[AttributeLink("x", 1)])])
     assert check_conformance(objects, model) == []
-    body = Binary("=", Nav(SelfRef(), "x"), Literal(IntV(1)))
+    body = Binary("=", Nav(SelfRef(), "x"), Literal(1))
     [result] = check_all([OclConstraint("A", "inv", body)], objects, model)
     assert [(r.object_id, r.verdict) for r in result.per_instance] == [("a1", "true")]
     pruned, diags = enforce_conformance(objects, model)

@@ -1,24 +1,20 @@
+import math
+
 import pytest
 
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
     EnumDef,
     EnumV,
-    FALSE,
-    FloatV,
-    IntV,
     Link,
     Multiplicity,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
-    TRUE,
 )
 from modelkit.ocl.interp import (
     OclRuntimeError,
@@ -42,6 +38,11 @@ def ev(text, env=None, objects=EMPTY_OBJECTS, model=EMPTY_MODEL):
     return evaluate_expression(expr, env or {}, Scope(objects, model))
 
 
+def exactly(value, expected) -> bool:
+    """value == expected and of its exact type: 1 == 1.0 == True in Python."""
+    return type(value) is type(expected) and value == expected
+
+
 def dpp_world(n_stages=2, empty_dates=()):
     model = ClassModel(name="dpp")
     model.classes.append(ClassDef("ProductPassport", properties=[
@@ -54,11 +55,11 @@ def dpp_world(n_stages=2, empty_dates=()):
     )))
     objects = ObjectModel()
     objects.objects.append(ObjectDef("p1", "ProductPassport", slots=[
-        AttributeLink("code", StrV("DPP-001"))]))
+        AttributeLink("code", "DPP-001")]))
     for i in range(n_stages):
         date = "" if i in empty_dates else f"2024-0{i + 1}-01"
         objects.objects.append(ObjectDef(f"s{i}", "Stage", slots=[
-            AttributeLink("start_date", StrV(date))]))
+            AttributeLink("start_date", date)]))
         objects.links.append(Link("stages", ("p1", f"s{i}")))
     return model, objects
 
@@ -71,11 +72,11 @@ class TestParsing:
         assert constraint.context_class == "ProductPassport"
         assert constraint.name == "hasCode"
         assert constraint.body == Binary("<>", Nav(SelfRef(), "code"),
-                                         Literal(StrV("")))
+                                         Literal(""))
 
     def test_trivial_body(self):
         result = parse_ocl("context A inv t: true")
-        assert result.constraints[0].body == Literal(BoolV(True))
+        assert result.constraints[0].body == Literal(True)
 
     def test_syntax_error_carries_position(self):
         result = parse_ocl("context A inv bad: self.")
@@ -107,32 +108,32 @@ class TestParsing:
         assert expr == Binary(
             "and",
             Binary("=",
-                   Binary("+", Literal(IntV(1)),
-                          Binary("*", Literal(IntV(2)), Literal(IntV(3)))),
-                   Literal(IntV(7))),
-            Literal(BoolV(True)))
+                   Binary("+", Literal(1),
+                          Binary("*", Literal(2), Literal(3))),
+                   Literal(7)),
+            Literal(True))
 
     def test_implies_is_right_associative(self):
         expr, _ = parse_expression("false implies false implies false")
-        assert expr == Binary("implies", Literal(BoolV(False)),
-                              Binary("implies", Literal(BoolV(False)),
-                                     Literal(BoolV(False))))
+        assert expr == Binary("implies", Literal(False),
+                              Binary("implies", Literal(False),
+                                     Literal(False)))
 
 
 class TestEvaluation:
     def test_arithmetic_precedence(self):
-        assert ev("1 + 2 * 3") == IntV(7)
+        assert exactly(ev("1 + 2 * 3"), 7)
 
     def test_if_expression(self):
-        assert ev("if false then 1 else 2 endif") == IntV(2)
+        assert exactly(ev("if false then 1 else 2 endif"), 2)
 
     def test_int_division_floors(self):
-        assert ev("7 / 2") == IntV(3)
-        assert ev("-7 / 2") == IntV(-4)
+        assert exactly(ev("7 / 2"), 3)
+        assert exactly(ev("-7 / 2"), -4)
 
     def test_float_promotion(self):
-        assert ev("1 + 0.5") == FloatV(1.5)
-        assert ev("7 / 2.0") == FloatV(3.5)
+        assert exactly(ev("1 + 0.5"), 1.5)
+        assert exactly(ev("7 / 2.0"), 3.5)
 
     def test_division_by_zero_is_a_runtime_error(self):
         with pytest.raises(OclRuntimeError):
@@ -141,20 +142,32 @@ class TestEvaluation:
             ev("1.0 / 0.0")
 
     def test_string_comparison(self):
-        assert ev("'abc' < 'abd'") == BoolV(True)
-        assert ev("'a' >= 'b'") == BoolV(False)
+        assert ev("'abc' < 'abd'") is True
+        assert ev("'a' >= 'b'") is False
 
     def test_equality_across_kinds_is_false(self):
-        assert ev("1 = 'a'") == BoolV(False)
-        assert ev("1 <> 'a'") == BoolV(True)
-        assert ev("true = 1") == BoolV(False)
+        assert ev("1 = 'a'") is False
+        assert ev("1 <> 'a'") is True
+        assert ev("true = 1") is False
 
     def test_numeric_equality_crosses_int_and_float(self):
-        assert ev("3 = 3.0") == BoolV(True)
+        assert ev("3 = 3.0") is True
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1 = true", False), ("1 <> true", True), ("1 = 1.0", True), ("null = null", True)])
+    def test_equality_keeps_booleans_apart_from_numbers(self, text, expected):
+        assert ev(text) is expected
+
+    def test_a_nan_slot_is_unequal_to_itself(self):
+        model = ClassModel("m", [ClassDef("A", properties=[Property("x", "float")])])
+        objects = ObjectModel([ObjectDef("a", "A", [AttributeLink("x", math.nan)])])
+        constraint = parse_ocl("context A inv same: self.x = self.x").constraints[0]
+        result = evaluate_constraint(constraint, Scope(objects, model))
+        assert result.per_instance[0].verdict == "false"
 
     def test_null_tests(self):
-        assert ev("null = null") == BoolV(True)
-        assert ev("1 <> null") == BoolV(True)
+        assert ev("null = null") is True
+        assert ev("1 <> null") is True
 
     def test_arithmetic_on_null_is_an_error(self):
         with pytest.raises(OclRuntimeError):
@@ -166,20 +179,24 @@ class TestEvaluation:
 
     def test_short_circuit_identities(self):
         # The right operand would divide by zero if it were evaluated.
-        assert ev("false and 1 / 0 = 0") == BoolV(False)
-        assert ev("true or 1 / 0 = 0") == BoolV(True)
-        assert ev("false implies 1 / 0 = 0") == BoolV(True)
+        assert ev("false and 1 / 0 = 0") is False
+        assert ev("true or 1 / 0 = 0") is True
+        assert ev("false implies 1 / 0 = 0") is True
 
     def test_errors_on_the_left_still_propagate(self):
         with pytest.raises(OclRuntimeError):
             ev("1 / 0 = 0 and false")
 
-    @pytest.mark.parametrize("text, shared", [
-        ("1 < 2", TRUE), ("2 < 3", TRUE), ("3 < 2", FALSE), ("1 = 1.0", TRUE),
-        ("1 <> 1", FALSE), ("true and false", FALSE), ("false or true", TRUE),
-        ("false implies 1 / 0 = 0", TRUE), ("not true", FALSE), ("true", TRUE),
-        ("false", FALSE)])
+    BOOLEANS = [
+        ("1 < 2", True), ("2 < 3", True), ("3 < 2", False), ("1 = 1.0", True),
+        ("1 <> 1", False), ("true and false", False), ("false or true", True),
+        ("false implies 1 / 0 = 0", True), ("not true", False), ("true", True),
+        ("false", False)]
+
+    @pytest.mark.parametrize("text, shared", BOOLEANS,
+                             ids=[f"{text}-shared{i}" for i, (text, _) in enumerate(BOOLEANS)])
     def test_every_boolean_is_one_of_two_shared_values(self, text, shared):
+        """Python's own True or False, never another object that equals one."""
         assert ev(text) is shared
 
 
@@ -217,7 +234,7 @@ class TestNavigation:
 
         model2, objects2 = dpp_world(n_stages=0)
         objects2.objects.append(ObjectDef("lone", "Stage", slots=[
-            AttributeLink("start_date", StrV("x"))]))
+            AttributeLink("start_date", "x")]))
         null_nav = parse_ocl(
             "context Stage inv unlinked: self.ProductPassport = null"
         ).constraints[0]
@@ -265,7 +282,7 @@ class TestNavigation:
         model.classes.append(ClassDef("Design"))
         model.generalizations.append(Generalization("Stage", "Design"))
         objects.objects.append(ObjectDef("d1", "Design", slots=[
-            AttributeLink("start_date", StrV("2024"))]))
+            AttributeLink("start_date", "2024")]))
         constraint = parse_ocl(
             "context Stage inv started: self.start_date <> ''").constraints[0]
         result = evaluate_constraint(constraint, Scope(objects, model))
@@ -296,7 +313,7 @@ class TestCollections:
             "->collect(s | s.start_date)")
         env = {"self": objects.objects[0]}
         values = evaluate_expression(expr, env, Scope(objects, model))
-        assert values == [StrV("2024-01-01"), StrV("2024-03-01")]
+        assert values == ["2024-01-01", "2024-03-01"]
 
     def test_collect_refuses_nested_collections(self):
         model, objects = dpp_world(n_stages=1)
@@ -311,7 +328,7 @@ class TestCollections:
         expr, _ = parse_expression(
             "self.stages->collect(s | s.start_date)->includes('2024-01-01')")
         env = {"self": objects.objects[0]}
-        assert evaluate_expression(expr, env, Scope(objects, model)) == BoolV(True)
+        assert evaluate_expression(expr, env, Scope(objects, model)) is True
 
     def test_size_on_scalar_is_an_error(self):
         with pytest.raises(OclRuntimeError):
@@ -355,7 +372,7 @@ class TestCheckAll:
 
     def test_unknown_context_class(self):
         model, objects = dpp_world()
-        results = check_all([OclConstraint("Ghost", "g", Literal(BoolV(True)))],
+        results = check_all([OclConstraint("Ghost", "g", Literal(True))],
                             objects, model)
         assert results[0].message is not None
         assert not results[0].passed
@@ -415,7 +432,7 @@ def error_world():
     objects.objects.append(ObjectDef("p2", "ProductPassport"))
     objects.links.append(Link("stages", ("p2", "ghost")))
     return model, objects, {"self": objects.objects[0], "orphan": objects.objects[2],
-                            "x": FloatV(1.5e308)}
+                            "x": 1.5e308}
 
 
 class Mystery(OclExpr):
@@ -476,10 +493,10 @@ class TestRuntimeErrorMessages:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("node", [
-        Binary("%", Literal(IntV(7)), Literal(IntV(2))),
-        Binary("%", Literal(StrV("a")), Literal(StrV("b"))),
-        Unary("%", Literal(IntV(7))),
-        CollectionOp(Nav(SelfRef(), "stages"), "%", "s", Literal(IntV(7))),
+        Binary("%", Literal(7), Literal(2)),
+        Binary("%", Literal("a"), Literal("b")),
+        Unary("%", Literal(7)),
+        CollectionOp(Nav(SelfRef(), "stages"), "%", "s", Literal(7)),
     ])
     def test_an_operator_the_evaluator_does_not_know_is_an_error_verdict(self, node):
         """Nodes built through the API: the parser never builds these."""
@@ -491,7 +508,7 @@ class TestRuntimeErrorMessages:
 
     def test_unknown_expression_node(self):
         with pytest.raises(OclRuntimeError) as caught:
-            evaluate_expression(Binary("and", Literal(BoolV(True)), Mystery()),
+            evaluate_expression(Binary("and", Literal(True), Mystery()),
                                 {}, Scope(EMPTY_OBJECTS, EMPTY_MODEL))
         assert str(caught.value) == "unknown expression node Mystery"
 
@@ -528,7 +545,7 @@ class TestVariablesAgainstTheOracle:
     # Free variables given in several frames, outermost first, and flattened
     # into one dict where the innermost wins; `x` appears in two frames and
     # as an iterator variable.
-    FRAMES = [{"x": IntV(1), "limit": IntV(10)}, {"y": IntV(7)}, {"x": IntV(5)}]
+    FRAMES = [{"x": 1, "limit": 10}, {"y": 7}, {"x": 5}]
     FREE = [
         "x + y < limit",
         "x = 5 and y = 7 and limit = 10",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modelkit.metamodel import NULL, BoolV, ClassModel, FloatV, IntV, ObjectModel, StrV
+from modelkit.metamodel import ClassModel, ObjectModel
 from modelkit.ocl.interp import (OclRuntimeError, Scope, check_all, evaluate_constraint,
                                  evaluate_expression)
 from modelkit.ocl.nodes import Binary, Literal, OclConstraint
@@ -107,14 +107,13 @@ def test_batch_checking_matches_per_constraint_oracle_runs():
 # equal operands and floats whose sum, difference, product or quotient
 # overflows among them.
 OPERANDS = [
-    *((IntV(a), IntV(b)) for a, b in [(7, 2), (-7, 2), (7, -2), (3, 3), (0, 5), (5, 0)]),
-    *((IntV(a), FloatV(b)) for a, b in [(7, 2.0), (-7, 2.0), (3, 3.0), (5, 0.0)]),
-    *((FloatV(a), IntV(b)) for a, b in [(7.5, 2), (-7.5, 2), (3.0, 3), (5.5, 0)]),
-    *((FloatV(a), FloatV(b)) for a, b in [(7.5, 2.5), (-7.0, 2.0), (2.5, 2.5), (1.0, 0.0),
-                                          (1.5e308, 1.5e308), (-1.5e308, 1.5e308),
-                                          (1.5e308, 0.1)]),
-    *((StrV(a), StrV(b)) for a, b in [("a", "b"), ("b", "a"), ("a", "a"), ("", "a")]),
-    (IntV(1), StrV("1")), (StrV("a"), FloatV(1.0)), (BoolV(True), IntV(1)), (NULL, IntV(0)),
+    (7, 2), (-7, 2), (7, -2), (3, 3), (0, 5), (5, 0),
+    (7, 2.0), (-7, 2.0), (3, 3.0), (5, 0.0),
+    (7.5, 2), (-7.5, 2), (3.0, 3), (5.5, 0),
+    (7.5, 2.5), (-7.0, 2.0), (2.5, 2.5), (1.0, 0.0), (1.5e308, 1.5e308), (-1.5e308, 1.5e308),
+    (1.5e308, 0.1),
+    ("a", "b"), ("b", "a"), ("a", "a"), ("", "a"),
+    (1, "1"), ("a", 1.0), (True, 1), (None, 0),
 ]
 # The evaluator's text for each refusal the oracle names.
 RUNTIME_ERRORS = {
@@ -127,8 +126,8 @@ RUNTIME_ERRORS = {
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "<", "<=", ">", ">="])
 def test_each_operator_yields_the_oracles_record(op):
-    """Same record type and value, not only the same verdict: `1 + 2 = 3.0`
-    holds whether `+` yields IntV(3) or FloatV(3.0)."""
+    """Same type and value (their repr tells 3, 3.0 and True apart), not
+    only the same verdict: `1 + 2 = 3.0` holds whether `+` yields 3 or 3.0."""
     for lhs, rhs in OPERANDS:
         expr = Binary(op, Literal(lhs), Literal(rhs))
         try:

@@ -5,7 +5,7 @@ what they had as dataclasses: a `Name(field=value, ...)` repr, equality
 field by field (as tuples, so a shared NaN still equals itself) only
 within one class and without where they were read (`span`, `line`,
 `file`; the position a span, token or diagnostic holds counts), and no
-hash.
+hash.  Unlike a tuple's, fields of different exact types are unequal.
 """
 
 import math
@@ -17,26 +17,19 @@ from modelkit.codegen.sqlddl import _Table
 from modelkit.diagnostics import Diagnostic, ParseResult, Record, Severity, SourceSpan
 from modelkit.fsm import Session, State, StateMachine, TraceEntry, Transition
 from modelkit.metamodel import (
-    NULL,
     Association,
     AssociationEnd,
     AttributeLink,
-    BoolV,
     ClassDef,
     ClassModel,
     EnumDef,
     EnumV,
-    FloatV,
     Generalization,
-    IntV,
     Link,
     Multiplicity,
-    NullV,
     ObjectDef,
     ObjectModel,
     Property,
-    StrV,
-    Value,
 )
 from modelkit.ocl.nodes import (
     Binary,
@@ -60,8 +53,6 @@ SOURCE = {"span": SourceSpan("elsewhere", 9), "line": 9, "file": "elsewhere"}
 
 # One instance of each record class and its repr, as the dataclasses wrote it.
 RECORDS = [
-    (Value(),
-     'Value()'),
     (SourceSpan('m.puml', 3, 5),
      "SourceSpan(file='m.puml', line=3, column=5)"),
     (Diagnostic(Severity.ERROR, 'bad-name', 'x', SPAN, 'C'),
@@ -71,18 +62,8 @@ RECORDS = [
      'ParseResult(model=None, '
      "diagnostics=[Diagnostic(severity=<Severity.WARNING: 'warning'>, code='all-null', "
      "message='y', span=None, subject=None)])"),
-    (IntV(3),
-     'IntV(value=3)'),
-    (FloatV(2.5),
-     'FloatV(value=2.5)'),
-    (StrV('a"b'),
-     'StrV(value=\'a"b\')'),
-    (BoolV(True),
-     'BoolV(value=True)'),
     (EnumV('Color', 'RED'),
      "EnumV(enum='Color', literal='RED')"),
-    (NullV(),
-     'NullV()'),
     (Multiplicity(1, None),
      'Multiplicity(lower=1, upper=None)'),
     (Property('code', 'str', True, SPAN),
@@ -112,32 +93,32 @@ RECORDS = [
      "span=None)], enumerations=[EnumDef(name='E', literals=['X'], span=None)], "
      "associations=[], generalizations=[Generalization(general='A', specific='B', "
      'span=None)])'),
-    (AttributeLink('code', StrV('c'), 3),
-     "AttributeLink(property_name='code', value=StrV(value='c'), line=3)"),
-    (ObjectDef('p1', 'Part', [AttributeLink('n', IntV(1))], 3),
+    (AttributeLink('code', 'c', 3),
+     "AttributeLink(property_name='code', value='c', line=3)"),
+    (ObjectDef('p1', 'Part', [AttributeLink('n', 1)], 3),
      "ObjectDef(id='p1', classifier='Part', slots=[AttributeLink(property_name='n', "
-     "value=IntV(value=1), line=0)], line=3)"),
+     "value=1, line=0)], line=3)"),
     (Link('has', ('a', 'b'), 3),
      "Link(association_name='has', ends=('a', 'b'), line=3)"),
     (ObjectModel([ObjectDef('a', 'A')], [Link('r', ('a', 'a'))], 'p.objs'),
      "ObjectModel(objects=[ObjectDef(id='a', classifier='A', slots=[], "
      "line=0)], links=[Link(association_name='r', ends=('a', 'a'), line=0)], "
      "file='p.objs')"),
-    (Literal(IntV(1)),
-     'Literal(value=IntV(value=1))'),
+    (Literal(1),
+     'Literal(value=1)'),
     (SelfRef(),
      'SelfRef()'),
     (VarRef('x'),
      "VarRef(name='x')"),
     (Nav(SelfRef(), 'code'),
      "Nav(source=SelfRef(), name='code')"),
-    (Unary('-', Literal(IntV(1))),
-     "Unary(op='-', operand=Literal(value=IntV(value=1)))"),
+    (Unary('-', Literal(1)),
+     "Unary(op='-', operand=Literal(value=1))"),
     (Binary('and', VarRef('a'), VarRef('b')),
      "Binary(op='and', lhs=VarRef(name='a'), rhs=VarRef(name='b'))"),
-    (If(VarRef('c'), Literal(IntV(1)), Literal(NULL)),
-     "If(condition=VarRef(name='c'), then_branch=Literal(value=IntV(value=1)), "
-     'else_branch=Literal(value=NullV()))'),
+    (If(VarRef('c'), Literal(1), Literal(None)),
+     "If(condition=VarRef(name='c'), then_branch=Literal(value=1), "
+     'else_branch=Literal(value=None))'),
     (CollectionOp(SelfRef(), 'forAll', 's', VarRef('s')),
      "CollectionOp(source=SelfRef(), op='forAll', var='s', body=VarRef(name='s'))"),
     (OclConstraint('Part', 'inv1', SelfRef(), SPAN),
@@ -159,8 +140,8 @@ RECORDS = [
      "guard_text=None)], initial_state='A')"),
     (TraceEntry('go', 'A', 'B', ('greet',)),
      "TraceEntry(event='go', source='A', target='B', actions_fired=('greet',))"),
-    (Session('A', {'x': IntV(1)}, [TraceEntry('go', 'A', 'A')]),
-     "Session(current_state='A', variables={'x': IntV(value=1)}, "
+    (Session('A', {'x': 1}, [TraceEntry('go', 'A', 'A')]),
+     "Session(current_state='A', variables={'x': 1}, "
      "trace=[TraceEntry(event='go', source='A', target='A', actions_fired=())])"),
     (GeneratedArtifact('sql/schema.sql', 'CREATE'),
      "GeneratedArtifact(relative_path='sql/schema.sql', content='CREATE')"),
@@ -201,7 +182,7 @@ def rebuilt(record, **changes):
 
 def test_the_table_holds_every_record_class():
     classes = [type(record) for record, _ in RECORDS]
-    assert len(classes) == len(set(classes)) == 43
+    assert len(classes) == len(set(classes)) == 37
     assert set(classes) == all_record_classes() - {OclExpr}  # OclExpr is only a base
 
 
@@ -239,25 +220,29 @@ def test_class_patterns_take_the_fields_in_order(record, text):
 
 
 def test_a_positional_class_pattern_binds_the_fields():
-    match IntV(3), EnumV("Color", "RED"), Nav(SelfRef(), "code"):
-        case IntV(v), EnumV(e, lit), Nav(SelfRef(), name):
-            assert (v, e, lit, name) == (3, "Color", "RED", "code")
+    match EnumV("Color", "RED"), Nav(SelfRef(), "code"):
+        case EnumV(e, lit), Nav(SelfRef(), name):
+            assert (e, lit, name) == ("Color", "RED", "code")
         case _:
             pytest.fail("no positional match")
 
 
 def test_values_of_different_kinds_are_unequal():
-    assert IntV(1) != FloatV(1.0) and FloatV(1.0) != IntV(1)
-    assert IntV(1).__eq__(FloatV(1.0)) is NotImplemented
-    assert SelfRef() != NullV() and NullV() == NULL
+    """1 == True == 1.0 in Python; as record fields they differ."""
+    slots = [AttributeLink("x", 1), AttributeLink("x", True), AttributeLink("x", 1.0)]
+    for i, a in enumerate(slots):
+        for j, b in enumerate(slots):
+            assert (a == b) == (i == j) and (a != b) == (i != j)
+    assert Literal(1) != Literal(True) and Literal(0) != Literal(False)
+    assert EnumV("Color", "RED").__eq__("RED") is NotImplemented
+    assert EnumV("Color", "RED") != "RED" and Literal(None) == Literal(None)
 
 
 def test_a_shared_nan_equals_itself_as_in_a_tuple():
     nan = math.nan
-    assert FloatV(nan) == FloatV(nan)
-    assert FloatV(float("nan")) != FloatV(float("nan"))
-    assert AttributeLink("x", FloatV(nan)) == AttributeLink("x", FloatV(nan))
-    assert Literal(FloatV(nan)) == Literal(FloatV(nan))
+    assert AttributeLink("x", nan) == AttributeLink("x", nan)
+    assert AttributeLink("x", float("nan")) != AttributeLink("x", float("nan"))
+    assert Literal(nan) == Literal(nan)
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=IDS)
