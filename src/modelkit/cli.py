@@ -29,6 +29,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class _Exit(Exception):
+    """Ends a command with the exit status it carries, once its reason is printed."""
+
+
 def _report(diagnostics: list) -> None:
     from modelkit.diagnostics import Severity
 
@@ -39,25 +43,24 @@ def _report(diagnostics: list) -> None:
         print(f"{errors} error(s)", file=sys.stderr)
 
 
-def _read(path: str) -> str | None:
+def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         print(f"error: cannot read {path}: {reason}", file=sys.stderr)
-        return None
+        raise _Exit(EXIT_USAGE) from None
 
 
-def _write(path: Path, content: str, mkdir: bool = True) -> bool:
+def _write(path: Path, content: str, mkdir: bool = True) -> None:
     try:
         if mkdir:
             path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
-        return True
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
+        raise _Exit(EXIT_USAGE) from None
 
 
 def _parse_exit(diagnostics: list) -> int:
@@ -71,22 +74,20 @@ def _parse_exit(diagnostics: list) -> int:
 
 
 def _load(path: str, parse, *args):
-    """The model `parse(text, *args, filename=path)` reads from `path`, and
-    an exit code; exactly one of the two is meaningful."""
-    text = _read(path)
-    if text is None:
-        return None, EXIT_USAGE
-    result = parse(text, *args, filename=path)
+    """The model `parse(text, *args, filename=path)` reads from `path`; when
+    it reads none, its diagnostics are printed and the command ends."""
+    result = parse(_read(path), *args, filename=path)
     if result.model is None:
         _report(result.diagnostics)
-        return None, _parse_exit(result.diagnostics)
-    return result.model, EXIT_OK
+        raise _Exit(_parse_exit(result.diagnostics))
+    return result.model
 
 
 def cmd_validate(model: str) -> int:
     from modelkit.puml import parse_class_model
 
-    return _load(model, parse_class_model)[1]
+    _load(model, parse_class_model)
+    return EXIT_OK
 
 
 def cmd_check(model: str, objects: str, ocl: str) -> int:
@@ -96,16 +97,9 @@ def cmd_check(model: str, objects: str, ocl: str) -> int:
     from modelkit.objtext import parse_object_model
     from modelkit.puml import parse_class_model
 
-    classes, code = _load(model, parse_class_model)
-    if classes is None:
-        return code
-    population, code = _load(objects, parse_object_model, classes)
-    if population is None:
-        return code
-    ocl_text = _read(ocl)
-    if ocl_text is None:
-        return EXIT_USAGE
-    constraints = parse_ocl(ocl_text, filename=ocl)
+    classes = _load(model, parse_class_model)
+    population = _load(objects, parse_object_model, classes)
+    constraints = parse_ocl(_read(ocl), filename=ocl)
     if constraints.diagnostics:
         _report(constraints.diagnostics)
         return EXIT_USAGE
@@ -135,9 +129,7 @@ def cmd_generate(model: str, target: str, out: str) -> int:
     from modelkit.diagnostics import has_errors
     from modelkit.puml import parse_class_model
 
-    classes, code = _load(model, parse_class_model)
-    if classes is None:
-        return code
+    classes = _load(model, parse_class_model)
     registry = builtin_registry()
     try:
         result = registry.generate(target, classes)
@@ -148,8 +140,7 @@ def cmd_generate(model: str, target: str, out: str) -> int:
     made: set[Path] = set()  # each directory is made once, not once per artifact
     for artifact in result.artifacts:
         path = out_root / artifact.relative_path
-        if not _write(path, artifact.content, path.parent not in made):
-            return EXIT_USAGE
+        _write(path, artifact.content, path.parent not in made)
         made.add(path.parent)
         print(path)
     _report(result.diagnostics)
@@ -160,18 +151,12 @@ def cmd_fsm_run(machine: str, scenario: str) -> int:
     from modelkit.fsm import (StepError, format_trace, parse_machine, read_scenario,
                               run_scenario)
 
-    machine_text = _read(machine)
-    if machine_text is None:
-        return EXIT_USAGE
-    parsed = parse_machine(machine_text, filename=machine)
+    parsed = parse_machine(_read(machine), filename=machine)
     if parsed.model is None:
         _report(parsed.diagnostics)
         return EXIT_USAGE
-    scenario_text = _read(scenario)
-    if scenario_text is None:
-        return EXIT_USAGE
     diags: list = []
-    steps = read_scenario(scenario_text, scenario, diags)
+    steps = read_scenario(_read(scenario), scenario, diags)
     failure = None
     try:
         session = run_scenario(parsed.model, steps)
@@ -194,9 +179,7 @@ def cmd_infer(objects: str, out: str) -> int:
     from modelkit.objtext import parse_object_model
     from modelkit.puml import serialize_class_model
 
-    population, code = _load(objects, parse_object_model, None)  # needs no class model
-    if population is None:
-        return code
+    population = _load(objects, parse_object_model, None)  # needs no class model
     diagnostics: list = []
     classes = infer_class_model(population, diagnostics)
     _report(diagnostics)
@@ -205,8 +188,7 @@ def cmd_infer(objects: str, out: str) -> int:
     except ValueError as exc:  # the inferred model is invalid
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if not _write(Path(out), text):
-        return EXIT_USAGE
+    _write(Path(out), text)
     print(out)
     return EXIT_OK
 
@@ -217,16 +199,11 @@ def cmd_enforce(model: str, objects: str, out: str) -> int:
     from modelkit.objtext import parse_object_model, serialize_object_model
     from modelkit.puml import parse_class_model
 
-    classes, code = _load(model, parse_class_model)
-    if classes is None:
-        return code
-    population, code = _load(objects, parse_object_model, classes)
-    if population is None:
-        return code
+    classes = _load(model, parse_class_model)
+    population = _load(objects, parse_object_model, classes)
     pruned, diagnostics = enforce_conformance(population, classes)
     _report(diagnostics)
-    if not _write(Path(out), serialize_object_model(pruned)):
-        return EXIT_USAGE
+    _write(Path(out), serialize_object_model(pruned))
     print(out)
     return EXIT_FAIL if has_errors(diagnostics) else EXIT_OK
 
@@ -275,10 +252,10 @@ def _help(command: str | None) -> str:
     return "\n".join(lines)
 
 
-def _usage_error(command: str | None, message: str) -> int:
+def _usage_error(command: str | None, message: str) -> None:
     prog = "modelkit" if command is None else f"modelkit {command}"
     print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
-    return EXIT_USAGE
+    raise _Exit(EXIT_USAGE)
 
 
 def _names(token: str, options) -> list[str]:
@@ -300,16 +277,16 @@ def _is_value(token: str) -> bool:
 
 
 def _command(argv: list[str]):
-    """The handler `argv` names and the options to call it with, or the exit
-    status once help or a usage error is printed.  Help wins over an
+    """The handler `argv` names and the options to call it with; help or a
+    usage error is printed and ends the command instead.  Help wins over an
     unknown argument, and a missing option is reported before an unknown
     one."""
     if argv and _names(argv[0], ()) == ["help"]:
         print(_help(None))
-        return EXIT_OK
+        raise _Exit(EXIT_OK)
     if not argv or argv[0] not in _COMMANDS:
         given = f"invalid choice: {argv[0]!r}" if argv else "a command is required"
-        return _usage_error(None, f"{given} (choose from {', '.join(_COMMANDS)})")
+        _usage_error(None, f"{given} (choose from {', '.join(_COMMANDS)})")
     command, tokens = argv[0], iter(argv[1:])
     _, func, options = _COMMANDS[command]
     values: dict[str, str] = {}
@@ -318,23 +295,22 @@ def _command(argv: list[str]):
         names = _names(token, options)
         if len(names) > 1:
             listed = ", ".join(f"--{name}" for name in names)
-            return _usage_error(command, f"ambiguous option: {token} could match {listed}")
+            _usage_error(command, f"ambiguous option: {token} could match {listed}")
         if not names:
             unknown.append(token)
         elif names[0] == "help":
             print(_help(command))
-            return EXIT_OK
+            raise _Exit(EXIT_OK)
         else:  # an empty value names no file, target or directory
             value = token.partition("=")[2] if "=" in token else next(tokens, "")
             if not value or not ("=" in token or _is_value(value)):
-                return _usage_error(command, f"argument --{names[0]}: expected one argument")
+                _usage_error(command, f"argument --{names[0]}: expected one argument")
             values[names[0]] = value
     missing = [f"--{name}" for name in options if name not in values]
     if missing:
-        return _usage_error(command, "the following arguments are required: "
-                            + ", ".join(missing))
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        return _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
     return func, values
 
 
@@ -346,8 +322,11 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        command = _command(sys.argv[1:] if argv is None else argv)
-        code = command if isinstance(command, int) else command[0](**command[1])
+        try:
+            handler, options = _command(sys.argv[1:] if argv is None else argv)
+            code = handler(**options)
+        except _Exit as stop:  # keeping `stop` would keep its traceback's cycle
+            code = stop.args[0]
         sys.stdout.flush()  # so that a failed write fails here, not at exit
         return code
     except OSError as exc:  # a closed pipe or a full disk behind stdout or stderr

@@ -49,12 +49,6 @@ class TestValidate:
         assert out.startswith("error gen-cycle ")
         assert "1 error(s)" in err
 
-    def test_missing_file_exits_two(self, capsys, tmp_path):
-        code, _, err = run(capsys, "validate", "--model",
-                           str(tmp_path / "absent.puml"))
-        assert code == 2
-        assert "cannot read" in err
-
     def test_non_utf8_file_exits_two_without_a_traceback(self, capsys, tmp_path):
         path = tmp_path / "bad.puml"
         path.write_bytes(b"\xff\xfe")
@@ -512,9 +506,12 @@ CHECK = "check --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --ocl "
     ("fsm-run --machine {tmp}/guarded.fsm --scenario {tmp}/go.scenario", 1),
     ("fsm-run --machine {tmp}/guarded.fsm --scenario {tmp}/late.scenario", 2),
     ("validate --nope x", 2),
+    ("validate --model {tmp}/absent.buml.puml", 2),
+    ("infer --objects {fx}/dpp.objs --out {tmp}", 2),
 ], ids=["validate", "check", "generate-sql", "generate-classes", "fsm-run", "infer",
         "enforce", "unknown-navigation", "division-by-zero", "parse-error",
-        "guard-error", "guard-error-then-malformed", "usage-error"])
+        "guard-error", "guard-error-then-malformed", "usage-error", "unreadable-input",
+        "unwritable-output"])
 def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, command, code):
     """Why `main` may run with the collector off: whatever a command drops,
     reference counting frees, on success and on every kind of failure."""
@@ -536,6 +533,27 @@ def test_a_command_leaves_no_cyclic_garbage(capsys, tmp_path, command, code):
         if was:
             gc.enable()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in (
+        "validate --model {fx}/dpp.buml.puml",
+        CHECK + "{fx}/dpp.ocl",
+        "generate --model {fx}/dpp.buml.puml --target sql --out {tmp}",
+        "fsm-run --machine {fx}/greeting.fsm --scenario {fx}/greeting.scenario",
+        "infer --objects {fx}/dpp.objs --out {tmp}/inferred.buml.puml",
+        "enforce --model {fx}/dpp.buml.puml --objects {fx}/dpp.objs --out {tmp}/p.objs")
+    for option in command.split()[1::2] if option not in ("--target", "--out")
+], ids=lambda v: v.split()[0] if " " in v else v[2:])
+def test_missing_file_exits_two(capsys, tmp_path, command, option):
+    """Each file a command reads, missing, ends it with one error line and
+    nothing on stdout or on disk."""
+    absent = tmp_path / "absent"
+    argv = command.format(fx=FIXTURES, tmp=tmp_path).split()
+    argv[argv.index(option) + 1] = str(absent)
+    assert run(capsys, *argv) == (
+        2, "", f"error: cannot read {absent}: No such file or directory\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_exits_two(capsys):

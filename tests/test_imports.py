@@ -64,8 +64,8 @@ def test_importing_the_package_loads_nothing_else():
 # The most modelkit source lines each subcommand may load, held equal to
 # what it loads, so that a cap cannot go stale: a change that loads fewer
 # lowers it, and one that loads more must raise it on purpose.
-MOST_LINES = {"validate": 1394, "check": 2542, "generate": 1793, "fsm-run": 1935,
-              "infer": 2025, "enforce": 2025}
+MOST_LINES = {"validate": 1373, "check": 2521, "generate": 1772, "fsm-run": 1914,
+              "infer": 2004, "enforce": 2004}
 
 
 @pytest.mark.parametrize("command, modules", [
