@@ -1,9 +1,10 @@
 """Structural conformance of an object model against a class model.
 
 Callers are expected to validate the class model first; conformance
-assumes it is well formed.  The check never aborts: all violations are
-accumulated into one deterministic diagnostic list, ordered objects, then
-links, then per-association multiplicity counts.
+assumes it is well formed.  `object_faults` and `link_faults` hold each
+object, slot and link rule, for flex's pruning too.  The check never
+aborts: all violations are accumulated into one deterministic diagnostic
+list, ordered objects, then links, then per-association multiplicity counts.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ def check_conformance(objects: ObjectModel, model: ClassModel) -> list[Diagnosti
     population = PopulationIndex(objects)
     file = objects.file
     for obj in objects.objects:
-        _check_object(obj, file, index, diags)
+        faults = object_faults(obj, index)
+        if faults:
+            object_errors(obj, faults, file, diags)
     for i, link in enumerate(objects.links):
-        _check_link(i, link, file, population.objects, index, diags)
+        for code, message, _ in link_faults(link, population.objects, index):
+            diags.append(error(code, message, _at(file, link.line), subject=f"link[{i}]"))
     check_multiplicities(index, population, file, diags)
     return diags
 
@@ -51,83 +55,79 @@ def _at(file: str, line: int):
     return SourceSpan(file, line) if line else None
 
 
-def _check_object(obj, file, index, diags) -> None:
+def object_faults(obj, index) -> list:
+    """What is wrong with `obj`, in report order, as (code, slot, subject,
+    message, removal reason); the slot is None for the object itself, the
+    reason None for slot-missing, which no removal mends."""
     cls = index.classes.get(obj.classifier)
     if cls is None:
-        diags.append(error("unknown-classifier",
-                           f"object '{obj.id}' has unknown classifier '{obj.classifier}'",
-                           _at(file, obj.line), subject=obj.id))
-        return
-    if cls.is_abstract:
-        diags.append(error("abstract-instance",
-                           f"object '{obj.id}' instantiates abstract class '{cls.name}'",
-                           _at(file, obj.line), subject=obj.id))
-
+        return [("unknown-classifier", None, obj.id,
+                 f"object '{obj.id}' has unknown classifier '{obj.classifier}'",
+                 f"unknown classifier '{obj.classifier}'")]
+    faults = [("abstract-instance", None, obj.id,
+               f"object '{obj.id}' instantiates abstract class '{cls.name}'",
+               f"abstract classifier '{cls.name}'")] if cls.is_abstract else []
     props = index.properties(cls.name)
-    seen_slots: set[str] = set()
+    seen: set[str] = set()
     for slot in obj.slots:
         name = slot.property_name
-        if name in seen_slots:
-            code, message = "dup-slot", (f"object '{obj.id}' assigns property "
-                                         f"'{name}' more than once")
+        if name in seen:
+            code, message, reason = ("dup-slot", f"object '{obj.id}' assigns property "
+                                     f"'{name}' more than once", "duplicate assignment")
         else:
-            seen_slots.add(name)
+            seen.add(name)
             prop = props.get(name)
             if prop is None:
-                code, message = "unknown-property", (
-                    f"object '{obj.id}' assigns unknown property "
-                    f"'{name}' of class '{cls.name}'")
+                code, message, reason = ("unknown-property", f"object '{obj.id}' assigns "
+                                         f"unknown property '{name}' of class '{cls.name}'",
+                                         f"unknown property of '{cls.name}'")
             elif not value_conforms(slot.value, prop.type_name, index):
-                code, message = "slot-type", (
-                    f"value of slot '{obj.id}.{name}' does not "
-                    f"fit declared type '{prop.type_name}'")
+                fit = f"does not fit declared type '{prop.type_name}'"
+                code, message, reason = ("slot-type", f"value of slot '{obj.id}.{name}' {fit}",
+                                         f"value {fit}")
             else:
                 continue
-        diags.append(error(code, message, _at(file, slot.line), subject=f"{obj.id}.{name}"))
-
-    check_missing_slots(obj, file, props, seen_slots, index, diags)
-
-
-def check_missing_slots(obj, file, props, present, index, diags) -> None:
-    """slot-missing for each of `props`, those of obj's class, not in `present`."""
+        faults.append((code, slot, f"{obj.id}.{name}", message, reason))
     for prop in props.values():
         # Class-typed properties admit omission (their only value is null).
-        if prop.name not in present and index.kind(prop.type_name) != "class":
-            diags.append(error("slot-missing",
-                               f"object '{obj.id}' has no slot for required property "
-                               f"'{prop.name}'",
-                               _at(file, obj.line), subject=f"{obj.id}.{prop.name}"))
+        if prop.name not in seen and index.kind(prop.type_name) != "class":
+            faults.append(("slot-missing", None, f"{obj.id}.{prop.name}",
+                           f"object '{obj.id}' has no slot for required property "
+                           f"'{prop.name}'", None))
+    return faults
 
 
-def _check_link(position, link, file, known, index, diags) -> None:
+def object_errors(obj, faults, file, diags) -> None:
+    """Append object_faults' `faults` of `obj` to `diags`, at their slot's line or obj's."""
+    for code, slot, subject, message, _ in faults:
+        diags.append(error(code, message, _at(file, (slot or obj).line), subject=subject))
+
+
+def link_faults(link, known, index) -> list:
+    """What is wrong with `link`, whose ends name objects `known` by id, in
+    report order, as (code, message, removal reason)."""
     assoc = index.associations.get(link.association_name)
     if assoc is None:
-        diags.append(error("unknown-association",
-                           f"link references unknown association "
-                           f"'{link.association_name}'",
-                           _at(file, link.line), subject=f"link[{position}]"))
-        return
+        return [("unknown-association",
+                 f"link references unknown association '{link.association_name}'",
+                 f"unknown association '{link.association_name}'")]
     if len(link.ends) != 2:
-        diags.append(error("link-ends",
-                           f"link of '{assoc.name}' must have exactly two ends",
-                           _at(file, link.line), subject=f"link[{position}]"))
-        return
-    for pos, object_id in enumerate(link.ends):
+        message = f"link of '{assoc.name}' must have exactly two ends"
+        return [("link-ends", message, message)]
+    faults = []
+    for end, object_id in zip(assoc.ends, link.ends):
         obj = known.get(object_id)
         if obj is None:
-            diags.append(error("unknown-object",
-                               f"link of '{assoc.name}' references unknown object "
-                               f"'{object_id}'",
-                               _at(file, link.line), subject=f"link[{position}]"))
-            continue
-        end = assoc.ends[pos]
-        if end.target not in index.classes or obj.classifier not in index.classes:
-            continue  # already reported against the model or the object
-        if not index.conforms(obj.classifier, end.target):
-            diags.append(error("link-end-type",
-                               f"object '{obj.id}' ({obj.classifier}) cannot occupy the "
-                               f"'{end.target}' end of association '{assoc.name}'",
-                               _at(file, link.line), subject=f"link[{position}]"))
+            faults.append(("unknown-object",
+                           f"link of '{assoc.name}' references unknown object '{object_id}'",
+                           f"end object '{object_id}' is gone or unknown"))
+        # An unknown class is reported against the model or the object.
+        elif (end.target in index.classes and obj.classifier in index.classes
+              and not index.conforms(obj.classifier, end.target)):
+            occupy = (f"object '{obj.id}' ({obj.classifier}) cannot occupy the "
+                      f"'{end.target}' end")
+            faults.append(("link-end-type", f"{occupy} of association '{assoc.name}'", occupy))
+    return faults
 
 
 def check_multiplicities(index, population, file, diags) -> None:

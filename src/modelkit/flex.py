@@ -2,7 +2,9 @@
 object model down to what conforms.
 
 Both operations implement one fixed strategy each (documented below);
-richer strategies can replace them behind the same signatures.
+richer strategies can replace them behind the same signatures.  Pruning
+removes what conformance's own fault walks, `object_faults` and
+`link_faults`, find: no conformance rule is written here.
 """
 
 from __future__ import annotations
@@ -10,14 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 # check_conformance stays bound here, where bench/spans.py wraps it by name.
-from modelkit.conformance import (check_conformance, check_missing_slots,  # noqa: F401
-                                  check_multiplicities, value_conforms)
+from modelkit.conformance import (check_conformance, check_multiplicities,  # noqa: F401
+                                  link_faults, object_errors, object_faults)
 from modelkit.diagnostics import Diagnostic, warning
 from modelkit.index import PRIMITIVE_VALUES, ModelIndex, PopulationIndex
 from modelkit.metamodel import (
     Association,
     AssociationEnd,
-    AttributeLink,
     ClassDef,
     ClassModel,
     Generalization,
@@ -145,57 +146,44 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
     all that check_conformance finds in the output, in its order.
     """
     diags: list[Diagnostic] = []
+    slots_removed: list[Diagnostic] = []  # reported after the removed objects
     residual: list[Diagnostic] = []  # pruning leaves only missing slots and lower bounds
 
     def removed(kind: str, subject: str, reason: str) -> None:
-        diags.append(warning(f"removed-{kind}", f"removed {kind} {subject}: {reason}",
-                             subject=subject))
+        (slots_removed if kind == "slot" else diags).append(warning(
+            f"removed-{kind}", f"removed {kind} {subject}: {reason}", subject=subject))
 
     index = ModelIndex(model)
     kept_objects: list[ObjectDef] = []
     for obj in objects.objects:
-        cls = index.classes.get(obj.classifier)
-        if cls is None:
-            removed("object", f"'{obj.id}'",
-                    f"unknown classifier '{obj.classifier}'")
-            continue
-        if cls.is_abstract:
-            removed("object", f"'{obj.id}'",
-                    f"abstract classifier '{obj.classifier}'")
-            continue
+        faults = object_faults(obj, index)
+        if faults:
+            _, slot, _, _, reason = faults[0]
+            if slot is None and reason is not None:  # the object itself is at fault
+                removed("object", f"'{obj.id}'", reason)
+                continue
+            slot_faults = [fault for fault in faults if fault[1] is not None]
+            if slot_faults:
+                kept_slots = []
+                for slot in obj.slots:  # the faults name their slots in slot order
+                    if slot_faults and slot is slot_faults[0][1]:
+                        _, _, subject, _, reason = slot_faults.pop(0)
+                        removed("slot", f"'{subject}'", reason)
+                    else:
+                        kept_slots.append(slot)
+                obj = ObjectDef(obj.id, obj.classifier, kept_slots, obj.line)
+                faults = object_faults(obj, index)
+            object_errors(obj, faults, objects.file, residual)
         kept_objects.append(obj)
+    diags += slots_removed
 
-    pruned_objects: list[ObjectDef] = []
-    for obj in kept_objects:
-        props = index.properties(obj.classifier)
-        kept_slots: list[AttributeLink] = []
-        seen: set[str] = set()
-        for slot in obj.slots:
-            name = slot.property_name
-            if name in seen:
-                reason = "duplicate assignment"
-            else:
-                seen.add(name)
-                prop = props.get(name)
-                if prop is None:
-                    reason = f"unknown property of '{obj.classifier}'"
-                elif not value_conforms(slot.value, prop.type_name, index):
-                    reason = f"value does not fit declared type '{prop.type_name}'"
-                else:
-                    kept_slots.append(slot)
-                    continue
-            removed("slot", f"'{obj.id}.{name}'", reason)
-        check_missing_slots(obj, objects.file, props, {s.property_name for s in kept_slots},
-                            index, residual)
-        pruned_objects.append(ObjectDef(obj.id, obj.classifier, kept_slots, obj.line))
-
-    # One index serves every walk below: it takes the links _link_fault keeps.
-    result = ObjectModel(pruned_objects, [], objects.file)
+    # One index serves every walk below: it takes the links that have no fault.
+    result = ObjectModel(kept_objects, [], objects.file)
     population = PopulationIndex(result)
     for position, link in enumerate(objects.links):
-        bad = _link_fault(link, index, population)
-        if bad is not None:
-            removed("link", f"link[{position}]", bad)
+        faults = link_faults(link, population.objects, index)
+        if faults:
+            removed("link", f"link[{position}]", faults[0][2])
         else:
             result.links.append(link)
     population.add(result.links)
@@ -225,19 +213,3 @@ def enforce_conformance(objects: ObjectModel, model: ClassModel
     check_multiplicities(index, population, objects.file, residual)
     return result, diags + residual
 
-
-def _link_fault(link, index, population) -> Optional[str]:
-    """Why enforcement removes `link` before counting bounds, or None."""
-    assoc = index.associations.get(link.association_name)
-    if assoc is None:
-        return f"unknown association '{link.association_name}'"
-    if len(link.ends) != 2:
-        return f"link of '{assoc.name}' must have exactly two ends"
-    for end, object_id in zip(assoc.ends, link.ends):
-        holder = population.objects.get(object_id)
-        if holder is None:
-            return f"end object '{object_id}' is gone or unknown"
-        if not index.conforms(holder.classifier, end.target):
-            return (f"object '{holder.id}' ({holder.classifier}) cannot occupy "
-                    f"the '{end.target}' end")
-    return None

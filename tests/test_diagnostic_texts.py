@@ -55,12 +55,23 @@ def test_a_link_without_two_ends_is_a_link_ends_error():
     assert sorted((d.code, d.subject) for d in found) == brute_conformance(population, MODEL)
 
 
-def test_enforce_removes_a_second_assignment():
-    population = ObjectModel(objects=[TWICE, OTHER])
+@pytest.mark.parametrize("obj, codes, texts, kept", [
+    (TWICE, ["dup-slot"],
+     ["warning removed-slot - removed slot 'a1.code': duplicate assignment"], TWICE.slots[:1]),
+    # An ill-typed first assignment is present to conformance, so it reports
+    # no slot-missing; enforcement removes both, and then the slot is missing.
+    (ObjectDef("a1", "A", [AttributeLink("code", 1), AttributeLink("code", "y")]),
+     ["slot-type", "dup-slot"],
+     ["warning removed-slot - removed slot 'a1.code': value does not fit declared type 'str'",
+      "warning removed-slot - removed slot 'a1.code': duplicate assignment",
+      "error slot-missing - object 'a1' has no slot for required property 'code'"], []),
+], ids=["first-fits", "first-ill-typed"])
+def test_enforce_removes_a_second_assignment(obj, codes, texts, kept):
+    population = ObjectModel(objects=[obj, OTHER])
+    assert [d.code for d in check_conformance(population, MODEL)] == codes
     pruned, found = enforce_conformance(population, MODEL)
-    assert [d.format() for d in found] == [
-        "warning removed-slot - removed slot 'a1.code': duplicate assignment"]
-    assert pruned.objects[0].slots == TWICE.slots[:1]
+    assert [d.format() for d in found] == texts
+    assert pruned.objects[0].slots == kept
 
 
 def test_validation_reports_names_ends_bounds_and_generalizations():

@@ -269,6 +269,18 @@ class TestEnforce:
         assert [d.message for d in diags] == [
             "removed link link[0]: unknown association 'q'"]
 
+    def test_a_link_with_an_end_at_an_unknown_class_is_kept_as_conformance_accepts_it(self):
+        """Validation rejects an end that names no class; conformance skips
+        that end, and enforcement, pruning by the same fault walk, keeps the
+        link as conformance accepts it."""
+        model = ClassModel("m", [ClassDef("A")], associations=[
+            Association("r", (AssociationEnd("A"), AssociationEnd("Ghost")))])
+        objects = population(ObjectDef("a1", "A"), ObjectDef("a2", "A"),
+                             links=[Link("r", ("a1", "a2"))])
+        assert [d.code for d in validate_class_model(model)] == ["unknown-class"]
+        assert check_conformance(objects, model) == []
+        assert enforce_conformance(objects, model) == (objects, [])
+
 
 # One maker per value kind; a column draws from a few of them, so some
 # columns mix kinds that no primitive type admits together.
@@ -334,12 +346,20 @@ REMOVAL_REASONS = ("unknown classifier", "abstract classifier", "duplicate assig
                    "exactly two ends", "gone or unknown", "cannot occupy",
                    "exceeds upper bound")
 
+# The check_conformance codes each kind of removal answers to.
+FINDINGS_REMOVED = {"removed-object": ("unknown-classifier", "abstract-instance"),
+                    "removed-slot": ("dup-slot", "unknown-property", "slot-type"),
+                    "removed-link": ("unknown-association", "link-ends")}
+
 
 def test_the_residual_is_what_check_conformance_finds_in_the_pruned_output():
     """Enforcement reports what it could not prune without checking its
     output again: on populations with every defect it prunes, its residual
     diagnostics are check_conformance's on the output, in order, with spans
-    and subjects, and a second enforcement removes nothing."""
+    and subjects, and a second enforcement removes nothing.  Each removal of
+    an object, a slot, or a link of an unknown association or without two
+    ends answers to a finding of check_conformance on the input, with the
+    same subject."""
     rng = random.Random(24)
     reasons, residual_codes = set(), set()
     for case in range(300):
@@ -347,10 +367,17 @@ def test_the_residual_is_what_check_conformance_finds_in_the_pruned_output():
         objects.file = "gen.objs"
         for line, element in enumerate(objects.objects + objects.links, 1):
             element.line = line
+        found = {(d.subject, d.code) for d in check_conformance(objects, model)}
         pruned, diags = enforce_conformance(objects, model)
         removals = [d for d in diags if d.code.startswith("removed-")]
         residual = diags[len(removals):]
         assert diags[:len(removals)] == removals, case
+        for d in removals:
+            if d.code == "removed-link" and not any(
+                    phrase in d.message for phrase in ("unknown association", "exactly two ends")):
+                continue  # ends and bounds are judged after objects are removed
+            assert any((d.subject.strip("'"), code) in found
+                       for code in FINDINGS_REMOVED[d.code]), (case, d)
         assert residual == check_conformance(pruned, model), case
         assert enforce_conformance(pruned, model) == (pruned, residual), case
         reasons.update(phrase for d in removals for phrase in REMOVAL_REASONS

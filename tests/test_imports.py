@@ -65,7 +65,7 @@ def test_importing_the_package_loads_nothing_else():
 # what it loads, so that a cap cannot go stale: a change that loads fewer
 # lowers it, and one that loads more must raise it on purpose.
 MOST_LINES = {"validate": 1373, "check": 2521, "generate": 1772, "fsm-run": 1914,
-              "infer": 2004, "enforce": 2004}
+              "infer": 1976, "enforce": 1976}
 
 
 @pytest.mark.parametrize("command, modules", [
